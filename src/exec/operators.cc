@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace rwdt::exec {
@@ -19,57 +20,92 @@ std::string TripleString(const sparql::TriplePattern& t,
          TermString(t.o, dict);
 }
 
-/// Evaluator::EvalTriple's binding construction, shared by the scans and
-/// the Yannakakis relation loader: repeated variables must agree.
-void BindTripleMatches(const std::vector<graph::Triple>& matches,
-                       const sparql::TriplePattern& t,
-                       std::vector<Binding>* out) {
-  out->reserve(out->size() + matches.size());
-  for (const auto& triple : matches) {
-    Binding mu;
-    bool consistent = true;
-    auto bind = [&](const sparql::Term& term, SymbolId value) {
-      if (!term.ActsAsVar()) return;
-      auto [it, inserted] = mu.emplace(term.id, value);
-      if (!inserted && it->second != value) consistent = false;
-    };
-    bind(t.s, triple.s);
-    bind(t.p, triple.p);
-    bind(t.o, triple.o);
-    if (consistent) out->push_back(std::move(mu));
-  }
+SymbolId ConstantOrWildcard(const sparql::Term& t) {
+  return t.ActsAsVar() ? kInvalidSymbol : t.id;
 }
 
-/// Evaluator::EvalPath's binding construction from a pair set.
-void BindPathPairs(const std::vector<std::pair<SymbolId, SymbolId>>& pairs,
-                   const sparql::PathTriple& p, std::vector<Binding>* out) {
-  out->reserve(pairs.size());
-  for (const auto& [x, y] : pairs) {
-    Binding mu;
-    bool consistent = true;
-    if (p.s.ActsAsVar()) mu[p.s.id] = x;
-    if (p.o.ActsAsVar()) {
-      auto [it, inserted] = mu.emplace(p.o.id, y);
-      if (!inserted && it->second != y) consistent = false;
+/// Binds `value` into `slot` of a row under construction. A slot an
+/// earlier position of the same pattern already bound must agree: the
+/// repeated-variable rule of `?x p ?x`.
+bool BindSlot(SymbolId* row, uint32_t slot, SymbolId value) {
+  if (slot == kNoSlot) return true;
+  if (row[slot] != kInvalidSymbol) return row[slot] == value;
+  row[slot] = value;
+  return true;
+}
+
+/// The narrowest index range holding every match of (s, p, o), where
+/// kInvalidSymbol is a wildcard; callers still test each triple.
+graph::TripleStore::TripleRange MatchRange(const graph::TripleStore& store,
+                                           SymbolId s, SymbolId p,
+                                           SymbolId o) {
+  if (s != kInvalidSymbol) {
+    return p != kInvalidSymbol ? store.RangeSP(s, p) : store.RangeS(s);
+  }
+  if (o != kInvalidSymbol) {
+    return p != kInvalidSymbol ? store.RangePO(p, o) : store.RangeO(o);
+  }
+  if (p != kInvalidSymbol) return store.RangeP(p);
+  const std::vector<graph::Triple>& all = store.triples();
+  return {all.data(), all.data() + all.size()};
+}
+
+/// Evaluator::EvalTriple's bindings as rows, straight from the store's
+/// index ranges; shared by the scan and the Yannakakis relation loader.
+void ScanTriple(const graph::TripleStore& store, const SlotLayout& layout,
+                const sparql::TriplePattern& t, RowBuffer* out) {
+  const SymbolId s = ConstantOrWildcard(t.s);
+  const SymbolId p = ConstantOrWildcard(t.p);
+  const SymbolId o = ConstantOrWildcard(t.o);
+  const uint32_t s_slot = layout.SlotOf(t.s);
+  const uint32_t p_slot = layout.SlotOf(t.p);
+  const uint32_t o_slot = layout.SlotOf(t.o);
+  const auto [lo, hi] = MatchRange(store, s, p, o);
+  for (const graph::Triple* tr = lo; tr != hi; ++tr) {
+    if ((s != kInvalidSymbol && tr->s != s) ||
+        (p != kInvalidSymbol && tr->p != p) ||
+        (o != kInvalidSymbol && tr->o != o)) {
+      continue;
     }
-    if (consistent) out->push_back(std::move(mu));
+    SymbolId* row = out->Append();
+    if (!BindSlot(row, s_slot, tr->s) || !BindSlot(row, p_slot, tr->p) ||
+        !BindSlot(row, o_slot, tr->o)) {
+      out->Truncate(out->size() - 1);
+    }
   }
 }
 
-/// Join-key of a row: the values of `vars`, which the planner guarantees
-/// are all bound. A missing variable is a planner bug, not a data
+/// Evaluator::EvalPath's bindings as rows, from a pair set.
+void BindPathPairs(const std::vector<std::pair<SymbolId, SymbolId>>& pairs,
+                   const SlotLayout& layout, const sparql::PathTriple& p,
+                   RowBuffer* out) {
+  const uint32_t s_slot = layout.SlotOf(p.s);
+  const uint32_t o_slot = layout.SlotOf(p.o);
+  for (const auto& [x, y] : pairs) {
+    SymbolId* row = out->Append();
+    if (!BindSlot(row, s_slot, x) || !BindSlot(row, o_slot, y)) {
+      out->Truncate(out->size() - 1);
+    }
+  }
+}
+
+std::vector<uint32_t> SlotsOf(const SlotLayout& layout,
+                              const std::vector<SymbolId>& vars) {
+  std::vector<uint32_t> slots;
+  slots.reserve(vars.size());
+  for (SymbolId v : vars) slots.push_back(layout.SlotOf(v));
+  return slots;
+}
+
+/// Hash joins key on variables the planner guarantees are bound in
+/// every row; an unbound key slot is a planner bug, not a data
 /// condition.
-Status ExtractKey(const Binding& row, const std::vector<SymbolId>& vars,
-                  std::vector<SymbolId>* key) {
-  key->clear();
-  key->reserve(vars.size());
-  for (SymbolId v : vars) {
-    auto it = row.find(v);
-    if (it == row.end()) {
+Status CheckKeyBound(const SymbolId* row, const std::vector<uint32_t>& slots) {
+  for (uint32_t slot : slots) {
+    if (slot == kNoSlot || row[slot] == kInvalidSymbol) {
       return Status::Internal(
           "hash join planned over a non-definite variable");
     }
-    key->push_back(it->second);
   }
   return Status::Ok();
 }
@@ -83,57 +119,165 @@ void ExplainJoinVars(const std::vector<SymbolId>& vars, const Interner& dict,
 
 }  // namespace
 
-Result<std::vector<Binding>> Operator::Drain() {
+// --- Rows ------------------------------------------------------------
+
+SlotLayout::SlotLayout(const std::set<SymbolId>& vars)
+    : vars_(vars.begin(), vars.end()) {}
+
+uint32_t SlotLayout::SlotOf(SymbolId var) const {
+  const auto it = std::lower_bound(vars_.begin(), vars_.end(), var);
+  if (it == vars_.end() || *it != var) return kNoSlot;
+  return static_cast<uint32_t>(it - vars_.begin());
+}
+
+Binding SlotLayout::ToBinding(const SymbolId* row) const {
+  // Slots ascend with variable ids, so every insert lands at the end.
+  Binding mu;
+  for (size_t i = 0; i < vars_.size(); ++i) {
+    if (row[i] != kInvalidSymbol) mu.emplace_hint(mu.end(), vars_[i], row[i]);
+  }
+  return mu;
+}
+
+SymbolId* RowBuffer::Append() {
+  ids_.resize(ids_.size() + width_, kInvalidSymbol);
+  ++rows_;
+  return ids_.data() + (rows_ - 1) * width_;
+}
+
+void RowBuffer::Truncate(size_t n) {
+  rows_ = std::min(rows_, n);
+  ids_.resize(rows_ * width_);
+}
+
+bool CompatibleRows(const SymbolId* a, const SymbolId* b, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    if (a[i] != kInvalidSymbol && b[i] != kInvalidSymbol && a[i] != b[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void MergeRows(const SymbolId* a, const SymbolId* b, size_t width,
+               SymbolId* out) {
+  for (size_t i = 0; i < width; ++i) {
+    out[i] = a[i] != kInvalidSymbol ? a[i] : b[i];
+  }
+}
+
+// --- JoinIndex -------------------------------------------------------
+
+namespace {
+
+uint64_t KeyHash(const SymbolId* row, const std::vector<uint32_t>& slots) {
+  uint64_t h = 0;
+  for (uint32_t slot : slots) {
+    h = (h ^ row[slot]) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
+
+Status JoinIndex::Build(const RowBuffer& rows,
+                        const std::vector<uint32_t>& key_slots) {
+  if (rows.size() >= kEnd) {
+    return Status::ResourceExhausted("join input exceeds 2^32 rows");
+  }
+  rows_ = &rows;
+  key_slots_ = key_slots;
+  // Power-of-two bucket count, at least twice the rows: short chains.
+  size_t buckets = 1;
+  while (buckets < 2 * rows.size()) buckets <<= 1;
+  mask_ = buckets - 1;
+  heads_.assign(buckets, kEnd);
+  next_.resize(rows.size());
+  // Insert back to front so each chain lists its rows in input order.
+  for (size_t i = rows.size(); i-- > 0;) {
+    uint32_t& head = heads_[KeyHash(rows[i], key_slots_) & mask_];
+    next_[i] = head;
+    head = static_cast<uint32_t>(i);
+  }
+  return Status::Ok();
+}
+
+uint32_t JoinIndex::Match(uint32_t row, const SymbolId* probe) const {
+  for (; row != kEnd; row = next_[row]) {
+    const SymbolId* candidate = (*rows_)[row];
+    const bool equal = std::all_of(
+        key_slots_.begin(), key_slots_.end(),
+        [&](uint32_t slot) { return candidate[slot] == probe[slot]; });
+    if (equal) return row;
+  }
+  return kEnd;
+}
+
+uint32_t JoinIndex::First(const SymbolId* probe) const {
+  return Match(heads_[KeyHash(probe, key_slots_) & mask_], probe);
+}
+
+uint32_t JoinIndex::Next(uint32_t row, const SymbolId* probe) const {
+  return Match(next_[row], probe);
+}
+
+// --- Operator --------------------------------------------------------
+
+Status Operator::DrainRows(RowBuffer* out) {
+  out->Clear();
   RWDT_RETURN_IF_ERROR(Open());
-  std::vector<Binding> rows;
-  Binding row;
   while (true) {
-    Result<bool> more = Next(&row);
-    if (!more.ok()) {
+    Result<bool> more = Next(out->Append());
+    if (!more.ok() || !more.value()) {
+      out->Truncate(out->size() - 1);
       Close();
       return more.status();
     }
-    if (!more.value()) break;
-    rows.push_back(std::move(row));
-    row.clear();
   }
-  Close();
-  return rows;
 }
 
-Binding MergeBindings(const Binding& a, const Binding& b) {
-  Binding out = a;
-  out.insert(b.begin(), b.end());
+Result<std::vector<Binding>> Operator::Drain() {
+  RowBuffer rows(width());
+  RWDT_RETURN_IF_ERROR(DrainRows(&rows));
+  std::vector<Binding> out;
+  out.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.push_back(layout_->ToBinding(rows[i]));
+  }
   return out;
+}
+
+Status MaterializedOp::Open() {
+  rows_.Clear();
+  pos_ = 0;
+  return Fill(&rows_);
+}
+
+Result<bool> MaterializedOp::Next(SymbolId* row) {
+  if (pos_ >= rows_.size()) return false;
+  std::copy_n(rows_[pos_++], width(), row);
+  return true;
+}
+
+void MaterializedOp::Close() {
+  rows_.Clear();
+  pos_ = 0;
 }
 
 // --- TripleScanOp ----------------------------------------------------
 
-TripleScanOp::TripleScanOp(const graph::TripleStore& store,
+TripleScanOp::TripleScanOp(LayoutPtr layout, const graph::TripleStore& store,
                            const Interner& dict,
                            sparql::TriplePattern pattern)
-    : store_(store), dict_(dict), pattern_(std::move(pattern)) {}
+    : MaterializedOp(std::move(layout)),
+      store_(store),
+      dict_(dict),
+      pattern_(std::move(pattern)) {}
 
-Status TripleScanOp::Open() {
-  rows_.clear();
-  pos_ = 0;
-  const auto& t = pattern_;
-  const SymbolId s = t.s.ActsAsVar() ? kInvalidSymbol : t.s.id;
-  const SymbolId p = t.p.ActsAsVar() ? kInvalidSymbol : t.p.id;
-  const SymbolId o = t.o.ActsAsVar() ? kInvalidSymbol : t.o.id;
-  BindTripleMatches(store_.Match(s, p, o), t, &rows_);
+Status TripleScanOp::Fill(RowBuffer* rows) {
+  ScanTriple(store_, layout(), pattern_, rows);
   return Status::Ok();
-}
-
-Result<bool> TripleScanOp::Next(Binding* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
-}
-
-void TripleScanOp::Close() {
-  rows_.clear();
-  pos_ = 0;
 }
 
 void TripleScanOp::Explain(JsonWriter* w) const {
@@ -145,30 +289,19 @@ void TripleScanOp::Explain(JsonWriter* w) const {
 
 // --- PathScanOp ------------------------------------------------------
 
-PathScanOp::PathScanOp(const sparql::Evaluator& eval, const Interner& dict,
-                       sparql::PathTriple pattern)
-    : eval_(eval), dict_(dict), pattern_(std::move(pattern)) {}
+PathScanOp::PathScanOp(LayoutPtr layout, const sparql::Evaluator& eval,
+                       const Interner& dict, sparql::PathTriple pattern)
+    : MaterializedOp(std::move(layout)),
+      eval_(eval),
+      dict_(dict),
+      pattern_(std::move(pattern)) {}
 
-Status PathScanOp::Open() {
-  rows_.clear();
-  pos_ = 0;
-  const SymbolId s =
-      pattern_.s.ActsAsVar() ? kInvalidSymbol : pattern_.s.id;
-  const SymbolId o =
-      pattern_.o.ActsAsVar() ? kInvalidSymbol : pattern_.o.id;
-  BindPathPairs(eval_.EvalPathPairs(*pattern_.path, s, o), pattern_, &rows_);
+Status PathScanOp::Fill(RowBuffer* rows) {
+  BindPathPairs(eval_.EvalPathPairs(*pattern_.path,
+                                    ConstantOrWildcard(pattern_.s),
+                                    ConstantOrWildcard(pattern_.o)),
+                layout(), pattern_, rows);
   return Status::Ok();
-}
-
-Result<bool> PathScanOp::Next(Binding* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
-}
-
-void PathScanOp::Close() {
-  rows_.clear();
-  pos_ = 0;
 }
 
 void PathScanOp::Explain(JsonWriter* w) const {
@@ -182,57 +315,33 @@ void PathScanOp::Explain(JsonWriter* w) const {
 
 // --- AutomatonPathScanOp ---------------------------------------------
 
-AutomatonPathScanOp::AutomatonPathScanOp(const graph::TripleStore& store,
+AutomatonPathScanOp::AutomatonPathScanOp(LayoutPtr layout,
+                                         const graph::TripleStore& store,
                                          const sparql::Evaluator& eval,
                                          const Interner& dict,
                                          sparql::PathTriple pattern)
-    : store_(store),
+    : MaterializedOp(std::move(layout)),
+      store_(store),
       eval_(eval),
       dict_(dict),
       pattern_(std::move(pattern)),
       nfa_(CompilePathNfa(*pattern_.path)) {}
 
-Status AutomatonPathScanOp::Open() {
-  rows_.clear();
-  pos_ = 0;
-  const SymbolId s =
-      pattern_.s.ActsAsVar() ? kInvalidSymbol : pattern_.s.id;
-  const SymbolId o =
-      pattern_.o.ActsAsVar() ? kInvalidSymbol : pattern_.o.id;
-
-  // Sorted subjects-union-objects, as Evaluator::AllTerms computes it.
-  std::vector<SymbolId> all_terms;
-  {
-    std::set<SymbolId> terms;
-    for (const auto& t : store_.triples()) {
-      terms.insert(t.s);
-      terms.insert(t.o);
-    }
-    all_terms.assign(terms.begin(), terms.end());
-  }
-
+Status AutomatonPathScanOp::Fill(RowBuffer* rows) {
+  const SymbolId s = ConstantOrWildcard(pattern_.s);
+  const SymbolId o = ConstantOrWildcard(pattern_.o);
+  const std::vector<SymbolId> all_terms = store_.Terms();
   if (s == kInvalidSymbol && o != kInvalidSymbol &&
       !std::binary_search(all_terms.begin(), all_terms.end(), o)) {
     // Zero-length semantics for an object with no incident edges depend
     // on the path's operator shape; defer to the reference algorithm.
-    BindPathPairs(eval_.EvalPathPairs(*pattern_.path, s, o), pattern_,
-                  &rows_);
+    BindPathPairs(eval_.EvalPathPairs(*pattern_.path, s, o), layout(),
+                  pattern_, rows);
     return Status::Ok();
   }
-  BindPathPairs(EvalPathNfa(store_, nfa_, all_terms, s, o), pattern_,
-                &rows_);
+  BindPathPairs(EvalPathNfa(store_, nfa_, all_terms, s, o), layout(),
+                pattern_, rows);
   return Status::Ok();
-}
-
-Result<bool> AutomatonPathScanOp::Next(Binding* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
-}
-
-void AutomatonPathScanOp::Close() {
-  rows_.clear();
-  pos_ = 0;
 }
 
 void AutomatonPathScanOp::Explain(JsonWriter* w) const {
@@ -247,46 +356,55 @@ void AutomatonPathScanOp::Explain(JsonWriter* w) const {
 
 // --- HashJoinOp ------------------------------------------------------
 
-HashJoinOp::HashJoinOp(OperatorPtr left, OperatorPtr right,
-                       std::vector<SymbolId> join_vars, const Interner& dict)
-    : left_(std::move(left)),
+HashJoinOp::HashJoinOp(LayoutPtr layout, OperatorPtr left, OperatorPtr right,
+                       std::vector<SymbolId> join_vars, const Interner& dict,
+                       bool left_outer)
+    : Operator(std::move(layout)),
+      left_(std::move(left)),
       right_(std::move(right)),
       join_vars_(std::move(join_vars)),
-      dict_(dict) {}
+      join_slots_(SlotsOf(*layout_, join_vars_)),
+      dict_(dict),
+      left_outer_(left_outer),
+      build_(width()),
+      probe_(width()) {}
 
 Status HashJoinOp::Open() {
-  build_.clear();
-  matches_ = nullptr;
-  match_pos_ = 0;
-  RWDT_ASSIGN_OR_RETURN(std::vector<Binding> rows, right_->Drain());
-  std::vector<SymbolId> key;
-  for (auto& row : rows) {
-    RWDT_RETURN_IF_ERROR(ExtractKey(row, join_vars_, &key));
-    build_[key].push_back(std::move(row));
+  match_ = JoinIndex::kEnd;
+  probe_pending_unmatched_ = false;
+  RWDT_RETURN_IF_ERROR(right_->DrainRows(&build_));
+  for (size_t i = 0; i < build_.size(); ++i) {
+    RWDT_RETURN_IF_ERROR(CheckKeyBound(build_[i], join_slots_));
   }
+  RWDT_RETURN_IF_ERROR(index_.Build(build_, join_slots_));
   return left_->Open();
 }
 
-Result<bool> HashJoinOp::Next(Binding* row) {
-  std::vector<SymbolId> key;
+Result<bool> HashJoinOp::Next(SymbolId* row) {
   while (true) {
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *row = MergeBindings(probe_, (*matches_)[match_pos_++]);
+    if (match_ != JoinIndex::kEnd) {
+      MergeRows(probe_.data(), build_[match_], width(), row);
+      match_ = index_.Next(match_, probe_.data());
       return true;
     }
-    RWDT_ASSIGN_OR_RETURN(const bool more, left_->Next(&probe_));
+    if (probe_pending_unmatched_) {
+      probe_pending_unmatched_ = false;
+      std::copy_n(probe_.data(), width(), row);
+      return true;
+    }
+    RWDT_ASSIGN_OR_RETURN(const bool more, left_->Next(probe_.data()));
     if (!more) return false;
-    RWDT_RETURN_IF_ERROR(ExtractKey(probe_, join_vars_, &key));
-    auto it = build_.find(key);
-    matches_ = it == build_.end() ? nullptr : &it->second;
-    match_pos_ = 0;
+    RWDT_RETURN_IF_ERROR(CheckKeyBound(probe_.data(), join_slots_));
+    match_ = index_.First(probe_.data());
+    probe_pending_unmatched_ = left_outer_ && match_ == JoinIndex::kEnd;
   }
 }
 
 void HashJoinOp::Close() {
   left_->Close();
-  build_.clear();
-  matches_ = nullptr;
+  build_.Clear();
+  match_ = JoinIndex::kEnd;
+  probe_pending_unmatched_ = false;
 }
 
 void HashJoinOp::Explain(JsonWriter* w) const {
@@ -300,107 +418,43 @@ void HashJoinOp::Explain(JsonWriter* w) const {
   w->EndObject();
 }
 
-// --- HashLeftJoinOp --------------------------------------------------
-
-HashLeftJoinOp::HashLeftJoinOp(OperatorPtr left, OperatorPtr right,
-                               std::vector<SymbolId> join_vars,
-                               const Interner& dict)
-    : left_(std::move(left)),
-      right_(std::move(right)),
-      join_vars_(std::move(join_vars)),
-      dict_(dict) {}
-
-Status HashLeftJoinOp::Open() {
-  build_.clear();
-  matches_ = nullptr;
-  match_pos_ = 0;
-  probe_pending_unmatched_ = false;
-  RWDT_ASSIGN_OR_RETURN(std::vector<Binding> rows, right_->Drain());
-  std::vector<SymbolId> key;
-  for (auto& row : rows) {
-    RWDT_RETURN_IF_ERROR(ExtractKey(row, join_vars_, &key));
-    build_[key].push_back(std::move(row));
-  }
-  return left_->Open();
-}
-
-Result<bool> HashLeftJoinOp::Next(Binding* row) {
-  std::vector<SymbolId> key;
-  while (true) {
-    if (probe_pending_unmatched_) {
-      probe_pending_unmatched_ = false;
-      *row = probe_;
-      return true;
-    }
-    if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      *row = MergeBindings(probe_, (*matches_)[match_pos_++]);
-      return true;
-    }
-    matches_ = nullptr;
-    RWDT_ASSIGN_OR_RETURN(const bool more, left_->Next(&probe_));
-    if (!more) return false;
-    RWDT_RETURN_IF_ERROR(ExtractKey(probe_, join_vars_, &key));
-    auto it = build_.find(key);
-    if (it == build_.end() || it->second.empty()) {
-      probe_pending_unmatched_ = true;
-    } else {
-      matches_ = &it->second;
-      match_pos_ = 0;
-    }
-  }
-}
-
-void HashLeftJoinOp::Close() {
-  left_->Close();
-  build_.clear();
-  matches_ = nullptr;
-  probe_pending_unmatched_ = false;
-}
-
-void HashLeftJoinOp::Explain(JsonWriter* w) const {
-  w->BeginObject();
-  w->StringField("op", Name());
-  ExplainJoinVars(join_vars_, dict_, w);
-  w->Key("left");
-  left_->Explain(w);
-  w->Key("right");
-  right_->Explain(w);
-  w->EndObject();
-}
-
 // --- NestedLoopJoinOp ------------------------------------------------
 
-NestedLoopJoinOp::NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
-                                   bool left_outer)
-    : left_(std::move(left)), right_(std::move(right)),
-      left_outer_(left_outer) {}
+NestedLoopJoinOp::NestedLoopJoinOp(LayoutPtr layout, OperatorPtr left,
+                                   OperatorPtr right, bool left_outer)
+    : Operator(std::move(layout)),
+      left_(std::move(left)),
+      right_(std::move(right)),
+      left_outer_(left_outer),
+      build_(width()),
+      probe_(width()) {}
 
 Status NestedLoopJoinOp::Open() {
-  RWDT_ASSIGN_OR_RETURN(build_, right_->Drain());
+  RWDT_RETURN_IF_ERROR(right_->DrainRows(&build_));
   probe_live_ = false;
   return left_->Open();
 }
 
-Result<bool> NestedLoopJoinOp::Next(Binding* row) {
+Result<bool> NestedLoopJoinOp::Next(SymbolId* row) {
   while (true) {
     if (!probe_live_) {
-      RWDT_ASSIGN_OR_RETURN(const bool more, left_->Next(&probe_));
+      RWDT_ASSIGN_OR_RETURN(const bool more, left_->Next(probe_.data()));
       if (!more) return false;
       probe_live_ = true;
       probe_matched_ = false;
       build_pos_ = 0;
     }
     while (build_pos_ < build_.size()) {
-      const Binding& other = build_[build_pos_++];
-      if (sparql::Compatible(probe_, other)) {
+      const SymbolId* other = build_[build_pos_++];
+      if (CompatibleRows(probe_.data(), other, width())) {
         probe_matched_ = true;
-        *row = MergeBindings(probe_, other);
+        MergeRows(probe_.data(), other, width(), row);
         return true;
       }
     }
     probe_live_ = false;
     if (left_outer_ && !probe_matched_) {
-      *row = probe_;
+      std::copy_n(probe_.data(), width(), row);
       return true;
     }
   }
@@ -408,7 +462,7 @@ Result<bool> NestedLoopJoinOp::Next(Binding* row) {
 
 void NestedLoopJoinOp::Close() {
   left_->Close();
-  build_.clear();
+  build_.Clear();
   probe_live_ = false;
 }
 
@@ -424,17 +478,25 @@ void NestedLoopJoinOp::Explain(JsonWriter* w) const {
 
 // --- FilterOp --------------------------------------------------------
 
-FilterOp::FilterOp(OperatorPtr child, sparql::FilterPtr filter,
-                   const sparql::Evaluator& eval)
-    : child_(std::move(child)), filter_(std::move(filter)), eval_(eval) {}
+FilterOp::FilterOp(LayoutPtr layout, OperatorPtr child,
+                   sparql::FilterPtr filter, const sparql::Evaluator& eval)
+    : Operator(std::move(layout)),
+      child_(std::move(child)),
+      filter_(std::move(filter)),
+      eval_(eval) {}
 
 Status FilterOp::Open() { return child_->Open(); }
 
-Result<bool> FilterOp::Next(Binding* row) {
+Result<bool> FilterOp::Next(SymbolId* row) {
+  const sparql::VarLookup value_of = [&](SymbolId var) {
+    const uint32_t slot = layout().SlotOf(var);
+    return slot == kNoSlot ? kInvalidSymbol : row[slot];
+  };
   while (true) {
     RWDT_ASSIGN_OR_RETURN(const bool more, child_->Next(row));
     if (!more) return false;
-    RWDT_ASSIGN_OR_RETURN(const bool pass, eval_.EvalFilter(*filter_, *row));
+    RWDT_ASSIGN_OR_RETURN(const bool pass,
+                          eval_.EvalFilter(*filter_, value_of));
     if (pass) return true;
   }
 }
@@ -446,89 +508,6 @@ void FilterOp::Explain(JsonWriter* w) const {
   w->StringField("op", Name());
   w->Key("child");
   child_->Explain(w);
-  w->EndObject();
-}
-
-// --- UnionOp ---------------------------------------------------------
-
-UnionOp::UnionOp(std::vector<OperatorPtr> children)
-    : children_(std::move(children)) {}
-
-Status UnionOp::Open() {
-  current_ = 0;
-  if (children_.empty()) return Status::Ok();
-  return children_[0]->Open();
-}
-
-Result<bool> UnionOp::Next(Binding* row) {
-  while (current_ < children_.size()) {
-    RWDT_ASSIGN_OR_RETURN(const bool more, children_[current_]->Next(row));
-    if (more) return true;
-    children_[current_]->Close();
-    ++current_;
-    if (current_ < children_.size()) {
-      RWDT_RETURN_IF_ERROR(children_[current_]->Open());
-    }
-  }
-  return false;
-}
-
-void UnionOp::Close() {
-  if (current_ < children_.size()) children_[current_]->Close();
-  current_ = children_.size();
-}
-
-void UnionOp::Explain(JsonWriter* w) const {
-  w->BeginObject();
-  w->StringField("op", Name());
-  w->Key("children").BeginArray();
-  for (const auto& c : children_) c->Explain(w);
-  w->EndArray();
-  w->EndObject();
-}
-
-// --- MinusOp ---------------------------------------------------------
-
-MinusOp::MinusOp(OperatorPtr left, OperatorPtr right)
-    : left_(std::move(left)), right_(std::move(right)) {}
-
-Status MinusOp::Open() {
-  RWDT_ASSIGN_OR_RETURN(build_, right_->Drain());
-  return left_->Open();
-}
-
-Result<bool> MinusOp::Next(Binding* row) {
-  while (true) {
-    RWDT_ASSIGN_OR_RETURN(const bool more, left_->Next(row));
-    if (!more) return false;
-    bool excluded = false;
-    for (const Binding& other : build_) {
-      if (!sparql::Compatible(*row, other)) continue;
-      for (const auto& [var, val] : other) {
-        (void)val;
-        if (row->count(var) > 0) {
-          excluded = true;
-          break;
-        }
-      }
-      if (excluded) break;
-    }
-    if (!excluded) return true;
-  }
-}
-
-void MinusOp::Close() {
-  left_->Close();
-  build_.clear();
-}
-
-void MinusOp::Explain(JsonWriter* w) const {
-  w->BeginObject();
-  w->StringField("op", Name());
-  w->Key("left");
-  left_->Explain(w);
-  w->Key("right");
-  right_->Explain(w);
   w->EndObject();
 }
 
@@ -577,134 +556,124 @@ JoinForest BuildJoinForest(const std::vector<std::set<SymbolId>>& varsets) {
 
 namespace {
 
-std::vector<SymbolId> SharedVars(const std::set<SymbolId>& a,
-                                 const std::set<SymbolId>& b) {
-  std::vector<SymbolId> out;
+std::vector<uint32_t> SharedSlots(const SlotLayout& layout,
+                                  const std::set<SymbolId>& a,
+                                  const std::set<SymbolId>& b) {
+  std::vector<SymbolId> shared;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
+                        std::back_inserter(shared));
+  return SlotsOf(layout, shared);
 }
 
-/// rel := rel semijoin other (keep rows with >= 1 partner on `shared`).
-void Semijoin(std::vector<Binding>* rel, const std::vector<Binding>& other,
-              const std::vector<SymbolId>& shared) {
-  std::set<std::vector<SymbolId>> keys;
-  std::vector<SymbolId> key;
-  for (const Binding& row : other) {
-    key.clear();
-    for (SymbolId v : shared) key.push_back(row.at(v));
-    keys.insert(key);
+/// rel := rel semijoin other (keep rows with >= 1 partner on `slots`).
+Status Semijoin(RowBuffer* rel, const RowBuffer& other,
+                const std::vector<uint32_t>& slots, JoinIndex* index) {
+  RWDT_RETURN_IF_ERROR(index->Build(other, slots));
+  const size_t width = rel->width();
+  size_t kept = 0;
+  for (size_t i = 0; i < rel->size(); ++i) {
+    const SymbolId* row = std::as_const(*rel)[i];
+    if (index->First(row) == JoinIndex::kEnd) continue;
+    if (kept != i) std::copy_n(row, width, (*rel)[kept]);
+    ++kept;
   }
-  std::vector<Binding> kept;
-  kept.reserve(rel->size());
-  for (Binding& row : *rel) {
-    key.clear();
-    for (SymbolId v : shared) key.push_back(row.at(v));
-    if (keys.count(key) > 0) kept.push_back(std::move(row));
-  }
-  *rel = std::move(kept);
-}
-
-/// Bag hash join of two materialized relations on `shared`.
-std::vector<Binding> HashJoinVec(const std::vector<Binding>& probe,
-                                 const std::vector<Binding>& build,
-                                 const std::vector<SymbolId>& shared) {
-  std::map<std::vector<SymbolId>, std::vector<const Binding*>> table;
-  std::vector<SymbolId> key;
-  for (const Binding& row : build) {
-    key.clear();
-    for (SymbolId v : shared) key.push_back(row.at(v));
-    table[key].push_back(&row);
-  }
-  std::vector<Binding> out;
-  for (const Binding& row : probe) {
-    key.clear();
-    for (SymbolId v : shared) key.push_back(row.at(v));
-    auto it = table.find(key);
-    if (it == table.end()) continue;
-    for (const Binding* other : it->second) {
-      out.push_back(MergeBindings(row, *other));
-    }
-  }
-  return out;
+  rel->Truncate(kept);
+  return Status::Ok();
 }
 
 }  // namespace
 
-YannakakisOp::YannakakisOp(const graph::TripleStore& store,
+YannakakisOp::YannakakisOp(LayoutPtr layout, const graph::TripleStore& store,
                            const Interner& dict,
                            std::vector<sparql::TriplePattern> triples)
-    : store_(store), dict_(dict), triples_(std::move(triples)) {}
-
-Status YannakakisOp::Open() {
-  rows_.clear();
-  pos_ = 0;
+    : MaterializedOp(std::move(layout)),
+      store_(store),
+      dict_(dict),
+      triples_(std::move(triples)),
+      acc_(width()),
+      next_acc_(width()) {
   const size_t n = triples_.size();
-  if (n == 0) {
-    rows_ = {Binding{}};
-    return Status::Ok();
-  }
-
-  // Materialize the relations and their variable sets.
-  std::vector<std::vector<Binding>> rel(n);
   std::vector<std::set<SymbolId>> varsets(n);
   for (size_t i = 0; i < n; ++i) {
-    const auto& t = triples_[i];
-    const SymbolId s = t.s.ActsAsVar() ? kInvalidSymbol : t.s.id;
-    const SymbolId p = t.p.ActsAsVar() ? kInvalidSymbol : t.p.id;
-    const SymbolId o = t.o.ActsAsVar() ? kInvalidSymbol : t.o.id;
-    BindTripleMatches(store_.Match(s, p, o), t, &rel[i]);
-    for (const sparql::Term* term : {&t.s, &t.p, &t.o}) {
+    for (const sparql::Term* term :
+         {&triples_[i].s, &triples_[i].p, &triples_[i].o}) {
       if (term->ActsAsVar()) varsets[i].insert(term->id);
     }
   }
+  forest_ = BuildJoinForest(varsets);
+  if (!forest_.ok || n == 0) return;  // Fill handles both
 
-  const JoinForest forest = BuildJoinForest(varsets);
-  if (!forest.ok) {
+  for (size_t i = 0; i < n; ++i) {
+    if (forest_.parent[i] == -1) root_ = i;
+  }
+  parent_slots_.resize(n);
+  join_slots_.resize(n);
+  for (size_t i : forest_.order) {
+    parent_slots_[i] =
+        SharedSlots(*layout_, varsets[i],
+                    varsets[static_cast<size_t>(forest_.parent[i])]);
+  }
+  // The join runs root first, in reverse removal order. The GYO ear
+  // property keeps each relation's overlap with the accumulated result
+  // inside its parent's variables, so every join is a definite-key
+  // hash join.
+  std::set<SymbolId> acc_vars = varsets[root_];
+  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
+    join_slots_[*it] = SharedSlots(*layout_, varsets[*it], acc_vars);
+    acc_vars.insert(varsets[*it].begin(), varsets[*it].end());
+  }
+  rel_.assign(n, RowBuffer(width()));
+}
+
+Status YannakakisOp::Fill(RowBuffer* rows) {
+  if (!forest_.ok) {
     return Status::Internal("yannakakis planned for a cyclic join");
+  }
+  const size_t n = triples_.size();
+  if (n == 0) {
+    rows->Append();  // the join identity: one empty mapping
+    return Status::Ok();
+  }
+
+  for (size_t i = 0; i < n; ++i) {
+    rel_[i].Clear();
+    ScanTriple(store_, layout(), triples_[i], &rel_[i]);
   }
 
   // Semijoin reduction: leaves to root, then root to leaves. Removal
-  // order guarantees every child of i has already reduced rel[i] when i
+  // order guarantees every child of i has already reduced rel_[i] when i
   // reduces its own parent.
-  for (size_t i : forest.order) {
-    const size_t j = static_cast<size_t>(forest.parent[i]);
-    Semijoin(&rel[j], rel[i], SharedVars(varsets[i], varsets[j]));
+  for (size_t i : forest_.order) {
+    const size_t j = static_cast<size_t>(forest_.parent[i]);
+    RWDT_RETURN_IF_ERROR(
+        Semijoin(&rel_[j], rel_[i], parent_slots_[i], &index_));
   }
-  for (auto it = forest.order.rbegin(); it != forest.order.rend(); ++it) {
+  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
     const size_t i = *it;
-    const size_t j = static_cast<size_t>(forest.parent[i]);
-    Semijoin(&rel[i], rel[j], SharedVars(varsets[i], varsets[j]));
+    const size_t j = static_cast<size_t>(forest_.parent[i]);
+    RWDT_RETURN_IF_ERROR(
+        Semijoin(&rel_[i], rel_[j], parent_slots_[i], &index_));
   }
 
-  // Join along the forest, root first. The GYO ear property keeps each
-  // relation's overlap with the accumulated result inside its parent's
-  // variables, so every join here is a definite-key hash join.
-  size_t root = n;
-  for (size_t i = 0; i < n; ++i) {
-    if (forest.parent[i] == -1) root = i;
+  // Join along the forest, root first.
+  RowBuffer* acc = &rel_[root_];
+  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
+    if (acc->empty()) break;
+    const RowBuffer& rel = rel_[*it];
+    RWDT_RETURN_IF_ERROR(index_.Build(rel, join_slots_[*it]));
+    next_acc_.Clear();
+    for (size_t a = 0; a < acc->size(); ++a) {
+      const SymbolId* row = (*acc)[a];
+      for (uint32_t r = index_.First(row); r != JoinIndex::kEnd;
+           r = index_.Next(r, row)) {
+        MergeRows(row, rel[r], width(), next_acc_.Append());
+      }
+    }
+    std::swap(acc_, next_acc_);
+    acc = &acc_;
   }
-  std::vector<Binding> acc = std::move(rel[root]);
-  std::set<SymbolId> acc_vars = varsets[root];
-  for (auto it = forest.order.rbegin(); it != forest.order.rend(); ++it) {
-    const size_t i = *it;
-    acc = HashJoinVec(acc, rel[i], SharedVars(varsets[i], acc_vars));
-    acc_vars.insert(varsets[i].begin(), varsets[i].end());
-    if (acc.empty()) break;
-  }
-  rows_ = std::move(acc);
+  std::swap(*rows, *acc);
   return Status::Ok();
-}
-
-Result<bool> YannakakisOp::Next(Binding* row) {
-  if (pos_ >= rows_.size()) return false;
-  *row = rows_[pos_++];
-  return true;
-}
-
-void YannakakisOp::Close() {
-  rows_.clear();
-  pos_ = 0;
 }
 
 void YannakakisOp::Explain(JsonWriter* w) const {

@@ -2,7 +2,6 @@
 #define RWDT_EXEC_OPERATORS_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,81 +19,196 @@ namespace rwdt::exec {
 
 using sparql::Binding;
 
+/// Slot index of a pattern position that binds no variable.
+inline constexpr uint32_t kNoSlot = 0xffffffffu;
+
+/// The column assignment of one plan. Every variable the plan's pattern
+/// mentions gets a slot, in ascending id order, and every row the plan's
+/// operators exchange is `width()` SymbolIds, one per slot;
+/// kInvalidSymbol marks a variable the row leaves unbound (OPTIONAL).
+class SlotLayout {
+ public:
+  explicit SlotLayout(const std::set<SymbolId>& vars);
+
+  size_t width() const { return vars_.size(); }
+  /// The slot of `var`, or kNoSlot when the plan never binds it.
+  uint32_t SlotOf(SymbolId var) const;
+  /// The slot a pattern term binds: kNoSlot for a constant.
+  uint32_t SlotOf(const sparql::Term& t) const {
+    return t.ActsAsVar() ? SlotOf(t.id) : kNoSlot;
+  }
+  /// The solution mapping of one row; unbound slots are left out.
+  Binding ToBinding(const SymbolId* row) const;
+
+ private:
+  std::vector<SymbolId> vars_;  // slot -> variable, ascending
+};
+
+using LayoutPtr = std::shared_ptr<const SlotLayout>;
+
+/// Rows of one width stored back to back. Clear keeps the capacity, so
+/// an operator that refills its buffer on every Open stops allocating
+/// once it has seen its largest input.
+class RowBuffer {
+ public:
+  explicit RowBuffer(size_t width = 0) : width_(width) {}
+
+  size_t width() const { return width_; }
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+
+  const SymbolId* operator[](size_t i) const {
+    return ids_.data() + i * width_;
+  }
+  SymbolId* operator[](size_t i) { return ids_.data() + i * width_; }
+  /// Appends an all-unbound row and returns it for filling; the pointer
+  /// is valid until the next append.
+  SymbolId* Append();
+  /// Keeps the first `n` rows.
+  void Truncate(size_t n);
+  void Clear() { Truncate(0); }
+
+ private:
+  size_t width_;
+  size_t rows_ = 0;
+  std::vector<SymbolId> ids_;
+};
+
+/// True when rows `a` and `b` agree on every slot both bind.
+bool CompatibleRows(const SymbolId* a, const SymbolId* b, size_t width);
+
+/// Writes the merge of two compatible rows to `out`: each slot takes
+/// `a`'s value when `a` binds it, else `b`'s (for compatible rows the
+/// two agree wherever both bind, so the choice is immaterial).
+void MergeRows(const SymbolId* a, const SymbolId* b, size_t width,
+               SymbolId* out);
+
+/// A hash index over the rows of a RowBuffer, keyed on the values of
+/// some slots. Rows whose keys share a bucket share a chain, and
+/// lookups compare keys exactly, so a hash collision never pairs rows
+/// whose keys differ. The indexed buffer must outlive the index and
+/// stay unchanged while it is used.
+class JoinIndex {
+ public:
+  static constexpr uint32_t kEnd = 0xffffffffu;
+
+  /// Indexes `rows` on `key_slots`.
+  Status Build(const RowBuffer& rows, const std::vector<uint32_t>& key_slots);
+  /// The first indexed row whose key equals `probe`'s, or kEnd.
+  uint32_t First(const SymbolId* probe) const;
+  /// The next indexed row after `row` whose key equals `probe`'s, or kEnd.
+  uint32_t Next(uint32_t row, const SymbolId* probe) const;
+
+ private:
+  uint32_t Match(uint32_t row, const SymbolId* probe) const;
+
+  const RowBuffer* rows_ = nullptr;
+  std::vector<uint32_t> key_slots_;
+  std::vector<uint32_t> heads_;  // bucket -> first row, or kEnd
+  std::vector<uint32_t> next_;   // row -> next row of its bucket, or kEnd
+  uint64_t mask_ = 0;
+};
+
 /// A Volcano-style rowsource: Open prepares (and pulls any build-side
-/// input), Next produces one solution mapping at a time, Close releases
+/// input), Next produces one solution row at a time, Close releases
 /// state. Operators are single-threaded and reusable: Close then Open
 /// restarts the stream.
 ///
-/// The semantic contract is strict: every operator produces exactly the
-/// multiset the reference `sparql::Evaluator` produces for the pattern
-/// it was planned from (row order is unspecified). The differential
-/// property test enforces this against random graphs and queries.
+/// Every operator of a plan shares the plan's SlotLayout, and a row is
+/// `width()` SymbolIds in that layout. The semantic contract is strict:
+/// every operator produces exactly the multiset the reference
+/// `sparql::Evaluator` produces for the pattern it was planned from (row
+/// order is unspecified). The differential property test enforces this
+/// against random graphs and queries.
 class Operator {
  public:
+  explicit Operator(LayoutPtr layout) : layout_(std::move(layout)) {}
   virtual ~Operator() = default;
+  Operator(const Operator&) = delete;
+  Operator& operator=(const Operator&) = delete;
 
   virtual Status Open() = 0;
-  /// True and fills `*row` while rows remain; false at end-of-stream.
-  virtual Result<bool> Next(Binding* row) = 0;
+  /// True and fills `row[0, width())` while rows remain; false at
+  /// end-of-stream.
+  virtual Result<bool> Next(SymbolId* row) = 0;
   virtual void Close() = 0;
 
   virtual const char* Name() const = 0;
   /// Appends this operator subtree as one JSON object (Plan::ToJson).
   virtual void Explain(JsonWriter* w) const = 0;
 
-  /// Drains the full stream: Open, Next*, Close.
+  const SlotLayout& layout() const { return *layout_; }
+  size_t width() const { return layout_->width(); }
+
+  /// Drains the full stream into `out`: Open, Next*, Close.
+  Status DrainRows(RowBuffer* out);
+  /// Drains the full stream as solution mappings: the one place a plan
+  /// builds a Binding, once per output row.
   Result<std::vector<Binding>> Drain();
+
+ protected:
+  LayoutPtr layout_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Merges two compatible bindings (left values win on shared vars; for
-/// compatible mappings both agree, so the choice is immaterial).
-Binding MergeBindings(const Binding& a, const Binding& b);
+/// An operator that computes its whole output in Open: the leaf scans
+/// and Yannakakis. Next copies the buffered rows out in order.
+class MaterializedOp : public Operator {
+ public:
+  explicit MaterializedOp(LayoutPtr layout)
+      : Operator(std::move(layout)), rows_(width()) {}
+
+  Status Open() final;
+  Result<bool> Next(SymbolId* row) final;
+  void Close() final;
+
+ protected:
+  /// Appends the operator's output rows to the (cleared) `rows`.
+  virtual Status Fill(RowBuffer* rows) = 0;
+
+ private:
+  RowBuffer rows_;
+  size_t pos_ = 0;
+};
 
 /// Leaf scan over one triple pattern; binds the pattern's variable
 /// positions exactly like Evaluator::EvalTriple (including repeated-
 /// variable consistency, e.g. `?x p ?x`).
-class TripleScanOp : public Operator {
+class TripleScanOp : public MaterializedOp {
  public:
-  TripleScanOp(const graph::TripleStore& store, const Interner& dict,
-               sparql::TriplePattern pattern);
+  TripleScanOp(LayoutPtr layout, const graph::TripleStore& store,
+               const Interner& dict, sparql::TriplePattern pattern);
 
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
   const char* Name() const override { return "triple_scan"; }
   void Explain(JsonWriter* w) const override;
 
  private:
+  Status Fill(RowBuffer* rows) override;
+
   const graph::TripleStore& store_;
   const Interner& dict_;
   sparql::TriplePattern pattern_;
-  std::vector<Binding> rows_;
-  size_t pos_ = 0;
 };
 
 /// Leaf scan over one property-path pattern via the reference
 /// evaluator's recursive pair-set algorithm. The slow-but-exact leaf;
 /// the planner prefers AutomatonPathScanOp for simple transitive
 /// expressions.
-class PathScanOp : public Operator {
+class PathScanOp : public MaterializedOp {
  public:
-  PathScanOp(const sparql::Evaluator& eval, const Interner& dict,
-             sparql::PathTriple pattern);
+  PathScanOp(LayoutPtr layout, const sparql::Evaluator& eval,
+             const Interner& dict, sparql::PathTriple pattern);
 
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
   const char* Name() const override { return "path_scan"; }
   void Explain(JsonWriter* w) const override;
 
  private:
+  Status Fill(RowBuffer* rows) override;
+
   const sparql::Evaluator& eval_;
   const Interner& dict_;
   sparql::PathTriple pattern_;
-  std::vector<Binding> rows_;
-  size_t pos_ = 0;
 };
 
 /// Leaf scan over one property-path pattern via NFA-product
@@ -102,88 +216,69 @@ class PathScanOp : public Operator {
 /// evaluator's pair-set algorithm for the one binding shape whose
 /// zero-length semantics the product cannot reproduce exactly (subject
 /// unbound, object bound to a term with no incident edges).
-class AutomatonPathScanOp : public Operator {
+class AutomatonPathScanOp : public MaterializedOp {
  public:
-  AutomatonPathScanOp(const graph::TripleStore& store,
+  AutomatonPathScanOp(LayoutPtr layout, const graph::TripleStore& store,
                       const sparql::Evaluator& eval, const Interner& dict,
                       sparql::PathTriple pattern);
 
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
   const char* Name() const override { return "path_nfa_scan"; }
   void Explain(JsonWriter* w) const override;
 
  private:
+  Status Fill(RowBuffer* rows) override;
+
   const graph::TripleStore& store_;
   const sparql::Evaluator& eval_;
   const Interner& dict_;
   sparql::PathTriple pattern_;
   PathNfa nfa_;
-  std::vector<Binding> rows_;
-  size_t pos_ = 0;
 };
 
 /// Hash join on an explicit variable list. Open drains the right (build)
-/// child into a hash table keyed by the join variables; Next streams the
+/// child and indexes it on the join variables' slots; Next streams the
 /// left (probe) child. The planner only emits this when every join
 /// variable is definitely bound on both sides, in which case key
-/// equality is exactly binding compatibility.
+/// equality is exactly binding compatibility. As a left (outer) join, a
+/// probe row with no build match is emitted unchanged — SPARQL OPTIONAL
+/// semantics.
 class HashJoinOp : public Operator {
  public:
-  HashJoinOp(OperatorPtr left, OperatorPtr right,
-             std::vector<SymbolId> join_vars, const Interner& dict);
+  HashJoinOp(LayoutPtr layout, OperatorPtr left, OperatorPtr right,
+             std::vector<SymbolId> join_vars, const Interner& dict,
+             bool left_outer = false);
 
   Status Open() override;
-  Result<bool> Next(Binding* row) override;
+  Result<bool> Next(SymbolId* row) override;
   void Close() override;
-  const char* Name() const override { return "hash_join"; }
+  const char* Name() const override {
+    return left_outer_ ? "hash_left_join" : "hash_join";
+  }
   void Explain(JsonWriter* w) const override;
 
  private:
   OperatorPtr left_, right_;
   std::vector<SymbolId> join_vars_;
+  std::vector<uint32_t> join_slots_;
   const Interner& dict_;
-  std::map<std::vector<SymbolId>, std::vector<Binding>> build_;
-  Binding probe_;
-  const std::vector<Binding>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-};
-
-/// Hash left (outer) join: like HashJoinOp, but a probe row with no
-/// build match is emitted unchanged — SPARQL OPTIONAL semantics.
-class HashLeftJoinOp : public Operator {
- public:
-  HashLeftJoinOp(OperatorPtr left, OperatorPtr right,
-                 std::vector<SymbolId> join_vars, const Interner& dict);
-
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
-  const char* Name() const override { return "hash_left_join"; }
-  void Explain(JsonWriter* w) const override;
-
- private:
-  OperatorPtr left_, right_;
-  std::vector<SymbolId> join_vars_;
-  const Interner& dict_;
-  std::map<std::vector<SymbolId>, std::vector<Binding>> build_;
-  Binding probe_;
-  const std::vector<Binding>* matches_ = nullptr;
-  size_t match_pos_ = 0;
+  bool left_outer_;
+  RowBuffer build_;
+  JoinIndex index_;
+  std::vector<SymbolId> probe_;
+  uint32_t match_ = JoinIndex::kEnd;
   bool probe_pending_unmatched_ = false;
 };
 
-/// Nested-loop join with full Compatible() semantics; the safe join for
-/// inputs that may produce partially-bound rows (OPTIONAL or UNION
-/// below either side). Materializes the right child in Open.
+/// Nested-loop join testing compatibility slot by slot; the safe join
+/// for inputs that may produce partially-bound rows (OPTIONAL below
+/// either side). Materializes the right child in Open.
 class NestedLoopJoinOp : public Operator {
  public:
-  NestedLoopJoinOp(OperatorPtr left, OperatorPtr right,
+  NestedLoopJoinOp(LayoutPtr layout, OperatorPtr left, OperatorPtr right,
                    bool left_outer = false);
 
   Status Open() override;
-  Result<bool> Next(Binding* row) override;
+  Result<bool> Next(SymbolId* row) override;
   void Close() override;
   const char* Name() const override {
     return left_outer_ ? "nl_left_join" : "nl_join";
@@ -193,23 +288,24 @@ class NestedLoopJoinOp : public Operator {
  private:
   OperatorPtr left_, right_;
   bool left_outer_;
-  std::vector<Binding> build_;
-  Binding probe_;
+  RowBuffer build_;
+  std::vector<SymbolId> probe_;
   size_t build_pos_ = 0;
   bool probe_live_ = false;
   bool probe_matched_ = false;
 };
 
 /// Filter at its exact pattern position; delegates the predicate to
-/// Evaluator::EvalFilter so filter semantics (unbound-variable handling,
-/// EXISTS against the full store) cannot drift from the reference.
+/// Evaluator::EvalFilter, reading the row through a variable lookup, so
+/// filter semantics (unbound-variable handling, EXISTS against the full
+/// store) cannot drift from the reference.
 class FilterOp : public Operator {
  public:
-  FilterOp(OperatorPtr child, sparql::FilterPtr filter,
+  FilterOp(LayoutPtr layout, OperatorPtr child, sparql::FilterPtr filter,
            const sparql::Evaluator& eval);
 
   Status Open() override;
-  Result<bool> Next(Binding* row) override;
+  Result<bool> Next(SymbolId* row) override;
   void Close() override;
   const char* Name() const override { return "filter"; }
   void Explain(JsonWriter* w) const override;
@@ -218,66 +314,6 @@ class FilterOp : public Operator {
   OperatorPtr child_;
   sparql::FilterPtr filter_;
   const sparql::Evaluator& eval_;
-};
-
-/// Bag union: streams each child in turn (SPARQL UNION).
-class UnionOp : public Operator {
- public:
-  explicit UnionOp(std::vector<OperatorPtr> children);
-
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
-  const char* Name() const override { return "union"; }
-  void Explain(JsonWriter* w) const override;
-
- private:
-  std::vector<OperatorPtr> children_;
-  size_t current_ = 0;
-};
-
-/// SPARQL MINUS: materializes the right child in Open, then streams left
-/// rows that no right row both is compatible with and shares a bound
-/// variable with (the shared-domain-variable rule).
-class MinusOp : public Operator {
- public:
-  MinusOp(OperatorPtr left, OperatorPtr right);
-
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
-  const char* Name() const override { return "minus"; }
-  void Explain(JsonWriter* w) const override;
-
- private:
-  OperatorPtr left_, right_;
-  std::vector<Binding> build_;
-};
-
-/// The Yannakakis semijoin program for an acyclic conjunction of triple
-/// scans: Open materializes each relation, builds a GYO join forest over
-/// the variable sets, runs the two semijoin reduction passes (leaf-to-
-/// root, then root-to-leaf), and joins along the forest in removal
-/// order. Intermediate results never exceed the final output size times
-/// the largest relation — the classic acyclic-CQ guarantee. Produces the
-/// same bag as the evaluator's left-fold of nested-loop joins.
-class YannakakisOp : public Operator {
- public:
-  YannakakisOp(const graph::TripleStore& store, const Interner& dict,
-               std::vector<sparql::TriplePattern> triples);
-
-  Status Open() override;
-  Result<bool> Next(Binding* row) override;
-  void Close() override;
-  const char* Name() const override { return "yannakakis"; }
-  void Explain(JsonWriter* w) const override;
-
- private:
-  const graph::TripleStore& store_;
-  const Interner& dict_;
-  std::vector<sparql::TriplePattern> triples_;
-  std::vector<Binding> rows_;
-  size_t pos_ = 0;
 };
 
 /// GYO ear removal over relation variable sets. `parent[i]` is the
@@ -291,6 +327,40 @@ struct JoinForest {
 };
 
 JoinForest BuildJoinForest(const std::vector<std::set<SymbolId>>& varsets);
+
+/// The Yannakakis semijoin program for an acyclic conjunction of triple
+/// scans: Open materializes each relation, runs the two semijoin
+/// reduction passes over the GYO join forest (leaf-to-root, then
+/// root-to-leaf), and joins along the forest in removal order.
+/// Intermediate results never exceed the final output size times the
+/// largest relation — the classic acyclic-CQ guarantee. Produces the
+/// same bag as the evaluator's left-fold of nested-loop joins.
+class YannakakisOp : public MaterializedOp {
+ public:
+  YannakakisOp(LayoutPtr layout, const graph::TripleStore& store,
+               const Interner& dict,
+               std::vector<sparql::TriplePattern> triples);
+
+  const char* Name() const override { return "yannakakis"; }
+  void Explain(JsonWriter* w) const override;
+
+ private:
+  Status Fill(RowBuffer* rows) override;
+
+  const graph::TripleStore& store_;
+  const Interner& dict_;
+  std::vector<sparql::TriplePattern> triples_;
+  JoinForest forest_;
+  size_t root_ = 0;
+  // Per relation i != root: the slots i shares with its forest parent,
+  // and those it shares with the accumulated join when it is joined in.
+  std::vector<std::vector<uint32_t>> parent_slots_;
+  std::vector<std::vector<uint32_t>> join_slots_;
+  // Reused across Opens.
+  std::vector<RowBuffer> rel_;
+  RowBuffer acc_, next_acc_;
+  JoinIndex index_;
+};
 
 }  // namespace rwdt::exec
 

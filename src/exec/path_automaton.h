@@ -53,7 +53,7 @@ PathNfa CompilePathNfa(const paths::Path& path);
 /// (bound `s`: one forward sweep; bound `o` alone: one backward sweep).
 ///
 /// `all_terms` must be the sorted subjects-union-objects of the store
-/// (`Evaluator::AllTerms` order) — it seeds the unbound sweeps and the
+/// (`TripleStore::Terms`) — it seeds the unbound sweeps and the
 /// zero-length matches. The pair set is exactly
 /// `Evaluator::EvalPathPairs(path, s, o)` whenever `o` is unbound, `s`
 /// is bound, or `o` is in `all_terms`; the one remaining corner (s

@@ -78,7 +78,7 @@ std::string Plan::ToJson() const {
 /// `definite` vars are bound in every row, `possible` in some row
 /// (definite == possible except below OPTIONAL). Hash joins require
 /// the join vars to be definite on both sides; otherwise the planner
-/// emits a Compatible()-based nested-loop join.
+/// emits a nested-loop join that tests compatibility slot by slot.
 struct Executor::Built {
   OperatorPtr op;
   std::set<SymbolId> definite;
@@ -120,7 +120,8 @@ Executor::Built Executor::MakeLeaf(OperatorPtr op, std::set<SymbolId> vars,
   return b;
 }
 
-Executor::Built Executor::MakeJoin(Built left, Built right) const {
+Executor::Built Executor::MakeJoin(const LayoutPtr& layout, Built left,
+                                   Built right) const {
   std::vector<SymbolId> join_vars;
   std::set_intersection(left.possible.begin(), left.possible.end(),
                         right.possible.begin(), right.possible.end(),
@@ -134,14 +135,16 @@ Executor::Built Executor::MakeJoin(Built left, Built right) const {
   if (hashable) {
     // Build on the smaller side, probe with the larger.
     if (left.estimate < right.estimate) {
-      out.op = std::make_unique<HashJoinOp>(
-          std::move(right.op), std::move(left.op), join_vars, *dict_);
+      out.op = std::make_unique<HashJoinOp>(layout, std::move(right.op),
+                                            std::move(left.op), join_vars,
+                                            *dict_);
     } else {
-      out.op = std::make_unique<HashJoinOp>(
-          std::move(left.op), std::move(right.op), join_vars, *dict_);
+      out.op = std::make_unique<HashJoinOp>(layout, std::move(left.op),
+                                            std::move(right.op), join_vars,
+                                            *dict_);
     }
   } else {
-    out.op = std::make_unique<NestedLoopJoinOp>(std::move(left.op),
+    out.op = std::make_unique<NestedLoopJoinOp>(layout, std::move(left.op),
                                                 std::move(right.op));
   }
   std::set_union(left.definite.begin(), left.definite.end(),
@@ -154,13 +157,14 @@ Executor::Built Executor::MakeJoin(Built left, Built right) const {
   return out;
 }
 
-Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
+Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p,
+                                           const LayoutPtr& layout) const {
   std::vector<const sparql::Pattern*> conjuncts;
   FlattenConjuncts(p, &conjuncts);
   if (conjuncts.empty()) {
     // Empty AND: the evaluator's join identity, one empty binding.
     return MakeLeaf(std::make_unique<YannakakisOp>(
-                        store_, *dict_,
+                        layout, store_, *dict_,
                         std::vector<sparql::TriplePattern>{}),
                     {}, 1);
   }
@@ -192,8 +196,8 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
                             t.o.ActsAsVar() ? kInvalidSymbol : t.o.id));
     }
     if (BuildJoinForest(varsets).ok) {
-      return MakeLeaf(std::make_unique<YannakakisOp>(store_, *dict_,
-                                                     std::move(triples)),
+      return MakeLeaf(std::make_unique<YannakakisOp>(
+                          layout, store_, *dict_, std::move(triples)),
                       std::move(vars), estimate);
     }
     // Cyclic: fall through to the greedy join order below.
@@ -202,7 +206,7 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
   std::vector<Built> built;
   built.reserve(conjuncts.size());
   for (const sparql::Pattern* c : conjuncts) {
-    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(*c));
+    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(*c, layout));
     built.push_back(std::move(b));
   }
 
@@ -237,13 +241,13 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p) const {
       }
     }
     used[next] = true;
-    acc = MakeJoin(std::move(acc), std::move(built[next]));
+    acc = MakeJoin(layout, std::move(acc), std::move(built[next]));
   }
   return acc;
 }
 
 Result<Executor::Built> Executor::BuildPattern(
-    const sparql::Pattern& p) const {
+    const sparql::Pattern& p, const LayoutPtr& layout) const {
   using Op = sparql::Pattern::Op;
   switch (p.op) {
     case Op::kTriple: {
@@ -257,7 +261,7 @@ Result<Executor::Built> Executor::BuildPattern(
                             t.p.ActsAsVar() ? kInvalidSymbol : t.p.id,
                             t.o.ActsAsVar() ? kInvalidSymbol : t.o.id);
       return MakeLeaf(
-          std::make_unique<TripleScanOp>(store_, *dict_, p.triple),
+          std::make_unique<TripleScanOp>(layout, store_, *dict_, p.triple),
           std::move(vars), estimate);
     }
     case Op::kPath: {
@@ -266,24 +270,25 @@ Result<Executor::Built> Executor::BuildPattern(
       TermVars(p.path.o, &vars);
       OperatorPtr op;
       if (paths::IsSimpleTransitiveExpression(*p.path.path)) {
-        op = std::make_unique<AutomatonPathScanOp>(store_, eval_, *dict_,
-                                                   p.path);
+        op = std::make_unique<AutomatonPathScanOp>(layout, store_, eval_,
+                                                   *dict_, p.path);
       } else {
-        op = std::make_unique<PathScanOp>(eval_, *dict_, p.path);
+        op = std::make_unique<PathScanOp>(layout, eval_, *dict_, p.path);
       }
       return MakeLeaf(std::move(op), std::move(vars), store_.size());
     }
     case Op::kAnd:
-      return BuildAnd(p);
+      return BuildAnd(p, layout);
     case Op::kFilter: {
-      RWDT_ASSIGN_OR_RETURN(Built child, BuildPattern(*p.children[0]));
-      child.op = std::make_unique<FilterOp>(std::move(child.op), p.filter,
-                                            eval_);
+      RWDT_ASSIGN_OR_RETURN(Built child, BuildPattern(*p.children[0], layout));
+      child.op = std::make_unique<FilterOp>(layout, std::move(child.op),
+                                            p.filter, eval_);
       return child;
     }
     case Op::kOptional: {
-      RWDT_ASSIGN_OR_RETURN(Built left, BuildPattern(*p.children[0]));
-      RWDT_ASSIGN_OR_RETURN(Built right, BuildPattern(*p.children[1]));
+      RWDT_ASSIGN_OR_RETURN(Built left, BuildPattern(*p.children[0], layout));
+      RWDT_ASSIGN_OR_RETURN(Built right,
+                            BuildPattern(*p.children[1], layout));
       std::vector<SymbolId> join_vars;
       std::set_intersection(left.possible.begin(), left.possible.end(),
                             right.possible.begin(), right.possible.end(),
@@ -300,11 +305,13 @@ Result<Executor::Built> Executor::BuildPattern(
                      std::inserter(out.possible, out.possible.end()));
       out.estimate = left.estimate;
       if (hashable) {
-        out.op = std::make_unique<HashLeftJoinOp>(
-            std::move(left.op), std::move(right.op), join_vars, *dict_);
+        out.op = std::make_unique<HashJoinOp>(
+            layout, std::move(left.op), std::move(right.op), join_vars,
+            *dict_, /*left_outer=*/true);
       } else {
         out.op = std::make_unique<NestedLoopJoinOp>(
-            std::move(left.op), std::move(right.op), /*left_outer=*/true);
+            layout, std::move(left.op), std::move(right.op),
+            /*left_outer=*/true);
       }
       return out;
     }
@@ -359,7 +366,11 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
                     verdict.FragmentName() + ")");
   }
 
-  Result<Built> built = BuildPattern(*q.pattern);
+  // One slot per variable of the pattern, shared by every operator.
+  std::set<SymbolId> vars;
+  q.pattern->CollectVars(&vars);
+  Result<Built> built =
+      BuildPattern(*q.pattern, std::make_shared<const SlotLayout>(vars));
   if (!built.ok()) {
     return fallback("planner fallback: " + built.status().message());
   }
@@ -367,7 +378,7 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
   plan.reason = std::move(reason);
   plan.root = std::move(built.value().op);
   plans_by_strategy_[static_cast<int>(strategy)]->Increment();
-  return std::move(plan);
+  return plan;
 }
 
 Result<std::vector<Binding>> Executor::Execute(Plan& plan) const {

@@ -67,8 +67,13 @@ struct ExecOptions {
 /// reference evaluator's ApplyModifiers, so aggregation / ORDER BY /
 /// DISTINCT / LIMIT semantics are shared bit-for-bit with EvalQuery.
 ///
-/// Thread-compatibility: const methods are safe to call concurrently
-/// from multiple threads; each returned Plan is single-threaded.
+/// Thread safety: `Classify` and `MakePlan` may run concurrently with
+/// each other from several threads once the store's indexes are built
+/// (any const store call, such as size(), builds them). `Execute` and
+/// `Run` may not run concurrently with any other call on one Executor:
+/// they reset and charge the shared evaluator's step budget, and
+/// aggregates intern their values into the dictionary. Each returned
+/// Plan is single-threaded.
 class Executor {
  public:
   Executor(const graph::TripleStore& store, Interner* dict,
@@ -94,9 +99,11 @@ class Executor {
  private:
   struct Built;
 
-  Result<Built> BuildPattern(const sparql::Pattern& p) const;
-  Result<Built> BuildAnd(const sparql::Pattern& p) const;
-  Built MakeJoin(Built left, Built right) const;
+  Result<Built> BuildPattern(const sparql::Pattern& p,
+                             const LayoutPtr& layout) const;
+  Result<Built> BuildAnd(const sparql::Pattern& p,
+                         const LayoutPtr& layout) const;
+  Built MakeJoin(const LayoutPtr& layout, Built left, Built right) const;
   Built MakeLeaf(OperatorPtr op, std::set<SymbolId> vars,
                  uint64_t estimate) const;
 

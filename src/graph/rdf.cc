@@ -143,6 +143,14 @@ TripleStore::TripleRange TripleStore::RangePO(SymbolId p, SymbolId o) const {
   return {pos_.data() + (lo - pos_.begin()), pos_.data() + (hi - pos_.begin())};
 }
 
+TripleStore::TripleRange TripleStore::RangeP(SymbolId p) const {
+  EnsureSorted();
+  auto [lo, hi] = std::equal_range(
+      pos_.begin(), pos_.end(), Triple{0, p, 0},
+      [](const Triple& a, const Triple& b) { return a.p < b.p; });
+  return {pos_.data() + (lo - pos_.begin()), pos_.data() + (hi - pos_.begin())};
+}
+
 TripleStore::TripleRange TripleStore::RangeS(SymbolId s) const {
   EnsureSorted();
   auto [lo, hi] = std::equal_range(
@@ -174,6 +182,23 @@ std::vector<SymbolId> TripleStore::Subjects(SymbolId p, SymbolId o) const {
 bool TripleStore::Contains(SymbolId s, SymbolId p, SymbolId o) const {
   EnsureSorted();
   return std::binary_search(spo_.begin(), spo_.end(), Triple{s, p, o});
+}
+
+std::vector<SymbolId> TripleStore::Terms() const {
+  EnsureSorted();
+  // spo_ lists subjects and osp_ lists objects in ascending order, so
+  // merging the two streams yields every term in order; equal neighbours
+  // are the only duplicates.
+  std::vector<SymbolId> out;
+  const size_t n = spo_.size();
+  size_t i = 0, j = 0;
+  while (i < n || j < n) {
+    const SymbolId next =
+        j == n || (i < n && spo_[i].s <= osp_[j].o) ? spo_[i++].s
+                                                    : osp_[j++].o;
+    if (out.empty() || out.back() != next) out.push_back(next);
+  }
+  return out;
 }
 
 std::set<SymbolId> TripleStore::SubjectSet() const {

@@ -63,6 +63,8 @@ class TripleStore {
   TripleRange RangeSP(SymbolId s, SymbolId p) const;
   /// (*, p, o) in POS order.
   TripleRange RangePO(SymbolId p, SymbolId o) const;
+  /// (*, p, *) in POS order.
+  TripleRange RangeP(SymbolId p) const;
   /// (s, *, *) in SPO order.
   TripleRange RangeS(SymbolId s) const;
   /// (*, *, o) in OSP order.
@@ -71,6 +73,12 @@ class TripleStore {
   bool Contains(SymbolId s, SymbolId p, SymbolId o) const;
 
   const std::vector<Triple>& triples() const { return EnsureSorted(); }
+
+  /// Every term in subject or object position, sorted and distinct: the
+  /// distinct subjects of the SPO index merged with the distinct objects
+  /// of the OSP index, O(size()). Path evaluation seeds its unbound
+  /// sweeps and zero-length matches from it.
+  std::vector<SymbolId> Terms() const;
 
   std::set<SymbolId> SubjectSet() const;
   std::set<SymbolId> PredicateSet() const;

@@ -487,11 +487,13 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buf, size_t head_end,
       served_on_connection + 1 >= options_.max_requests_per_connection;
 
   const HttpResponse response = Dispatch(request);
-  const bool sent = SendAll(fd, RenderResponse(response, close_after));
+  // Counted before the bytes go out, as the 413 path does: a client that
+  // has read its response must already see the request counted.
   {
     std::lock_guard<std::mutex> lock(mu_);
     requests_served_++;
   }
+  const bool sent = SendAll(fd, RenderResponse(response, close_after));
   return sent && !close_after;
 }
 

@@ -60,15 +60,6 @@ bool NumericValue(const std::string& name, double* out) {
 
 }  // namespace
 
-std::vector<SymbolId> Evaluator::AllTerms() const {
-  std::set<SymbolId> terms;
-  for (const auto& t : store_.triples()) {
-    terms.insert(t.s);
-    terms.insert(t.o);
-  }
-  return {terms.begin(), terms.end()};
-}
-
 Result<std::vector<Binding>> Evaluator::EvalTriple(
     const TriplePattern& t) const {
   const SymbolId s = t.s.ActsAsVar() ? kInvalidSymbol : t.s.id;
@@ -168,7 +159,7 @@ std::vector<std::pair<SymbolId, SymbolId>> Evaluator::EvalPathPairs(
       } else if (o != kInvalidSymbol) {
         out.emplace(o, o);
       } else {
-        for (SymbolId t : AllTerms()) out.emplace(t, t);
+        for (SymbolId t : store_.Terms()) out.emplace(t, t);
       }
       return {out.begin(), out.end()};
     }
@@ -181,9 +172,9 @@ std::vector<std::pair<SymbolId, SymbolId>> Evaluator::EvalPathPairs(
       } else if (o != kInvalidSymbol && path.op() == PathOp::kPlus) {
         // Evaluate the reversed problem from o and flip.
         // (Simpler: fall through to all-starts when both unbound.)
-        starts = AllTerms();
+        starts = store_.Terms();
       } else {
-        starts = AllTerms();
+        starts = store_.Terms();
       }
       std::set<std::pair<SymbolId, SymbolId>> out;
       for (SymbolId start : starts) {
@@ -286,15 +277,23 @@ Result<std::vector<Binding>> Evaluator::MinusOp(
 
 Result<bool> Evaluator::EvalFilter(const FilterExpr& f,
                                    const Binding& mu) const {
+  return EvalFilter(f, [&mu](SymbolId var) {
+    auto it = mu.find(var);
+    return it == mu.end() ? kInvalidSymbol : it->second;
+  });
+}
+
+Result<bool> Evaluator::EvalFilter(const FilterExpr& f,
+                                   const VarLookup& value_of) const {
   switch (f.kind) {
     case FilterExpr::Kind::kUnaryTest: {
       if (!f.operand.ActsAsVar()) return true;
-      auto it = mu.find(f.operand.id);
+      const SymbolId value = value_of(f.operand.id);
       if (f.function == "bound" || f.function == "BOUND") {
-        return it != mu.end();
+        return value != kInvalidSymbol;
       }
-      if (it == mu.end()) return false;  // error -> not selected
-      const std::string& name = dict_->Name(it->second);
+      if (value == kInvalidSymbol) return false;  // error -> not selected
+      const std::string& name = dict_->Name(value);
       if (f.function == "isIRI" || f.function == "isURI") {
         return !IsLiteralName(name) && name.substr(0, 2) != "_:";
       }
@@ -325,10 +324,8 @@ Result<bool> Evaluator::EvalFilter(const FilterExpr& f,
           *out = t.id;
           return true;
         }
-        auto it = mu.find(t.id);
-        if (it == mu.end()) return false;
-        *out = it->second;
-        return true;
+        *out = value_of(t.id);
+        return *out != kInvalidSymbol;
       };
       SymbolId l, r;
       if (!value(f.lhs, &l) || !value(f.rhs, &r)) return false;
@@ -358,31 +355,34 @@ Result<bool> Evaluator::EvalFilter(const FilterExpr& f,
     }
     case FilterExpr::Kind::kAnd:
       for (const auto& c : f.children) {
-        RWDT_ASSIGN_OR_RETURN(const bool pass, EvalFilter(*c, mu));
+        RWDT_ASSIGN_OR_RETURN(const bool pass, EvalFilter(*c, value_of));
         if (!pass) return false;
       }
       return true;
     case FilterExpr::Kind::kOr:
       for (const auto& c : f.children) {
-        RWDT_ASSIGN_OR_RETURN(const bool pass, EvalFilter(*c, mu));
+        RWDT_ASSIGN_OR_RETURN(const bool pass, EvalFilter(*c, value_of));
         if (pass) return true;
       }
       return false;
     case FilterExpr::Kind::kNot: {
-      RWDT_ASSIGN_OR_RETURN(const bool pass, EvalFilter(*f.children[0], mu));
+      RWDT_ASSIGN_OR_RETURN(const bool pass,
+                            EvalFilter(*f.children[0], value_of));
       return !pass;
     }
     case FilterExpr::Kind::kExistsPattern:
     case FilterExpr::Kind::kNotExistsPattern: {
       RWDT_ASSIGN_OR_RETURN(const std::vector<Binding> results,
                             EvalPatternImpl(*f.pattern));
-      bool exists = false;
-      for (const auto& mu2 : results) {
-        if (Compatible(mu, mu2)) {
-          exists = true;
-          break;
-        }
-      }
+      // Compatible(mu, mu2), read through the lookup: every variable mu2
+      // binds is unbound in mu or bound to the same term.
+      const bool exists = std::any_of(
+          results.begin(), results.end(), [&](const Binding& mu2) {
+            return std::all_of(mu2.begin(), mu2.end(), [&](const auto& kv) {
+              const SymbolId value = value_of(kv.first);
+              return value == kInvalidSymbol || value == kv.second;
+            });
+          });
       return f.kind == FilterExpr::Kind::kExistsPattern ? exists : !exists;
     }
   }

@@ -2,6 +2,7 @@
 #define RWDT_SPARQL_EVAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -18,6 +19,10 @@ using Binding = std::map<SymbolId, SymbolId>;
 /// Two mappings are compatible when they agree on shared variables
 /// (Perez-Arenas-Gutierrez semantics).
 bool Compatible(const Binding& a, const Binding& b);
+
+/// Read access to one solution mapping: the value it gives `var`, or
+/// kInvalidSymbol when it leaves `var` unbound.
+using VarLookup = std::function<SymbolId(SymbolId var)>;
 
 /// Per-evaluation resource guards. Queries from real logs can join
 /// themselves into enormous intermediate results; the evaluator refuses
@@ -67,6 +72,11 @@ class Evaluator {
   /// reason as ApplyModifiers: exec::FilterOp delegates here so filter
   /// semantics (unbound-variable errors, EXISTS) cannot drift.
   Result<bool> EvalFilter(const FilterExpr& f, const Binding& mu) const;
+  /// The same test against a mapping held in any form: the Binding
+  /// overload forwards here, and exec::FilterOp reads its flat rows
+  /// through `value_of` without building a Binding.
+  Result<bool> EvalFilter(const FilterExpr& f,
+                          const VarLookup& value_of) const;
 
   /// Resets the step budget. The evaluator's own entry points do this
   /// implicitly; alternative executors that drive EvalFilter /
@@ -92,7 +102,6 @@ class Evaluator {
                                         const std::vector<Binding>& b) const;
   Result<std::vector<Binding>> MinusOp(const std::vector<Binding>& a,
                                        const std::vector<Binding>& b) const;
-  std::vector<SymbolId> AllTerms() const;
 
   /// Charges `n` steps against the budget; kResourceExhausted on overrun.
   Status Charge(uint64_t n) const;
