@@ -170,78 +170,56 @@ class NfaBuilder {
   std::vector<std::vector<uint32_t>> eps_;
 };
 
-/// One forward application of `e` from `t`: calls `visit(y)` for every
-/// successor term, stepping through the store's zero-copy ranges.
+/// One application of a negated edge `e` at `t`, in the direction a
+/// sweep walks it: calls `visit(y)` for every term one step away,
+/// scanning the store's zero-copy ranges. A kNegFwd edge walked forward
+/// and a kNegInv edge walked backward both go from subject to object.
 template <typename Visit>
-void ForEachSuccessor(const graph::TripleStore& store, const PathNfa::Edge& e,
-                      SymbolId t, Visit&& visit) {
-  switch (e.kind) {
-    case PathNfa::EdgeKind::kFwd: {
-      const auto [lo, hi] = store.RangeSP(t, e.iri);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) visit(tr->o);
-      return;
-    }
-    case PathNfa::EdgeKind::kInv: {
-      const auto [lo, hi] = store.RangePO(e.iri, t);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) visit(tr->s);
-      return;
-    }
-    case PathNfa::EdgeKind::kNegFwd: {
-      const auto [lo, hi] = store.RangeS(t);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-        if (!std::binary_search(e.negated.begin(), e.negated.end(), tr->p)) {
-          visit(tr->o);
-        }
-      }
-      return;
-    }
-    case PathNfa::EdgeKind::kNegInv: {
-      const auto [lo, hi] = store.RangeO(t);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-        if (!std::binary_search(e.negated.begin(), e.negated.end(), tr->p)) {
-          visit(tr->s);
-        }
-      }
-      return;
+void ForEachNegatedStep(const graph::TripleStore& store,
+                        const PathNfa::Edge& e, bool forward, SymbolId t,
+                        Visit&& visit) {
+  const bool from_subject = (e.kind == PathNfa::EdgeKind::kNegFwd) == forward;
+  const auto [lo, hi] = from_subject ? store.RangeS(t) : store.RangeO(t);
+  for (const graph::Triple* tr = lo; tr != hi; ++tr) {
+    if (!std::binary_search(e.negated.begin(), e.negated.end(), tr->p)) {
+      visit(from_subject ? tr->o : tr->s);
     }
   }
 }
 
-/// One reverse application of `e` into `t` (the bound-object backward
-/// sweep): calls `visit(x)` for every term x with x -e-> t.
-template <typename Visit>
-void ForEachPredecessor(const graph::TripleStore& store,
-                        const PathNfa::Edge& e, SymbolId t, Visit&& visit) {
-  switch (e.kind) {
-    case PathNfa::EdgeKind::kFwd: {
-      const auto [lo, hi] = store.RangePO(e.iri, t);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) visit(tr->s);
-      return;
-    }
-    case PathNfa::EdgeKind::kInv: {
-      const auto [lo, hi] = store.RangeSP(t, e.iri);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) visit(tr->o);
-      return;
-    }
-    case PathNfa::EdgeKind::kNegFwd: {
-      const auto [lo, hi] = store.RangeO(t);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-        if (!std::binary_search(e.negated.begin(), e.negated.end(), tr->p)) {
-          visit(tr->s);
-        }
-      }
-      return;
-    }
-    case PathNfa::EdgeKind::kNegInv: {
-      const auto [lo, hi] = store.RangeS(t);
-      for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-        if (!std::binary_search(e.negated.begin(), e.negated.end(), tr->p)) {
-          visit(tr->o);
-        }
-      }
-      return;
-    }
+/// Successor lists over term ids for one labeled step in the direction
+/// a sweep walks it: from term t the step reaches
+/// targets[offsets[t], offsets[t + 1]).
+struct DenseSteps {
+  std::vector<uint32_t> offsets;  // num_ids + 1 entries
+  std::vector<SymbolId> targets;
+};
+
+/// The lists of the triples (x, iri, y), keyed by x and reaching y when
+/// `from_subject`, else keyed by y and reaching x; one pass over
+/// RangeP(iri). Every key must be below `num_ids`.
+DenseSteps BuildDenseSteps(const graph::TripleStore& store, SymbolId iri,
+                           bool from_subject, size_t num_ids) {
+  DenseSteps d;
+  d.offsets.assign(num_ids + 1, 0);
+  const auto [lo, hi] = store.RangeP(iri);
+  for (const graph::Triple* tr = lo; tr != hi; ++tr) {
+    ++d.offsets[from_subject ? tr->s : tr->o];
   }
+  // Running sums make offsets[t] the end of t's list; placing triples
+  // back to front then moves it to the start, keeping index order.
+  uint32_t total = 0;
+  for (uint32_t& end : d.offsets) {
+    total += end;
+    end = total;
+  }
+  d.targets.resize(total);
+  for (const graph::Triple* tr = hi; tr != lo;) {
+    --tr;
+    const SymbolId key = from_subject ? tr->s : tr->o;
+    d.targets[--d.offsets[key]] = from_subject ? tr->o : tr->s;
+  }
+  return d;
 }
 
 }  // namespace
@@ -266,10 +244,63 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
   SymbolId max_id = all_terms.empty() ? 0 : all_terms.back();
   if (s != kInvalidSymbol) max_id = std::max(max_id, s);
   if (o != kInvalidSymbol) max_id = std::max(max_id, o);
-  std::vector<uint32_t> visited(static_cast<size_t>(max_id + 1) * ns, 0);
-  std::vector<uint32_t> emitted(static_cast<size_t>(max_id) + 1, 0);
+  const size_t num_ids = static_cast<size_t>(max_id) + 1;
+  std::vector<uint32_t> visited(num_ids * ns, 0);
+  std::vector<uint32_t> emitted(num_ids, 0);
   uint32_t epoch = 0;
   std::vector<std::pair<SymbolId, uint32_t>> work;
+
+  // Bound s, or nothing bound: forward sweeps. Bound o alone: one
+  // backward sweep over the reversed product.
+  const bool forward = s != kInvalidSymbol || o == kInvalidSymbol;
+
+  // The product steps out of each state in the sweep's direction: to
+  // state `next`, through dense list `dense` for a labeled edge, or
+  // through a negated edge's range scan. A kFwd edge walked forward and
+  // a kInv edge walked backward both go from subject to object; one list
+  // serves every edge with the same (iri, direction).
+  constexpr uint32_t kScan = 0xffffffffu;
+  struct Step {
+    uint32_t next = 0;
+    uint32_t dense = kScan;
+    const PathNfa::Edge* edge = nullptr;
+  };
+  std::vector<std::vector<Step>> steps(ns);
+  std::vector<std::pair<SymbolId, bool>> keys;  // (iri, from_subject)
+  for (uint32_t q = 0; q < ns; ++q) {
+    for (const auto& e : nfa.adj[q]) {
+      Step st{forward ? e.to : q, kScan, &e};
+      if (e.kind == PathNfa::EdgeKind::kFwd ||
+          e.kind == PathNfa::EdgeKind::kInv) {
+        const std::pair<SymbolId, bool> key = {
+            e.iri, (e.kind == PathNfa::EdgeKind::kFwd) == forward};
+        st.dense = static_cast<uint32_t>(
+            std::find(keys.begin(), keys.end(), key) - keys.begin());
+        if (st.dense == keys.size()) keys.push_back(key);
+      }
+      steps[forward ? q : e.to].push_back(st);
+    }
+  }
+  // Built over the stamps' id range, so a bound endpoint above every
+  // store term steps to nothing.
+  std::vector<DenseSteps> dense;
+  dense.reserve(keys.size());
+  for (const auto& [iri, from_subject] : keys) {
+    dense.push_back(BuildDenseSteps(store, iri, from_subject, num_ids));
+  }
+  auto expand = [&](SymbolId term, uint32_t state, auto&& visit) {
+    for (const Step& st : steps[state]) {
+      if (st.dense != kScan) {
+        const DenseSteps& d = dense[st.dense];
+        for (uint32_t k = d.offsets[term]; k < d.offsets[term + 1]; ++k) {
+          visit(d.targets[k], st.next);
+        }
+      } else {
+        ForEachNegatedStep(store, *st.edge, forward, term,
+                           [&](SymbolId y) { visit(y, st.next); });
+      }
+    }
+  };
 
   // One forward product sweep; emits (start, y) at every accepting
   // product node, including the seed (zero-length matches when
@@ -293,10 +324,7 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
     while (!work.empty()) {
       const auto [term, state] = work.back();
       work.pop_back();
-      for (const auto& e : nfa.adj[state]) {
-        ForEachSuccessor(store, e, term,
-                         [&](SymbolId y) { visit(y, e.to); });
-      }
+      expand(term, state, visit);
     }
   };
 
@@ -306,11 +334,6 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
     // Backward sweep from the bound object over the reversed product;
     // reaching the start state at term x means x -> o in the path.
     // Callers must ensure o is in all_terms (see header).
-    std::vector<std::vector<std::pair<uint32_t, const PathNfa::Edge*>>> radj(
-        ns);
-    for (uint32_t q = 0; q < ns; ++q) {
-      for (const auto& e : nfa.adj[q]) radj[e.to].emplace_back(q, &e);
-    }
     ++epoch;
     auto visit = [&](SymbolId term, uint32_t state) {
       uint32_t& stamp = visited[static_cast<size_t>(term) * ns + state];
@@ -328,10 +351,7 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
     while (!work.empty()) {
       const auto [term, state] = work.back();
       work.pop_back();
-      for (const auto& [from, e] : radj[state]) {
-        ForEachPredecessor(store, *e, term,
-                           [&](SymbolId x) { visit(x, from); });
-      }
+      expand(term, state, visit);
     }
   } else {
     for (SymbolId start : all_terms) forward_from(start);

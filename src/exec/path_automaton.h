@@ -51,6 +51,9 @@ PathNfa CompilePathNfa(const paths::Path& path);
 /// All (start, end) pairs of the path over the store, via BFS on the
 /// (graph term x NFA state) product. Fixing `s`/`o` restricts the search
 /// (bound `s`: one forward sweep; bound `o` alone: one backward sweep).
+/// Each call first turns every distinct labeled step into successor
+/// lists over term ids, read from `RangeP`, so a product step is an
+/// array slice rather than an index search; negated steps scan ranges.
 ///
 /// `all_terms` must be the sorted subjects-union-objects of the store
 /// (`TripleStore::Terms`) — it seeds the unbound sweeps and the

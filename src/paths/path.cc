@@ -173,8 +173,8 @@ bool IsIriChar(char c) {
 template <class Dict>
 class PathParser {
  public:
-  PathParser(std::string_view input, Dict* dict)
-      : input_(input), dict_(dict) {}
+  PathParser(std::string_view input, Dict* dict, size_t max_depth)
+      : input_(input), dict_(dict), max_depth_(max_depth) {}
 
   Result<PathPtr> Parse() {
     RWDT_ASSIGN_OR_RETURN(PathPtr e, ParseAlt());
@@ -198,6 +198,19 @@ class PathParser {
     return pos_ < input_.size() ? input_[pos_] : '\0';
   }
 
+  Status CheckDepth(size_t levels) const {
+    if (levels <= max_depth_) return Status::Ok();
+    return Status::ResourceExhausted("property path nests deeper than " +
+                                     std::to_string(max_depth_) +
+                                     " levels (max_depth)");
+  }
+
+  /// `p`, unless its operator tree is taller than max_depth.
+  Result<PathPtr> Bounded(PathPtr p) const {
+    RWDT_RETURN_IF_ERROR(CheckDepth(p->Height()));
+    return p;
+  }
+
   Result<PathPtr> ParseAlt() {
     RWDT_ASSIGN_OR_RETURN(PathPtr first, ParseSeq());
     std::vector<PathPtr> parts = {std::move(first)};
@@ -206,7 +219,7 @@ class PathParser {
       RWDT_ASSIGN_OR_RETURN(PathPtr next, ParseSeq());
       parts.push_back(std::move(next));
     }
-    return Path::Alt(std::move(parts));
+    return Bounded(Path::Alt(std::move(parts)));
   }
 
   Result<PathPtr> ParseSeq() {
@@ -217,7 +230,7 @@ class PathParser {
       RWDT_ASSIGN_OR_RETURN(PathPtr next, ParsePostfix());
       parts.push_back(std::move(next));
     }
-    return Path::Seq(std::move(parts));
+    return Bounded(Path::Seq(std::move(parts)));
   }
 
   Result<PathPtr> ParsePostfix() {
@@ -225,13 +238,13 @@ class PathParser {
     for (;;) {
       const char c = pos_ < input_.size() ? input_[pos_] : '\0';
       if (c == '*') {
-        e = Path::Star(e);
+        RWDT_ASSIGN_OR_RETURN(e, Bounded(Path::Star(e)));
         ++pos_;
       } else if (c == '+') {
-        e = Path::Plus(e);
+        RWDT_ASSIGN_OR_RETURN(e, Bounded(Path::Plus(e)));
         ++pos_;
       } else if (c == '?') {
-        e = Path::Optional(e);
+        RWDT_ASSIGN_OR_RETURN(e, Bounded(Path::Optional(e)));
         ++pos_;
       } else {
         break;
@@ -244,15 +257,19 @@ class PathParser {
     const char c = Peek();
     if (c == '(') {
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(PathPtr inner, ParseAlt());
+      --depth_;
       if (Peek() != ')') return Status::ParseError("expected ')'");
       ++pos_;
       return inner;
     }
     if (c == '^') {
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(PathPtr inner, ParsePostfix());
-      return Path::Inverse(std::move(inner));
+      --depth_;
+      return Bounded(Path::Inverse(std::move(inner)));
     }
     if (c == '!') {
       ++pos_;
@@ -317,17 +334,23 @@ class PathParser {
 
   std::string_view input_;
   Dict* dict_;
+  size_t max_depth_;
+  // Open parentheses and `^`. A failed parse is abandoned, so only the
+  // success paths close a level again.
+  size_t depth_ = 0;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
-Result<PathPtr> ParsePath(std::string_view input, Interner* dict) {
-  return PathParser<Interner>(input, dict).Parse();
+Result<PathPtr> ParsePath(std::string_view input, Interner* dict,
+                          size_t max_depth) {
+  return PathParser<Interner>(input, dict, max_depth).Parse();
 }
 
-Result<PathPtr> ParsePath(std::string_view input, FlatInterner* dict) {
-  return PathParser<FlatInterner>(input, dict).Parse();
+Result<PathPtr> ParsePath(std::string_view input, FlatInterner* dict,
+                          size_t max_depth) {
+  return PathParser<FlatInterner>(input, dict, max_depth).Parse();
 }
 
 }  // namespace rwdt::paths

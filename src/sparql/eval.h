@@ -3,22 +3,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/interner.h"
 #include "common/status.h"
 #include "graph/rdf.h"
 #include "sparql/algebra.h"
+#include "sparql/binding.h"
 
 namespace rwdt::sparql {
-
-/// A solution mapping mu: variables -> RDF terms (interned ids).
-using Binding = std::map<SymbolId, SymbolId>;
 
 /// Two mappings are compatible when they agree on shared variables
 /// (Perez-Arenas-Gutierrez semantics).
 bool Compatible(const Binding& a, const Binding& b);
+
+/// The union of two compatible mappings. A variable both bind keeps
+/// `a`'s value (for compatible mappings the two agree).
+Binding Merge(const Binding& a, const Binding& b);
 
 /// Read access to one solution mapping: the value it gives `var`, or
 /// kInvalidSymbol when it leaves `var` unbound.

@@ -352,6 +352,39 @@ TEST_F(ExecTest, PathNfaMatchesEvalPathPairs) {
   }
 }
 
+TEST_F(ExecTest, PathNfaBoundEndpointAboveEveryStoreTermStepsToNothing) {
+  // A constant interned after the store was built has an id above every
+  // store term, past the end of the per-term successor lists the sweeps
+  // would size from the store alone.
+  const SymbolId beyond = dict_.Intern("c_beyond");
+  const std::vector<SymbolId> terms = AllTerms();
+  ASSERT_GT(beyond, terms.back());
+  sparql::Evaluator eval(store_, &dict_);
+  const SymbolId some_s = store_.triples().front().s;
+  const SymbolId some_o = store_.triples().front().o;
+  for (const std::string text :
+       {"p0", "^p0", "p0*", "p0?", "(^p0)*", "p0/p1*", "!(p0|^p1)"}) {
+    auto path = paths::ParsePath(text, &dict_);
+    ASSERT_TRUE(path.ok()) << text;
+    const PathNfa nfa = CompilePathNfa(*path.value());
+    const struct {
+      SymbolId s, o;
+    } shapes[] = {
+        {beyond, kInvalidSymbol},
+        {beyond, beyond},
+        {beyond, some_o},
+        {some_s, beyond},
+    };
+    for (const auto& shape : shapes) {
+      auto got = EvalPathNfa(store_, nfa, terms, shape.s, shape.o);
+      auto want = eval.EvalPathPairs(*path.value(), shape.s, shape.o);
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want) << text << " s=" << shape.s << " o=" << shape.o;
+    }
+  }
+}
+
 TEST_F(ExecTest, PathNfaZeroLengthCornerFallsBackInOperator) {
   // `p0?` with the object bound to a constant that is not a term of the
   // store: the evaluator's bare-`e?` zero-length rule emits (o, o) even

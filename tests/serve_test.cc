@@ -136,6 +136,20 @@ TEST(ClassifyServerTest, UnparseableQueryIs422WithTaxonomyClass) {
   EXPECT_TRUE(Contains(r.body, "\"error_class\"")) << r.body;
 }
 
+TEST(ClassifyServerTest, DeeplyNestedQueryIs422AndServerStaysUp) {
+  ClassifyServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  // 12,000 nested groups: about 24 KB, far below every byte limit, and
+  // deep enough to overflow the stack of an unbounded recursive parser.
+  const std::string query = "SELECT * WHERE " + std::string(12000, '{') +
+                            std::string(12000, '}');
+  const HttpResult r = Fetch(server.port(), "POST", "/v1/classify", query);
+  EXPECT_EQ(r.status, 422) << r.body;
+  EXPECT_TRUE(Contains(r.body, "\"valid\":false")) << r.body;
+  EXPECT_TRUE(Contains(r.body, "resource_exhausted")) << r.body;
+  EXPECT_EQ(Fetch(server.port(), "GET", "/healthz").status, 200);
+}
+
 TEST(ClassifyServerTest, BadLangAndEmptyBodyAre400) {
   ClassifyServer server(BaseOptions());
   ASSERT_TRUE(server.Start().ok());
