@@ -47,27 +47,26 @@ int main(int argc, char** argv) {
                                : "beyond C2RPQ+F");
 
   hypergraph::Hypergraph h =
-      hypergraph::BuildCanonicalHypergraph(query, true);
+      hypergraph::BuildCanonicalHypergraph(query);
   std::printf("canonical hypergraph: %zu vertices, %zu edges; acyclic: %s\n",
               h.num_vertices, h.edges.size(),
               hypergraph::IsAcyclic(h) ? "yes" : "no");
   std::printf("canonical graph shape: %s\n",
               hypergraph::GraphShapeName(
-                  hypergraph::ClassifyShape(hypergraph::BuildCanonicalGraph(
-                      query, /*include_constants=*/true)))
+                  hypergraph::ClassifyShape(
+                      hypergraph::BuildCanonicalGraphs(query).with_constants))
                   .c_str());
 
-  std::vector<const sparql::PathTriple*> path_triples;
-  query.pattern->CollectPathTriples(&path_triples);
-  for (const auto* pt : path_triples) {
+  sparql::ForEachNode(*query.pattern, [&](const sparql::Pattern& p) {
+    if (p.op != sparql::Pattern::Op::kPath) return;
+    const paths::Path& path = *p.path.path;
     std::printf("property path %s : type %s, %s\n",
-                pt->path->ToString(dict).c_str(),
-                paths::Table8TypeName(paths::ClassifyTable8(*pt->path))
-                    .c_str(),
-                paths::IsSimpleTransitiveExpression(*pt->path)
+                path.ToString(dict).c_str(),
+                paths::Table8TypeName(paths::ClassifyTable8(path)).c_str(),
+                paths::IsSimpleTransitiveExpression(path)
                     ? "simple transitive expression"
                     : "not an STE");
-  }
+  });
 
   // --- evaluate over a toy graph ---------------------------------------
   graph::TripleStore store;

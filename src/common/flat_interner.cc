@@ -9,13 +9,13 @@ SymbolId FlatInterner::InternWithHash(uint64_t hash, std::string_view s) {
     Slot& slot = slots_[i];
     if (slot.id == kInvalidSymbol) {
       const SymbolId id = static_cast<SymbolId>(names_.size());
-      names_.push_back(arena_.Copy(s));
+      names_.push_back({arena_.Copy(s), i});
       slot.hash = hash;
       slot.id = id;
       if (2 * names_.size() > slots_.size()) Grow();
       return id;
     }
-    if (slot.hash == hash && names_[slot.id] == s) return slot.id;
+    if (slot.hash == hash && names_[slot.id].text == s) return slot.id;
     i = (i + 1) & mask_;
   }
 }
@@ -26,7 +26,7 @@ SymbolId FlatInterner::LookupWithHash(uint64_t hash, std::string_view s) const {
   while (true) {
     const Slot& slot = slots_[i];
     if (slot.id == kInvalidSymbol) return kInvalidSymbol;
-    if (slot.hash == hash && names_[slot.id] == s) return slot.id;
+    if (slot.hash == hash && names_[slot.id].text == s) return slot.id;
     i = (i + 1) & mask_;
   }
 }
@@ -43,11 +43,12 @@ void FlatInterner::Grow() {
     uint64_t i = slot.hash & mask_;
     while (slots_[i].id != kInvalidSymbol) i = (i + 1) & mask_;
     slots_[i] = slot;
+    names_[slot.id].slot = i;
   }
 }
 
 void FlatInterner::Clear() {
-  for (Slot& slot : slots_) slot = Slot{};
+  for (const Entry& name : names_) slots_[name.slot] = Slot{};
   names_.clear();
   arena_.Clear();
 }

@@ -50,7 +50,7 @@ class FlatInterner {
 
   /// Returns the string for an id. Requires `id < size()`. The view is
   /// invalidated by Clear().
-  std::string_view Name(SymbolId id) const { return names_[id]; }
+  std::string_view Name(SymbolId id) const { return names_[id].text; }
 
   size_t size() const { return names_.size(); }
 
@@ -60,18 +60,24 @@ class FlatInterner {
   /// occupancy gauges on /metrics want to show.
   size_t bytes_reserved() const {
     return slots_.capacity() * sizeof(Slot) + arena_.bytes_reserved() +
-           names_.capacity() * sizeof(std::string_view);
+           names_.capacity() * sizeof(Entry);
   }
 
   /// Forgets all symbols but keeps the slot table and arena blocks, so
   /// the next fill cycle allocates nothing (resize-across-clear: a table
-  /// grown by one query stays grown for the next).
+  /// grown by one query stays grown for the next). Resets only the slots
+  /// in use, so a table grown by one large query does not make every
+  /// later Clear pay for its size.
   void Clear();
 
  private:
   struct Slot {
     uint64_t hash = 0;
     SymbolId id = kInvalidSymbol;  // kInvalidSymbol == empty slot
+  };
+  struct Entry {
+    std::string_view text;  // arena-backed
+    uint64_t slot;          // index of the symbol's slot in slots_
   };
 
   void Grow();
@@ -80,7 +86,7 @@ class FlatInterner {
   std::vector<Slot> slots_;  // power-of-two sized; empty until first use
   uint64_t mask_ = 0;        // slots_.size() - 1
   Arena arena_;
-  std::vector<std::string_view> names_;  // id -> arena-backed text
+  std::vector<Entry> names_;  // id -> text and slot
 };
 
 }  // namespace rwdt

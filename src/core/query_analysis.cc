@@ -33,62 +33,64 @@ QueryAnalysis AnalyzeQuery(const sparql::Query& q,
 
   if (a.ops.IsCqF() && q.pattern != nullptr &&
       a.triples <= options.max_triples_for_htw) {
+    // One canonical hypergraph and one acyclicity test answer both rows
+    // of Table 6: a CQ has no filters, so its triple hypergraph is the
+    // canonical one.
+    std::vector<SymbolId> vertex_vars;
+    const hypergraph::Hypergraph h =
+        hypergraph::BuildCanonicalHypergraph(q, &vertex_vars);
     // Free variables: the projected ones (all for SELECT *).
-    auto analyze_hg = [&](bool include_filters, bool* fca, bool* h1,
-                          bool* h2, bool* h3) {
-      std::vector<SymbolId> vertex_vars;
-      hypergraph::Hypergraph h = hypergraph::BuildCanonicalHypergraph(
-          q, include_filters, &vertex_vars);
-      std::vector<uint32_t> free_vertices;
-      if (q.select_star) {
-        for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
+    std::vector<uint32_t> free_vertices;
+    if (q.select_star) {
+      free_vertices.resize(vertex_vars.size());
+      for (uint32_t v = 0; v < vertex_vars.size(); ++v) free_vertices[v] = v;
+    } else {
+      std::vector<SymbolId> projected;
+      for (const auto& item : q.projection) {
+        if (item.var.ActsAsVar()) projected.push_back(item.var.id);
+      }
+      std::sort(projected.begin(), projected.end());
+      for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
+        if (std::binary_search(projected.begin(), projected.end(),
+                               vertex_vars[v])) {
           free_vertices.push_back(v);
         }
-      } else {
-        std::set<SymbolId> projected;
-        for (const auto& item : q.projection) {
-          if (item.var.ActsAsVar()) projected.insert(item.var.id);
-        }
-        for (uint32_t v = 0; v < vertex_vars.size(); ++v) {
-          if (projected.count(vertex_vars[v]) > 0) {
-            free_vertices.push_back(v);
-          }
-        }
       }
-      const bool acyclic = hypergraph::IsAcyclic(h);
-      *fca = acyclic &&
-             hypergraph::IsFreeConnexAcyclic(h, free_vertices);
-      *h1 = acyclic;
-      *h2 = acyclic ||
-            hypergraph::HypertreeWidthAtMost(h, 2).value_or(false);
-      *h3 = *h2 ||
-            hypergraph::HypertreeWidthAtMost(h, 3).value_or(false);
-    };
-    if (a.ops.IsCq()) {
-      analyze_hg(false, &a.cq_fca, &a.cq_htw1, &a.cq_htw2, &a.cq_htw3);
     }
-    analyze_hg(true, &a.cqf_fca, &a.cqf_htw1, &a.cqf_htw2, &a.cqf_htw3);
+    const bool acyclic = hypergraph::IsAcyclic(h);
+    a.cqf_fca = hypergraph::IsFreeConnexAcyclic(h, free_vertices, acyclic);
+    a.cqf_htw1 = acyclic;
+    a.cqf_htw2 =
+        acyclic || hypergraph::HypertreeWidthAtMost(h, 2).value_or(false);
+    a.cqf_htw3 = a.cqf_htw2 ||
+                 hypergraph::HypertreeWidthAtMost(h, 3).value_or(false);
+    if (a.ops.IsCq()) {
+      a.cq_fca = a.cqf_fca;
+      a.cq_htw1 = a.cqf_htw1;
+      a.cq_htw2 = a.cqf_htw2;
+      a.cq_htw3 = a.cqf_htw3;
+    }
 
     a.graph_cqf = sparql::IsGraphCqF(q);
     if (a.graph_cqf) {
-      a.shape_with = hypergraph::ClassifyShape(
-          hypergraph::BuildCanonicalGraph(q, /*include_constants=*/true));
-      a.shape_without = hypergraph::ClassifyShape(
-          hypergraph::BuildCanonicalGraph(q, /*include_constants=*/false));
+      const hypergraph::CanonicalGraphs graphs =
+          hypergraph::BuildCanonicalGraphs(q);
+      a.shape_with = hypergraph::ClassifyShape(graphs.with_constants);
+      a.shape_without = hypergraph::ClassifyShape(graphs.without_constants);
     }
   }
   const uint64_t t_paths = timings != nullptr ? NowNs() : 0;
   if (timings != nullptr) timings->hypergraph_ns = t_paths - t_hypergraph;
 
   if (q.pattern != nullptr) {
-    std::vector<const sparql::PathTriple*> path_triples;
-    q.pattern->CollectPathTriples(&path_triples);
-    for (const auto* pt : path_triples) {
-      a.path_types.push_back(paths::ClassifyTable8(*pt->path));
-      if (paths::IsSimpleTransitiveExpression(*pt->path)) a.ste++;
-      if (paths::CertifiedInCtract(*pt->path)) a.ctract++;
-      if (paths::CertifiedInTtract(*pt->path)) a.ttract++;
-    }
+    sparql::ForEachNode(*q.pattern, [&a](const sparql::Pattern& p) {
+      if (p.op != sparql::Pattern::Op::kPath) return;
+      const paths::Path& path = *p.path.path;
+      a.path_types.push_back(paths::ClassifyTable8(path));
+      if (paths::IsSimpleTransitiveExpression(path)) a.ste++;
+      if (paths::CertifiedInCtract(path)) a.ctract++;
+      if (paths::CertifiedInTtract(path)) a.ttract++;
+    });
   }
   if (timings != nullptr) timings->path_ns = NowNs() - t_paths;
   return a;

@@ -21,29 +21,46 @@ struct Hypergraph {
   void AddEdge(std::vector<uint32_t> edge);
 };
 
-/// The *triple hypergraph* of a CQ+F query: one hyperedge per triple
-/// pattern holding its variables/blanks; the *canonical hypergraph* adds
-/// one hyperedge per filter over the filter's variables (Section 9.5).
-/// Variables are densely re-indexed; `var_of_vertex` maps back.
+/// The *canonical hypergraph* of a CQ+F query (Section 9.5): one
+/// hyperedge per triple pattern holding its variables/blanks, one per
+/// property path over its endpoint variables, and one per filter over the
+/// filter's variables, in that order. For a CQ, which has no filters,
+/// this is the *triple hypergraph*. Variables are densely re-indexed in
+/// first-seen order; `var_of_vertex` maps back.
 Hypergraph BuildCanonicalHypergraph(const sparql::Query& query,
-                                    bool include_filters,
                                     std::vector<SymbolId>* var_of_vertex
                                     = nullptr);
 
-/// GYO reduction: true iff the hypergraph is alpha-acyclic.
+/// True iff the hypergraph is alpha-acyclic, i.e. the GYO reduction
+/// (drop vertices in one edge only, drop edges inside other edges)
+/// removes every edge. Decided in one pass over flat incidence arrays,
+/// in O(N log N) for N the total edge size (see hypergraph.cc).
 bool IsAcyclic(const Hypergraph& h);
 
 /// Free-connex acyclicity (Bagan-Durand-Grandjean): the query is acyclic
 /// AND the hypergraph extended with a hyperedge over the free (projected)
 /// variables is acyclic. For SELECT * queries all variables are free.
+/// `free_vertices` is sorted and distinct.
 bool IsFreeConnexAcyclic(const Hypergraph& h,
                          const std::vector<uint32_t>& free_vertices);
+
+/// The same, for a caller that already has `acyclic` == IsAcyclic(h):
+/// the acyclicity test then runs only on the extended hypergraph, and
+/// not at all when every vertex is free (the extension is then acyclic).
+bool IsFreeConnexAcyclic(const Hypergraph& h,
+                         const std::vector<uint32_t>& free_vertices,
+                         bool acyclic);
 
 /// Decides (generalized) hypertree width <= k by recursive separator
 /// search with memoization — the library's stand-in for det-k-decomp.
 /// For the acyclic case this agrees with GYO (ghw = 1 iff acyclic);
-/// queries in logs are small, so exact search is practical. Returns
-/// nullopt when the search exceeds `max_states`.
+/// queries in logs are small, so exact search is practical.
+///
+/// Returns nullopt ("unknown") when the search runs out of budget: more
+/// than `max_states` memoized subproblems, more than 2^22 units of work
+/// (each bag tried costs one unit per hyperedge, the edges it scans to
+/// split the component), or subproblems nested more than 256 deep.
+/// Callers read nullopt as "not certified <= k".
 std::optional<bool> HypertreeWidthAtMost(const Hypergraph& h, size_t k,
                                          size_t max_states = 1u << 20);
 
@@ -65,12 +82,19 @@ std::string GraphShapeName(GraphShape shape);
 /// Classifies an undirected graph into its most specific shape class.
 GraphShape ClassifyShape(const graph::SimpleGraph& g);
 
-/// The *canonical graph* of a graph-CQ+F query (Section 9.5): one node
-/// per subject/object term, an edge per triple pattern, plus an edge per
-/// binary filter; with `include_constants` false, nodes for IRIs/literals
-/// and their incident edges are removed.
-graph::SimpleGraph BuildCanonicalGraph(const sparql::Query& query,
-                                       bool include_constants);
+/// The *canonical graphs* of a graph-CQ+F query (Section 9.5), the
+/// inputs of Table 7's two shape columns, from one walk of the query.
+/// `with_constants` has one node per subject/object term, an edge per
+/// triple pattern and property path, plus an edge per filter over two
+/// variables; `without_constants` drops the IRI/literal nodes and their
+/// incident edges. Self-loops are not edges, and a node without edges is
+/// not a node.
+struct CanonicalGraphs {
+  graph::SimpleGraph with_constants;
+  graph::SimpleGraph without_constants;
+};
+
+CanonicalGraphs BuildCanonicalGraphs(const sparql::Query& query);
 
 }  // namespace rwdt::hypergraph
 

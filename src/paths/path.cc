@@ -1,7 +1,8 @@
 #include "paths/path.h"
 
-#include <cctype>
 #include <functional>
+
+#include "common/ascii.h"
 
 namespace rwdt::paths {
 
@@ -163,8 +164,8 @@ PathPtr Path::Negated(std::vector<std::pair<SymbolId, bool>> forbidden) {
 namespace {
 
 bool IsIriChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == ':' ||
-         c == '_' || c == '.' || c == '-' || c == '#';
+  return ascii::IsAlnum(c) || c == ':' || c == '_' || c == '.' || c == '-' ||
+         c == '#';
 }
 
 /// Templated over the dictionary so the engine's hot path can supply an
@@ -188,10 +189,7 @@ class PathParser {
 
  private:
   void SkipSpace() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < input_.size() && ascii::IsSpace(input_[pos_])) ++pos_;
   }
   char Peek() {
     SkipSpace();
@@ -317,19 +315,17 @@ class PathParser {
       if (end == std::string_view::npos) {
         return Status::ParseError("unterminated <iri>");
       }
-      const std::string name(input_.substr(pos_ + 1, end - pos_ - 1));
+      const std::string_view name = input_.substr(pos_ + 1, end - pos_ - 1);
       pos_ = end + 1;
       return dict_->Intern(name);
     }
-    std::string name;
-    while (pos_ < input_.size() && IsIriChar(input_[pos_])) {
-      name += input_[pos_++];
-    }
-    if (name.empty()) {
+    const size_t start = pos_;
+    while (pos_ < input_.size() && IsIriChar(input_[pos_])) ++pos_;
+    if (pos_ == start) {
       return Status::ParseError("expected IRI at offset " +
                                 std::to_string(pos_));
     }
-    return dict_->Intern(name);
+    return dict_->Intern(input_.substr(start, pos_ - start));
   }
 
   std::string_view input_;

@@ -5,6 +5,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/interner.h"
@@ -74,8 +75,9 @@ struct FilterExpr {
   // kExistsPattern / kNotExistsPattern:
   std::shared_ptr<const struct Pattern> pattern;
 
-  /// Variables mentioned anywhere in the expression.
-  void CollectVars(std::set<SymbolId>* out) const;
+  /// Appends each variable mention anywhere in the expression, repeats
+  /// included; sort and unique the result for the variable set.
+  void AppendVars(std::vector<SymbolId>* out) const;
 
   /// "Safe" filters keep a query conjunctive: unary tests or ?x = ?y.
   bool IsSafe() const;
@@ -120,14 +122,15 @@ struct Pattern {
   /// In-scope variables (for well-designedness and projection checks).
   void CollectVars(std::set<SymbolId>* out) const;
 
-  /// All triple patterns in the pattern (paths excluded), the unit of the
-  /// paper's size analysis (Figure 3 counts "triples": triple patterns
-  /// and property path patterns alike).
-  void CollectTriples(std::vector<const TriplePattern*>* out) const;
-  void CollectPathTriples(std::vector<const PathTriple*>* out) const;
-  void CollectFilters(std::vector<FilterPtr>* out) const;
+  /// Appends the variables this node mentions itself, repeats included:
+  /// CollectVars without the children. A filter node's own variables are
+  /// its whole expression's, and a subquery's are those it projects.
+  void AppendOwnVars(std::vector<SymbolId>* out) const;
 
-  size_t NumTriplePatterns() const;  // triples + path triples
+  /// Triple and property path patterns, the unit of the paper's size
+  /// analysis (Figure 3 counts "triples": both kinds alike), subqueries
+  /// included.
+  size_t NumTriplePatterns() const;
 };
 
 using PatternPtr = std::shared_ptr<Pattern>;
@@ -164,6 +167,25 @@ struct Query {
   std::vector<Term> describe_terms;
   SolutionModifiers modifiers;
 };
+
+namespace internal {
+
+/// ForEachNode's walk. Out of line and type-erased, so each level of a
+/// deep pattern costs one small stack frame whatever the visitor.
+void WalkNodes(const Pattern& p, void (*visit)(void*, const Pattern&),
+               void* visitor);
+
+}  // namespace internal
+
+/// Calls `visit(node)` for every node of `p` in pre-order, and descends
+/// into a subquery's pattern after the subquery node's children.
+template <class Visit>
+void ForEachNode(const Pattern& p, Visit&& visit) {
+  using V = std::remove_reference_t<Visit>;
+  internal::WalkNodes(
+      p, [](void* v, const Pattern& node) { (*static_cast<V*>(v))(node); },
+      &visit);
+}
 
 }  // namespace rwdt::sparql
 

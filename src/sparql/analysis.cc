@@ -1,7 +1,8 @@
 #include "sparql/analysis.h"
 
-#include <functional>
-#include <map>
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 
 namespace rwdt::sparql {
 
@@ -176,19 +177,21 @@ void WalkQuery(const Query& q, std::set<Feature>* out) {
   if (q.pattern != nullptr) WalkPattern(*q.pattern, out);
 }
 
+/// Walks the subqueries among `p`'s descendants, not inside them.
+void WalkSubqueries(const Pattern& p, std::set<Feature>* out) {
+  if (p.op == Pattern::Op::kSubquery && p.subquery != nullptr) {
+    WalkQuery(*p.subquery, out);
+  }
+  for (const auto& c : p.children) WalkSubqueries(*c, out);
+}
+
 }  // namespace
 
 std::set<Feature> ExtractFeatures(const Query& q) {
   std::set<Feature> out;
   WalkQuery(q, &out);
   // Subquery modifiers count too.
-  std::function<void(const Pattern&)> visit = [&](const Pattern& p) {
-    if (p.op == Pattern::Op::kSubquery && p.subquery != nullptr) {
-      WalkQuery(*p.subquery, &out);
-    }
-    for (const auto& c : p.children) visit(*c);
-  };
-  if (q.pattern != nullptr) visit(*q.pattern);
+  if (q.pattern != nullptr) WalkSubqueries(*q.pattern, &out);
   return out;
 }
 
@@ -247,42 +250,94 @@ bool OnlyAfo(const Pattern& p) {
   }
 }
 
-/// Checks the well-designedness condition on every OPTIONAL node:
-/// vars(P2) ∩ vars(outside) ⊆ vars(P1).
-bool CheckOptionals(const Pattern& root) {
-  // Collect all optional nodes with their (P1, P2).
-  std::vector<const Pattern*> optionals;
-  std::function<void(const Pattern&)> collect = [&](const Pattern& p) {
-    if (p.op == Pattern::Op::kOptional) optionals.push_back(&p);
-    for (const auto& c : p.children) collect(*c);
-  };
-  collect(root);
-
-  for (const Pattern* opt : optionals) {
-    std::set<SymbolId> p1_vars, p2_vars;
-    opt->children[0]->CollectVars(&p1_vars);
-    opt->children[1]->CollectVars(&p2_vars);
-    // Vars occurring outside this OPTIONAL subtree: all vars of root
-    // minus vars occurring only inside the subtree. Compute vars of the
-    // tree with the subtree removed by walking and skipping `opt`.
-    std::set<SymbolId> outside;
-    std::function<void(const Pattern&)> walk = [&](const Pattern& p) {
-      if (&p == opt) return;
-      // Collect this node's own vars without recursing into children
-      // (children handled explicitly so we can skip `opt`).
-      Pattern shallow = p;
-      shallow.children.clear();
-      shallow.CollectVars(&outside);
-      for (const auto& c : p.children) walk(*c);
-    };
-    walk(root);
-    for (SymbolId v : p2_vars) {
-      if (p1_vars.count(v) > 0) continue;
-      if (outside.count(v) > 0) return false;
+/// Checks the well-designedness condition on every OPTIONAL node,
+/// vars(P2) ∩ vars(outside) ⊆ vars(P1), in one pass over the tree.
+///
+/// Nodes are numbered in pre-order over `children`, so every subtree is
+/// an interval of numbers. Each variable keeps the sorted numbers of the
+/// nodes that mention it themselves (Pattern::AppendOwnVars). A variable
+/// of P2 is in P1 when one of its numbers lies in P1's interval, and
+/// occurs outside the OPTIONAL when its first or last number lies
+/// outside the OPTIONAL's interval.
+///
+/// Each OPTIONAL looks only at the mentions inside its own P2, so a
+/// left-deep chain of OPTIONALs costs each mention one look; a mention
+/// is looked at again only for each enclosing group that is some
+/// OPTIONAL's P2, and the parser bounds that nesting.
+///
+/// The pattern must be AND/FILTER/OPTIONAL only (no subqueries), so that
+/// ForEachNode walks exactly the `children` tree.
+class OptionalCheck {
+ public:
+  explicit OptionalCheck(const Pattern& root) {
+    ForEachNode(root, [this](const Pattern& p) {
+      nodes_.push_back({&p, 0, static_cast<uint32_t>(mentions_.size())});
+      p.AppendOwnVars(&mentions_);
+    });
+    // A subtree is its root plus its children's subtrees, which follow
+    // it one after another; so each node's end is known once its
+    // children's are, going backwards.
+    for (uint32_t i = static_cast<uint32_t>(nodes_.size()); i-- > 0;) {
+      uint32_t end = i + 1;
+      for (size_t c = 0; c < nodes_[i].pattern->children.size(); ++c) {
+        end = nodes_[end].end;
+      }
+      nodes_[i].end = end;
     }
+    for (uint32_t i = 0; i < nodes_.size(); ++i) {
+      for (uint32_t m = nodes_[i].mentions; m < MentionsBefore(i + 1); ++m) {
+        by_var_.emplace_back(mentions_[m], i);
+      }
+    }
+    std::sort(by_var_.begin(), by_var_.end());
   }
-  return true;
-}
+
+  bool WellDesigned() const {
+    for (uint32_t opt = 0; opt < nodes_.size(); ++opt) {
+      const Pattern& p = *nodes_[opt].pattern;
+      if (p.op != Pattern::Op::kOptional || p.children.size() < 2) continue;
+      const uint32_t p1 = opt + 1;         // P1 is [p1, p2)
+      const uint32_t p2 = nodes_[p1].end;  // P2 is [p2, p2_end)
+      const uint32_t p2_end = nodes_[p2].end;
+      for (uint32_t m = MentionsBefore(p2); m < MentionsBefore(p2_end); ++m) {
+        const auto [lo, hi] = std::equal_range(
+            by_var_.begin(), by_var_.end(),
+            std::make_pair(mentions_[m], uint32_t{0}), SameVar);
+        const bool outside =
+            lo->second < opt || std::prev(hi)->second >= nodes_[opt].end;
+        if (!outside) continue;
+        const auto in_p1 = std::lower_bound(
+            lo, hi, std::make_pair(mentions_[m], p1));
+        if (in_p1 == hi || in_p1->second >= p2) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Node {
+    const Pattern* pattern;
+    uint32_t end;       // one past the last number in the subtree
+    uint32_t mentions;  // index of the node's first own mention
+  };
+
+  static bool SameVar(const std::pair<SymbolId, uint32_t>& a,
+                      const std::pair<SymbolId, uint32_t>& b) {
+    return a.first < b.first;
+  }
+
+  /// Index of the first mention of node `i`, or of the end for i == n:
+  /// the mentions of nodes [a, b) are [MentionsBefore(a),
+  /// MentionsBefore(b)).
+  uint32_t MentionsBefore(uint32_t i) const {
+    return i < nodes_.size() ? nodes_[i].mentions
+                             : static_cast<uint32_t>(mentions_.size());
+  }
+
+  std::vector<Node> nodes_;         // in pre-order
+  std::vector<SymbolId> mentions_;  // own mentions, node by node
+  std::vector<std::pair<SymbolId, uint32_t>> by_var_;  // (var, node)
+};
 
 }  // namespace
 
@@ -292,51 +347,69 @@ bool UsesOnlyAndFilterOptional(const Query& q) {
 
 bool IsWellDesigned(const Query& q) {
   if (!UsesOnlyAndFilterOptional(q)) return false;
-  return CheckOptionals(*q.pattern);
+  bool has_optional = false;
+  ForEachNode(*q.pattern, [&](const Pattern& p) {
+    has_optional = has_optional || p.op == Pattern::Op::kOptional;
+  });
+  return !has_optional || OptionalCheck(*q.pattern).WellDesigned();
 }
 
-bool HasOnlySafeFilters(const Query& q) {
+namespace {
+
+/// True iff `pred` holds for every filter of the pattern, subqueries
+/// included.
+template <class Pred>
+bool AllFilters(const Query& q, Pred pred) {
   if (q.pattern == nullptr) return true;
-  std::vector<FilterPtr> filters;
-  q.pattern->CollectFilters(&filters);
-  for (const auto& f : filters) {
-    if (!f->IsSafe()) return false;
-  }
-  return true;
+  bool all = true;
+  ForEachNode(*q.pattern, [&](const Pattern& p) {
+    if (p.op == Pattern::Op::kFilter && p.filter != nullptr) {
+      all = all && pred(*p.filter);
+    }
+  });
+  return all;
+}
+
+}  // namespace
+
+bool HasOnlySafeFilters(const Query& q) {
+  return AllFilters(q, [](const FilterExpr& f) { return f.IsSafe(); });
 }
 
 bool HasOnlySimpleFilters(const Query& q) {
-  if (q.pattern == nullptr) return true;
-  std::vector<FilterPtr> filters;
-  q.pattern->CollectFilters(&filters);
-  for (const auto& f : filters) {
-    if (!f->IsSimple()) return false;
-  }
-  return true;
+  return AllFilters(q, [](const FilterExpr& f) { return f.IsSimple(); });
 }
 
 bool IsGraphCqF(const Query& q) {
   if (q.pattern == nullptr) return false;
   if (!ExtractOperatorSet(q).IsCqF()) return false;
   if (!HasOnlySimpleFilters(q)) return false;
-  std::vector<const TriplePattern*> triples;
-  q.pattern->CollectTriples(&triples);
-  // A variable predicate may not appear in any other triple position.
-  std::set<SymbolId> predicate_vars, other_position_vars;
-  for (const auto* t : triples) {
-    if (t->p.ActsAsVar()) predicate_vars.insert(t->p.id);
-    if (t->s.ActsAsVar()) other_position_vars.insert(t->s.id);
-    if (t->o.ActsAsVar()) other_position_vars.insert(t->o.id);
+  // A variable predicate may be the predicate of one triple only, and
+  // may not appear in any other triple position.
+  std::vector<SymbolId> predicate_vars;  // usually none
+  ForEachNode(*q.pattern, [&](const Pattern& p) {
+    if (p.op == Pattern::Op::kTriple && p.triple.p.ActsAsVar()) {
+      predicate_vars.push_back(p.triple.p.id);
+    }
+  });
+  if (predicate_vars.empty()) return true;
+  std::sort(predicate_vars.begin(), predicate_vars.end());
+  if (std::adjacent_find(predicate_vars.begin(), predicate_vars.end()) !=
+      predicate_vars.end()) {
+    return false;
   }
-  std::map<SymbolId, int> predicate_var_uses;
-  for (const auto* t : triples) {
-    if (t->p.ActsAsVar()) predicate_var_uses[t->p.id]++;
-  }
-  for (SymbolId v : predicate_vars) {
-    if (other_position_vars.count(v) > 0) return false;
-    if (predicate_var_uses[v] > 1) return false;
-  }
-  return true;
+  bool shared = false;
+  auto is_predicate_var = [&](const Term& t) {
+    return t.ActsAsVar() && std::binary_search(predicate_vars.begin(),
+                                               predicate_vars.end(), t.id);
+  };
+  ForEachNode(*q.pattern, [&](const Pattern& p) {
+    if (p.op == Pattern::Op::kTriple &&
+        (is_predicate_var(p.triple.s) || is_predicate_var(p.triple.o))) {
+      shared = true;
+    }
+  });
+  return !shared;
 }
 
 }  // namespace rwdt::sparql

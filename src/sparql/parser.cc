@@ -1,14 +1,15 @@
 #include "sparql/parser.h"
 
 #include <algorithm>
-#include <cctype>
+
+#include "common/ascii.h"
 
 namespace rwdt::sparql {
 namespace {
 
 bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-         c == ':' || c == '.' || c == '-' || c == '#';
+  return ascii::IsAlnum(c) || c == '_' || c == ':' || c == '.' || c == '-' ||
+         c == '#';
 }
 
 /// Characters that turn a predicate expression into a property path.
@@ -138,10 +139,7 @@ class SparqlParser {
 
   void SkipSpace() {
     for (;;) {
-      while (pos_ < input_.size() &&
-             std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-        ++pos_;
-      }
+      while (pos_ < input_.size() && ascii::IsSpace(input_[pos_])) ++pos_;
       if (pos_ < input_.size() && input_[pos_] == '#') {
         // Line comment.
         while (pos_ < input_.size() && input_[pos_] != '\n') ++pos_;
@@ -167,10 +165,14 @@ class SparqlParser {
   /// Case-insensitive keyword match (not followed by a name character).
   bool LitWord(std::string_view word) {
     SkipSpace();
+    return MatchWord(word);
+  }
+
+  /// LitWord at the current position, with the space already skipped.
+  bool MatchWord(std::string_view word) {
     if (pos_ + word.size() > input_.size()) return false;
     for (size_t i = 0; i < word.size(); ++i) {
-      if (std::toupper(static_cast<unsigned char>(input_[pos_ + i])) !=
-          std::toupper(static_cast<unsigned char>(word[i]))) {
+      if (ascii::ToUpper(input_[pos_ + i]) != ascii::ToUpper(word[i])) {
         return false;
       }
     }
@@ -290,16 +292,18 @@ class SparqlParser {
     const char c = input_[pos_];
     Term term;
     if (c == '?' || c == '$') {
-      ++pos_;
-      std::string name = "?";
-      while (pos_ < input_.size() &&
-             (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-              input_[pos_] == '_')) {
-        name += input_[pos_++];
-      }
-      if (name.size() == 1) return LexErr("empty variable name");
+      const size_t start = pos_++;
+      SkipWordChars();
+      if (pos_ == start + 1) return LexErr("empty variable name");
       term.kind = Term::Kind::kVar;
-      term.id = dict_->Intern(name);
+      // Variables are interned with a '?' prefix however they are written.
+      if (c == '?') {
+        term.id = dict_->Intern(input_.substr(start, pos_ - start));
+      } else {
+        text_.assign(1, '?');
+        text_.append(input_.substr(start + 1, pos_ - start - 1));
+        term.id = dict_->Intern(text_);
+      }
       return term;
     }
     if (c == '<') {
@@ -311,46 +315,52 @@ class SparqlParser {
       return term;
     }
     if (c == '"' || c == '\'') {
+      // Interned as '"' + text (escapes resolved) + tag or datatype + '"'.
       const char quote = c;
       ++pos_;
-      std::string text;
+      text_.assign(1, '"');
+      size_t run = pos_;  // start of the text not yet copied to text_
       while (pos_ < input_.size() && input_[pos_] != quote) {
-        if (input_[pos_] == '\\' && pos_ + 1 < input_.size()) ++pos_;
-        text += input_[pos_++];
+        if (input_[pos_] == '\\' && pos_ + 1 < input_.size()) {
+          // Drop the backslash; the escaped character starts the next run.
+          text_.append(input_.substr(run, pos_ - run));
+          run = ++pos_;
+        }
+        ++pos_;
       }
       if (pos_ >= input_.size()) return LexErr("unterminated literal");
+      text_.append(input_.substr(run, pos_ - run));
       ++pos_;
       // Language tag / datatype.
       if (pos_ < input_.size() && input_[pos_] == '@') {
-        ++pos_;
-        text += "@";
+        const size_t tag = pos_++;
         while (pos_ < input_.size() &&
-               (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-                input_[pos_] == '-')) {
-          text += input_[pos_++];
+               (ascii::IsAlnum(input_[pos_]) || input_[pos_] == '-')) {
+          ++pos_;
         }
+        text_.append(input_.substr(tag, pos_ - tag));
       } else if (input_.substr(pos_, 2) == "^^") {
         pos_ += 2;
         const Nest nest(&depth_);
         RWDT_RETURN_IF_ERROR(CheckDepth());
+        // The datatype's own parse reuses text_.
+        std::string literal = std::move(text_);
         RWDT_ASSIGN_OR_RETURN(const Term type, ParseTerm());
-        text += "^^";
-        text += dict_->Name(type.id);
+        literal += "^^";
+        literal += dict_->Name(type.id);
+        text_ = std::move(literal);
       }
+      text_ += '"';
       term.kind = Term::Kind::kLiteral;
-      term.id = dict_->Intern("\"" + text + "\"");
+      term.id = dict_->Intern(text_);
       return term;
     }
     if (c == '_' && pos_ + 1 < input_.size() && input_[pos_ + 1] == ':') {
+      const size_t start = pos_;
       pos_ += 2;
-      std::string name = "_:";
-      while (pos_ < input_.size() &&
-             (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-              input_[pos_] == '_')) {
-        name += input_[pos_++];
-      }
+      SkipWordChars();
       term.kind = Term::Kind::kBlank;
-      term.id = dict_->Intern(name);
+      term.id = dict_->Intern(input_.substr(start, pos_ - start));
       return term;
     }
     if (c == '[') {
@@ -359,42 +369,41 @@ class SparqlParser {
       if (pos_ < input_.size() && input_[pos_] == ']') {
         ++pos_;
         term.kind = Term::Kind::kBlank;
-        term.id = dict_->Intern("_:anon" + std::to_string(blank_counter_++));
+        text_.assign("_:anon");
+        text_ += std::to_string(blank_counter_++);
+        term.id = dict_->Intern(text_);
         return term;
       }
       return Status::Unsupported(
           "non-empty blank node property lists are unsupported at offset " +
           std::to_string(pos_));
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-        c == '+') {
-      std::string num;
-      num += input_[pos_++];
+    if (ascii::IsDigit(c) || c == '-' || c == '+') {
+      const size_t start = pos_++;
       while (pos_ < input_.size() &&
-             (std::isdigit(static_cast<unsigned char>(input_[pos_])) ||
-              input_[pos_] == '.' || input_[pos_] == 'e' ||
-              input_[pos_] == 'E')) {
-        num += input_[pos_++];
+             (ascii::IsDigit(input_[pos_]) || input_[pos_] == '.' ||
+              input_[pos_] == 'e' || input_[pos_] == 'E')) {
+        ++pos_;
       }
       term.kind = Term::Kind::kLiteral;
-      term.id = dict_->Intern("\"" + num + "\"");
+      text_.assign(1, '"');
+      text_.append(input_.substr(start, pos_ - start));
+      text_ += '"';
+      term.id = dict_->Intern(text_);
       return term;
     }
     if (LitWord("true") || LitWord("false")) {
       term.kind = Term::Kind::kLiteral;
       term.id = dict_->Intern(
-          std::string("\"") +
-          (input_[pos_ - 1] == 'e' && input_[pos_ - 2] == 'u' ? "true"
-                                                              : "false") +
-          "\"");
+          input_[pos_ - 1] == 'e' && input_[pos_ - 2] == 'u' ? "\"true\""
+                                                             : "\"false\"");
       return term;
     }
     // Prefixed or bare name (IRI). The bare keyword 'a' is rdf:type.
     if (IsNameChar(c)) {
-      std::string name;
-      while (pos_ < input_.size() && IsNameChar(input_[pos_])) {
-        name += input_[pos_++];
-      }
+      const size_t start = pos_;
+      while (pos_ < input_.size() && IsNameChar(input_[pos_])) ++pos_;
+      std::string_view name = input_.substr(start, pos_ - start);
       if (name == "a") name = "rdf:type";
       term.kind = Term::Kind::kIri;
       term.id = dict_->Intern(name);
@@ -412,6 +421,8 @@ class SparqlParser {
     std::vector<PatternPtr> conjuncts;
     std::vector<FilterPtr> filters;
 
+    // The conjunction so far, moved out of `conjuncts`: every caller
+    // starts a new conjunction after it.
     auto current = [&]() -> PatternPtr {
       if (conjuncts.empty()) {
         // Empty pattern: a unit VALUES with one empty row.
@@ -420,24 +431,32 @@ class SparqlParser {
         unit->values_rows.push_back({});
         return unit;
       }
-      if (conjuncts.size() == 1) return conjuncts[0];
+      if (conjuncts.size() == 1) {
+        PatternPtr only = std::move(conjuncts[0]);
+        conjuncts.clear();
+        return only;
+      }
       auto node = std::make_shared<Pattern>();
       node->op = Pattern::Op::kAnd;
-      node->children = conjuncts;
+      node->children = std::move(conjuncts);
+      conjuncts.clear();
       return node;
     };
 
     while (Peek() != '}') {
       if (Peek() == '\0') return Error("unterminated group pattern");
       RWDT_RETURN_IF_ERROR(ConsumeStep());
+      // Peek() skipped the space, and no two keywords of a group share a
+      // first letter, so the letter here picks the one keyword to try.
+      const char lead = ascii::ToUpper(input_[pos_]);
 
-      if (LitWord("FILTER")) {
+      if (lead == 'F' && MatchWord("FILTER")) {
         RWDT_ASSIGN_OR_RETURN(FilterPtr f, ParseConstraint());
         filters.push_back(std::move(f));
         Lit('.');
         continue;
       }
-      if (LitWord("OPTIONAL")) {
+      if (lead == 'O' && MatchWord("OPTIONAL")) {
         RWDT_ASSIGN_OR_RETURN(PatternPtr rhs, ParseGroupGraphPattern());
         auto node = std::make_shared<Pattern>();
         node->op = Pattern::Op::kOptional;
@@ -446,7 +465,7 @@ class SparqlParser {
         Lit('.');
         continue;
       }
-      if (LitWord("MINUS")) {
+      if (lead == 'M' && MatchWord("MINUS")) {
         RWDT_ASSIGN_OR_RETURN(PatternPtr rhs, ParseGroupGraphPattern());
         auto node = std::make_shared<Pattern>();
         node->op = Pattern::Op::kMinus;
@@ -455,7 +474,7 @@ class SparqlParser {
         Lit('.');
         continue;
       }
-      if (LitWord("GRAPH")) {
+      if (lead == 'G' && MatchWord("GRAPH")) {
         RWDT_ASSIGN_OR_RETURN(Term name, ParseTerm());
         RWDT_ASSIGN_OR_RETURN(PatternPtr inner, ParseGroupGraphPattern());
         auto node = std::make_shared<Pattern>();
@@ -466,7 +485,7 @@ class SparqlParser {
         Lit('.');
         continue;
       }
-      if (LitWord("SERVICE")) {
+      if (lead == 'S' && MatchWord("SERVICE")) {
         LitWord("SILENT");
         RWDT_ASSIGN_OR_RETURN(Term name, ParseTerm());
         RWDT_ASSIGN_OR_RETURN(PatternPtr inner, ParseGroupGraphPattern());
@@ -478,7 +497,7 @@ class SparqlParser {
         Lit('.');
         continue;
       }
-      if (LitWord("BIND")) {
+      if (lead == 'B' && MatchWord("BIND")) {
         if (!Lit('(')) return Error("expected '(' after BIND");
         RWDT_ASSIGN_OR_RETURN(Term src, ParseBindSource());
         if (!LitWord("AS")) return Error("expected AS in BIND");
@@ -493,7 +512,7 @@ class SparqlParser {
         Lit('.');
         continue;
       }
-      if (LitWord("VALUES")) {
+      if (lead == 'V' && MatchWord("VALUES")) {
         RWDT_ASSIGN_OR_RETURN(PatternPtr v, ParseValues());
         conjuncts.push_back(std::move(v));
         Lit('.');
@@ -524,8 +543,7 @@ class SparqlParser {
         continue;
       }
       // Triples block entry.
-      RWDT_ASSIGN_OR_RETURN(auto triples, ParseTriplesSameSubject());
-      for (auto& t : triples) conjuncts.push_back(std::move(t));
+      RWDT_RETURN_IF_ERROR(ParseTriplesSameSubject(&conjuncts));
       if (!Lit('.')) {
         // A triple block must be followed by '.' or '}' or a keyword.
         SkipSpace();
@@ -653,10 +671,10 @@ class SparqlParser {
     return found;
   }
 
-  /// Parses "subject predicateObjectList" with ';' and ',' sugar.
-  Result<std::vector<PatternPtr>> ParseTriplesSameSubject() {
+  /// Parses "subject predicateObjectList" with ';' and ',' sugar,
+  /// appending one pattern per triple to `out`.
+  Status ParseTriplesSameSubject(std::vector<PatternPtr>* out) {
     RWDT_ASSIGN_OR_RETURN(Term subject, ParseTerm());
-    std::vector<PatternPtr> out;
     for (;;) {
       // Verb: variable or property path (a bare IRI is a trivial path).
       RWDT_ASSIGN_OR_RETURN(auto verb, ParseVerb());
@@ -670,14 +688,14 @@ class SparqlParser {
           node->op = Pattern::Op::kPath;
           node->path = {subject, verb.second, object};
         }
-        out.push_back(std::move(node));
+        out->push_back(std::move(node));
         if (!Lit(',')) break;
       }
       if (!Lit(';')) break;
       SkipSpace();
       if (Peek() == '.' || Peek() == '}') break;  // dangling ';'
     }
-    return out;
+    return Status::Ok();
   }
 
   /// Returns (term, null) for plain predicates (IRI or variable), or
@@ -708,8 +726,7 @@ class SparqlParser {
         const size_t close = input_.find('>', end);
         if (close == std::string_view::npos) break;
         end = close;
-      } else if (depth == 0 &&
-                 (std::isspace(static_cast<unsigned char>(ch)))) {
+      } else if (depth == 0 && ascii::IsSpace(ch)) {
         break;
       } else if (IsPathOperatorChar(ch)) {
         is_path = true;
@@ -820,15 +837,13 @@ class SparqlParser {
     Term first_term;
     std::string function;
     if (Peek() == '?' || Peek() == '$' || Peek() == '"' || Peek() == '<' ||
-        std::isdigit(static_cast<unsigned char>(Peek()))) {
+        ascii::IsDigit(Peek())) {
       RWDT_ASSIGN_OR_RETURN(first_term, ParseTerm());
     } else {
       // Function name.
-      while (pos_ < input_.size() &&
-             (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-              input_[pos_] == '_')) {
-        function += input_[pos_++];
-      }
+      const size_t start = pos_;
+      SkipWordChars();
+      function.assign(input_.substr(start, pos_ - start));
       if (function.empty()) return Error("expected filter expression");
       if (!Lit('(')) return Error("expected '(' after " + function);
       // First term argument (if any), then skip to matching ')'.
@@ -851,7 +866,7 @@ class SparqlParser {
     }
     // Comparison operator?
     SkipSpace();
-    FilterExpr::CmpOp op;
+    FilterExpr::CmpOp op = FilterExpr::CmpOp::kEq;
     bool has_cmp = true;
     if (input_.substr(pos_, 2) == "!=") {
       op = FilterExpr::CmpOp::kNe;
@@ -884,19 +899,14 @@ class SparqlParser {
     // Right-hand side: term or function-wrapped term.
     Term rhs_term;
     SkipSpace();
-    if (std::isalpha(static_cast<unsigned char>(Peek())) &&
-        input_.substr(pos_).find('(') != std::string_view::npos &&
-        Peek() != '?') {
+    if (ascii::IsAlpha(Peek())) {
+      // A name followed by '(' is a call: take its first term argument.
       const size_t mark = pos_;
-      auto t = ParseTerm();
+      RWDT_ASSIGN_OR_RETURN(rhs_term, ParseTerm());
       SkipSpace();
-      if (t.ok() && pos_ < input_.size() && input_[pos_] == '(') {
+      if (pos_ < input_.size() && input_[pos_] == '(') {
         pos_ = mark;
         RWDT_ASSIGN_OR_RETURN(rhs_term, ParseCallFirstArg());
-      } else if (t.ok()) {
-        rhs_term = t.value();
-      } else {
-        return t.status();
       }
     } else {
       RWDT_ASSIGN_OR_RETURN(rhs_term, ParseTerm());
@@ -980,14 +990,22 @@ class SparqlParser {
     SkipSpace();
     uint64_t n = 0;
     bool any = false;
-    while (pos_ < input_.size() &&
-           std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
+    while (pos_ < input_.size() && ascii::IsDigit(input_[pos_])) {
       n = n * 10 + static_cast<uint64_t>(input_[pos_] - '0');
       ++pos_;
       any = true;
     }
     if (!any) return Error("expected number");
     return n;
+  }
+
+  /// Advances over [A-Za-z0-9_], the characters of a variable name, a
+  /// blank node label and a filter function name.
+  void SkipWordChars() {
+    while (pos_ < input_.size() &&
+           (ascii::IsAlnum(input_[pos_]) || input_[pos_] == '_')) {
+      ++pos_;
+    }
   }
 
   std::string_view input_;
@@ -997,6 +1015,10 @@ class SparqlParser {
   size_t depth_;   // open nesting levels, counting enclosing queries
   size_t pos_ = 0;
   size_t blank_counter_ = 0;
+  // Reused to assemble the terms that are not a slice of the input (a
+  // literal, a `$var`, an anonymous blank), so they cost no allocation
+  // once it has grown.
+  std::string text_;
 };
 
 }  // namespace

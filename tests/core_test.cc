@@ -1,9 +1,23 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <chrono>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "common/flat_interner.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "core/log_study.h"
 #include "core/studies.h"
+#include "core/verdict.h"
+#include "engine/engine.h"
 #include "graph/generators.h"
+#include "loggen/corruptor.h"
+#include "loggen/sparql_gen.h"
+#include "serve/verdict.h"
+#include "sparql/parser.h"
 
 namespace rwdt::core {
 namespace {
@@ -172,6 +186,220 @@ TEST(TreewidthStudyTest, BoundsOrdered) {
   EXPECT_EQ(row.nodes, 160u);
   EXPECT_LE(row.lower, row.upper);
   EXPECT_GT(row.upper, 0u);
+}
+
+// The study outputs, pinned: the serve::StudyToJson digest of each
+// study, recorded when the classifier was last changed on purpose. Any
+// change in what the classifier answers for a generated log changes one
+// of them. A deliberate change updates the constants and says why.
+
+uint64_t StudyDigest(const SourceStudy& study) {
+  return Hash64(serve::StudyToJson(study));
+}
+
+engine::EngineOptions OneThread() {
+  engine::EngineOptions options;
+  options.threads = 1;
+  return options;
+}
+
+TEST(StudyDigestTest, Table2ProfilesAtDefaultScale) {
+  struct Expected {
+    const char* source;
+    uint64_t digest;
+  };
+  static const Expected kExpected[] = {
+      {"DBpedia9-12", 2553012177560895641u},
+      {"DBpedia13", 15248635159126828980u},
+      {"DBpedia14", 16596947994270028130u},
+      {"DBpedia15", 4719088133665209301u},
+      {"DBpedia16", 6125935893435921589u},
+      {"DBpedia17", 12225566447443310653u},
+      {"LGD13", 8072166337055616051u},
+      {"LGD14", 14160522409628054355u},
+      {"BioP13", 14521578927515389286u},
+      {"BioP14", 13637026992870992197u},
+      {"BioMed13", 12179597134482799337u},
+      {"SWDF13", 876378629228522647u},
+      {"BritM14", 11031124697631212820u},
+      {"WikiRobot/OK", 8004940090387937387u},
+      {"WikiOrganic/OK", 12848248185661185153u},
+      {"WikiRobot/TO", 17211537453907532924u},
+      {"WikiOrganic/TO", 9268673076184913113u},
+  };
+  engine::Engine engine(OneThread());
+  const std::vector<loggen::SourceProfile> profiles =
+      loggen::Table2Profiles();
+  ASSERT_EQ(profiles.size(), std::size(kExpected));
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    EXPECT_EQ(profiles[i].name, kExpected[i].source);
+    EXPECT_EQ(StudyDigest(engine.AnalyzeLog(profiles[i], 2022)),
+              kExpected[i].digest)
+        << profiles[i].name;
+  }
+}
+
+TEST(StudyDigestTest, DuplicateHeavyCorruptLog) {
+  // Shaped like perfbench's ingest-dup log: every text ~27 times, 2% of
+  // the entries corrupted.
+  loggen::SourceProfile profile = loggen::ExampleProfile(48000);
+  profile.name = "ingest-dup";
+  profile.duplicate_factor = 27;
+  std::vector<loggen::LogEntry> log = loggen::GenerateLog(profile, 2022);
+  loggen::CorruptionOptions corruption;
+  corruption.rate = 0.02;
+  loggen::CorruptLog(&log, 2023, corruption);
+  engine::Engine engine(OneThread());
+  EXPECT_EQ(StudyDigest(engine.AnalyzeEntries("ingest-dup", false, log)),
+            8447534514373440340u);
+}
+
+// Parse and classify time stay bounded up to the parser's byte limit on
+// the shapes that load each classifier most: chains of OPTIONALs (the
+// well-designedness check), chains of FILTERs (the acyclicity test and
+// the htw search on a long cycle), and cliques (the htw search's
+// budget).
+
+/// `SELECT * WHERE { ?x0 <p> ?y0 ` + unit(1) + unit(2) + ... +
+/// tail(n) + `}` with the most units n that keep it within `max_bytes`.
+std::string ChainQuery(const std::function<std::string(int)>& unit,
+                       const std::function<std::string(int)>& tail,
+                       size_t max_bytes) {
+  std::string body;
+  int n = 0;
+  const std::string head = "SELECT * WHERE { ?x0 <p> ?y0 ";
+  for (;;) {
+    std::string next = unit(n + 1);
+    if (head.size() + body.size() + next.size() + tail(n + 1).size() + 1 >
+        max_bytes) {
+      break;
+    }
+    body += next;
+    ++n;
+  }
+  return head + body + tail(n) + "}";
+}
+
+std::string V(const char* prefix, int i) {
+  return std::string("?") + prefix + std::to_string(i);
+}
+
+/// Runs `body` on a thread with a 256 MiB stack. The chains below nest
+/// up to ~50,000 AST levels, and the AST's walkers and destructors
+/// recurse once per level: that fits the default 8 MiB stack in an
+/// optimized build, but a sanitizer build spends several times the
+/// stack per level (ROADMAP item 1). This test bounds time, not depth.
+void OnLargeStack(const std::function<void()>& body) {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  pthread_attr_setstacksize(&attr, size_t{256} << 20);
+  pthread_t thread;
+  auto run = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  const int created = pthread_create(
+      &thread, &attr, run, const_cast<std::function<void()>*>(&body));
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(created, 0);
+  pthread_join(thread, nullptr);
+}
+
+/// Parses and classifies `text`, failing the test if either takes longer
+/// than a bound that is generous for a sanitizer build.
+QueryVerdict TimedClassify(const std::string& text) {
+  constexpr double kBoundSeconds = 10;
+  const auto start = std::chrono::steady_clock::now();
+  FlatInterner dict;
+  auto parsed = sparql::ParseSparql(text, &dict);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return QueryVerdict{};
+  const QueryVerdict verdict = Classify(parsed.value(), LogStudyOptions{});
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, kBoundSeconds) << text.size() << " bytes";
+  return verdict;
+}
+
+TEST(ClassifyTimeTest, OptionalChainsUpToTheByteLimit) {
+  OnLargeStack([&] {
+    auto none = [](int) { return std::string(); };
+    auto optional = [](int i) {
+      return "OPTIONAL { ?x0 <q> " + V("y", i) + " } ";
+    };
+    auto optional_filter = [](int i) {
+      return "OPTIONAL { ?x0 <q> " + V("y", i) + " FILTER(" + V("y", i) +
+             " != ?x0) } ";
+    };
+    // A later triple reuses the first OPTIONAL's P2 variable ?y1, which
+    // its P1 does not bind: not well-designed.
+    auto reuse = [](int) { return std::string("?y1 <r> ?w "); };
+    const size_t max_bytes = sparql::ParseLimits{}.max_query_bytes;
+    for (size_t bytes = 16 << 10; bytes <= max_bytes; bytes *= 8) {
+      SCOPED_TRACE(bytes);
+      const QueryVerdict chain =
+          TimedClassify(ChainQuery(optional, none, bytes));
+      EXPECT_TRUE(chain.analysis.afo_only);
+      EXPECT_TRUE(chain.analysis.well_designed);
+      const QueryVerdict filtered =
+          TimedClassify(ChainQuery(optional_filter, none, bytes));
+      EXPECT_TRUE(filtered.analysis.well_designed);
+      const QueryVerdict reused =
+          TimedClassify(ChainQuery(optional, reuse, bytes));
+      EXPECT_TRUE(reused.analysis.afo_only);
+      EXPECT_FALSE(reused.analysis.well_designed);
+    }
+  });
+}
+
+TEST(ClassifyTimeTest, FilterChainsUpToTheByteLimit) {
+  OnLargeStack([&] {
+    auto none = [](int) { return std::string(); };
+    auto unary = [](int i) { return "FILTER(bound(" + V("v", i) + ")) "; };
+    auto path = [](int i) {
+      return "FILTER(" + V("v", i) + " != " + V("v", i + 1) + ") ";
+    };
+    auto close_cycle = [](int n) {
+      return "FILTER(" + V("v", n + 1) + " != ?v1) ";
+    };
+    const size_t max_bytes = sparql::ParseLimits{}.max_query_bytes;
+    for (size_t bytes = 16 << 10; bytes <= max_bytes; bytes *= 8) {
+      SCOPED_TRACE(bytes);
+      // Acyclic: the canonical hypergraph reduces under GYO.
+      EXPECT_EQ(TimedClassify(ChainQuery(unary, none, bytes)).HtwLe(), 1u);
+      EXPECT_EQ(TimedClassify(ChainQuery(path, none, bytes)).HtwLe(), 1u);
+      // A cycle of filters: cyclic, and far too long for the htw search's
+      // budget, which then answers "unknown".
+      const QueryVerdict cycle =
+          TimedClassify(ChainQuery(path, close_cycle, bytes));
+      EXPECT_TRUE(cycle.analysis.ops.IsCqF());
+      EXPECT_FALSE(cycle.analysis.cqf_htw1);
+    }
+  });
+}
+
+TEST(ClassifyTimeTest, CliquesStayWithinTheHtwBudget) {
+  // K10 as 45 triple patterns (648 bytes, under max_triples_for_htw),
+  // and K14 as 91 binary FILTERs beside one triple. Both have hypertree
+  // width above 3; proving it exceeds the search's work budget, so the
+  // answer is "unknown", which reads as not <= 3.
+  std::string triples = "SELECT * WHERE { ";
+  for (int i = 0; i < 10; ++i) {
+    for (int j = i + 1; j < 10; ++j) {
+      triples += V("v", i) + " <p> " + V("v", j) + " . ";
+    }
+  }
+  triples += "}";
+  std::string filters = "SELECT * WHERE { ?x0 <p> ?y0 ";
+  for (int i = 0; i < 14; ++i) {
+    for (int j = i + 1; j < 14; ++j) {
+      filters += "FILTER(" + V("v", i) + " != " + V("v", j) + ") ";
+    }
+  }
+  filters += "}";
+  EXPECT_EQ(TimedClassify(triples).HtwLe(), 0u);
+  EXPECT_EQ(TimedClassify(filters).HtwLe(), 0u);
 }
 
 }  // namespace

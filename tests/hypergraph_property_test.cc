@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "hypergraph/hypergraph.h"
@@ -24,7 +27,59 @@ Hypergraph RandomHypergraph(Rng& rng, size_t vertices, size_t edges) {
   return h;
 }
 
+/// The GYO reduction as its definition states it, for reference: drop a
+/// vertex that lies in one edge only, or an edge that is empty, inside
+/// another edge, or equal to an earlier one, until nothing changes.
+/// Acyclic iff no edge is left.
+bool GyoReduces(std::vector<std::vector<uint32_t>> edges) {
+  for (bool changed = true; changed;) {
+    changed = false;
+    std::map<uint32_t, int> count;
+    for (const auto& e : edges) {
+      for (uint32_t v : e) count[v]++;
+    }
+    for (auto& e : edges) {
+      const size_t before = e.size();
+      std::erase_if(e, [&](uint32_t v) { return count[v] == 1; });
+      changed = changed || e.size() != before;
+    }
+    for (size_t i = 0; i < edges.size() && !changed; ++i) {
+      bool drop = edges[i].empty();
+      for (size_t j = 0; j < edges.size() && !drop; ++j) {
+        drop = j != i &&
+               std::includes(edges[j].begin(), edges[j].end(),
+                             edges[i].begin(), edges[i].end()) &&
+               (edges[i] != edges[j] || j < i);
+      }
+      if (drop) {
+        edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(i));
+        changed = true;
+      }
+    }
+  }
+  return edges.empty();
+}
+
 class HgPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(HgPropertyTest, AcyclicMatchesGyoReduction) {
+  Rng rng(GetParam() + 400);
+  for (int round = 0; round < 400; ++round) {
+    const Hypergraph h = RandomHypergraph(rng, 2 + rng.NextBelow(10),
+                                          1 + rng.NextBelow(14));
+    const bool acyclic = GyoReduces(h.edges);
+    EXPECT_EQ(IsAcyclic(h), acyclic);
+    std::vector<uint32_t> free;
+    for (uint32_t v = 0; v < h.num_vertices; ++v) {
+      if (rng.NextBool(0.5)) free.push_back(v);
+    }
+    std::vector<std::vector<uint32_t>> extended = h.edges;
+    extended.push_back(free);
+    const bool free_connex = acyclic && GyoReduces(extended);
+    EXPECT_EQ(IsFreeConnexAcyclic(h, free), free_connex);
+    EXPECT_EQ(IsFreeConnexAcyclic(h, free, acyclic), free_connex);
+  }
+}
 
 TEST_P(HgPropertyTest, GhwOneIffAcyclic) {
   Rng rng(GetParam());

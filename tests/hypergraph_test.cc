@@ -65,6 +65,26 @@ TEST(HtwTest, CliqueOfBinaryEdges) {
   EXPECT_TRUE(HypertreeWidthAtMost(k4, 2).value());
 }
 
+TEST(HtwTest, SearchBudgetAnswersUnknown) {
+  // K10 of binary edges has ghw 5, and a 1,000-cycle ghw 2, but deciding
+  // either at k = 2 or 3 would take the search past its work or depth
+  // budget: it answers unknown instead of running for minutes.
+  Hypergraph k10;
+  for (uint32_t i = 0; i < 10; ++i) {
+    for (uint32_t j = i + 1; j < 10; ++j) k10.AddEdge({i, j});
+  }
+  Hypergraph long_cycle;
+  for (uint32_t i = 0; i < 1000; ++i) long_cycle.AddEdge({i, (i + 1) % 1000});
+  EXPECT_FALSE(HypertreeWidthAtMost(k10, 2).has_value());
+  EXPECT_FALSE(HypertreeWidthAtMost(k10, 3).has_value());
+  EXPECT_FALSE(HypertreeWidthAtMost(long_cycle, 2).has_value());
+  // A short cycle still gets its answer.
+  Hypergraph cycle;
+  for (uint32_t i = 0; i < 50; ++i) cycle.AddEdge({i, (i + 1) % 50});
+  EXPECT_FALSE(HypertreeWidthAtMost(cycle, 1).value());
+  EXPECT_TRUE(HypertreeWidthAtMost(cycle, 2).value());
+}
+
 class QueryShapeTest : public ::testing::Test {
  protected:
   sparql::Query Q(const std::string& text) {
@@ -78,20 +98,22 @@ class QueryShapeTest : public ::testing::Test {
 TEST_F(QueryShapeTest, CanonicalHypergraphFromQuery) {
   auto q = Q("SELECT ?x WHERE { ?x p ?y . ?y q ?z . "
              "FILTER(?x != ?z) }");
-  Hypergraph h = BuildCanonicalHypergraph(q, /*include_filters=*/true);
+  Hypergraph h = BuildCanonicalHypergraph(q);
   EXPECT_EQ(h.num_vertices, 3u);
   EXPECT_EQ(h.edges.size(), 3u);
   // The filter edge closes a cycle x-y-z-x.
   EXPECT_FALSE(IsAcyclic(h));
+  // The same triples without the filter: the triple hypergraph.
   Hypergraph no_filters =
-      BuildCanonicalHypergraph(q, /*include_filters=*/false);
+      BuildCanonicalHypergraph(Q("SELECT ?x WHERE { ?x p ?y . ?y q ?z }"));
   EXPECT_TRUE(IsAcyclic(no_filters));
 }
 
 TEST_F(QueryShapeTest, ShapesFromQueries) {
   auto shape = [&](const std::string& text, bool with_constants) {
-    return ClassifyShape(
-        BuildCanonicalGraph(Q(text), with_constants));
+    const CanonicalGraphs graphs = BuildCanonicalGraphs(Q(text));
+    return ClassifyShape(with_constants ? graphs.with_constants
+                                        : graphs.without_constants);
   };
   EXPECT_EQ(shape("SELECT ?x WHERE { ?x p c1 }", true),
             GraphShape::kSingleEdge);
@@ -123,20 +145,19 @@ TEST_F(QueryShapeTest, ConstantsBecomeNodes) {
   // Triple graph includes constant endpoint nodes (paper: "nodes that
   // correspond to constant values").
   auto q = Q("SELECT ?x WHERE { ?x p c1 . ?x p c2 }");
-  graph::SimpleGraph with = BuildCanonicalGraph(q, true);
-  EXPECT_EQ(with.NumVertices(), 3u);
-  EXPECT_EQ(with.NumEdges(), 2u);
-  graph::SimpleGraph without = BuildCanonicalGraph(q, false);
-  EXPECT_EQ(without.NumEdges(), 0u);
+  const CanonicalGraphs graphs = BuildCanonicalGraphs(q);
+  EXPECT_EQ(graphs.with_constants.NumVertices(), 3u);
+  EXPECT_EQ(graphs.with_constants.NumEdges(), 2u);
+  EXPECT_EQ(graphs.without_constants.NumEdges(), 0u);
 }
 
 TEST_F(QueryShapeTest, BinaryFilterAddsEdge) {
   auto q = Q("SELECT ?x WHERE { ?x p ?y . FILTER(?x != ?y) }");
-  graph::SimpleGraph g = BuildCanonicalGraph(q, true);
+  graph::SimpleGraph g = BuildCanonicalGraphs(q).with_constants;
   // The filter edge {x,y} coincides with the triple edge.
   EXPECT_EQ(g.NumEdges(), 1u);
   auto q2 = Q("SELECT ?x WHERE { ?x p ?y . ?y p ?z . FILTER(?x != ?z) }");
-  graph::SimpleGraph g2 = BuildCanonicalGraph(q2, true);
+  graph::SimpleGraph g2 = BuildCanonicalGraphs(q2).with_constants;
   EXPECT_EQ(g2.NumEdges(), 3u);  // triangle
   EXPECT_EQ(ClassifyShape(g2), GraphShape::kTreewidth2);
 }

@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/interner.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "loggen/sparql_gen.h"
 #include "paths/semantics.h"
+#include "sparql/analysis.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
 
@@ -313,6 +318,81 @@ TEST_P(SparqlPropertyTest, CompatibleAndMergeMatchMapDefinitions) {
   }
   EXPECT_GT(compatible, 300u);
   EXPECT_LT(compatible, 2700u);
+}
+
+/// Well-designedness as Section 9.1 states it, one OPTIONAL at a time:
+/// for (P1 OPT P2), every variable of P2 that the rest of the pattern
+/// mentions is a variable of P1.
+bool WellDesignedByDefinition(const Pattern& root) {
+  std::vector<const Pattern*> optionals;
+  std::function<void(const Pattern&)> collect = [&](const Pattern& p) {
+    if (p.op == Pattern::Op::kOptional) optionals.push_back(&p);
+    for (const auto& c : p.children) collect(*c);
+  };
+  collect(root);
+  for (const Pattern* opt : optionals) {
+    std::set<SymbolId> p1, p2, outside;
+    opt->children[0]->CollectVars(&p1);
+    opt->children[1]->CollectVars(&p2);
+    std::function<void(const Pattern&)> walk = [&](const Pattern& p) {
+      if (&p == opt) return;
+      Pattern shallow = p;  // the node's own variables, not its children's
+      shallow.children.clear();
+      shallow.CollectVars(&outside);
+      for (const auto& c : p.children) walk(*c);
+    };
+    walk(root);
+    for (SymbolId v : p2) {
+      if (p1.count(v) == 0 && outside.count(v) > 0) return false;
+    }
+  }
+  return true;
+}
+
+/// A random group pattern of triples, filters, OPTIONALs and nested
+/// groups over six variables, so that OPTIONALs share variables often.
+std::string RandomGroup(Rng* rng, int depth) {
+  auto var = [&] { return "?v" + std::to_string(rng->NextBelow(6)); };
+  std::string group = "{ ";
+  const uint64_t elements = 1 + rng->NextBelow(4);
+  for (uint64_t i = 0; i < elements; ++i) {
+    switch (rng->NextBelow(depth > 0 ? 6 : 3)) {
+      case 0:
+      case 1:
+        group += var() + " <p> " + var() + " . ";
+        break;
+      case 2:
+        group += rng->NextBool(0.5) ? "FILTER(" + var() + " != " + var() + ") "
+                                    : "FILTER(bound(" + var() + ")) ";
+        break;
+      case 3:
+      case 4:
+        group += "OPTIONAL " + RandomGroup(rng, depth - 1) + " ";
+        break;
+      default:
+        group += RandomGroup(rng, depth - 1) + " ";
+        break;
+    }
+  }
+  return group + "}";
+}
+
+TEST_P(SparqlPropertyTest, WellDesignedMatchesDefinition) {
+  Rng rng(GetParam() + 500);
+  size_t checked = 0, well_designed = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const std::string text = "SELECT * WHERE " + RandomGroup(&rng, 3);
+    auto q = ParseSparql(text, &dict_);
+    ASSERT_TRUE(q.ok()) << text;
+    if (!UsesOnlyAndFilterOptional(q.value())) continue;
+    const bool want = WellDesignedByDefinition(*q.value().pattern);
+    EXPECT_EQ(IsWellDesigned(q.value()), want) << text;
+    ++checked;
+    well_designed += want ? 1 : 0;
+  }
+  // Both verdicts are common.
+  EXPECT_GT(well_designed, checked / 5);
+  EXPECT_LT(well_designed, checked * 4 / 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SparqlPropertyTest,

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/flat_interner.h"
 #include "common/interner.h"
 #include "exec/planner.h"
 #include "graph/rdf.h"
@@ -216,6 +219,41 @@ TEST_F(SparqlTest, ParserRejectsGarbage) {
   EXPECT_FALSE(ParseSparql("SELECT WHERE { ?x ?p ?o }", &dict_).ok());
   EXPECT_FALSE(ParseSparql("SELECT ?x WHERE { ?x ?p ?o } junk",
                            &dict_).ok());
+}
+
+// Each term is interned under one spelling, whichever dictionary the
+// parser fills: variables with '?', literals quoted with their escapes
+// resolved and their tag or datatype inside the quotes.
+template <class Dict>
+std::vector<std::string> TermNames(std::string_view text) {
+  Dict dict;
+  auto q = ParseSparql(text, &dict);
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<std::string> names;
+  if (!q.ok()) return names;
+  ForEachNode(*q.value().pattern, [&](const Pattern& p) {
+    if (p.op != Pattern::Op::kTriple) return;
+    for (const Term* term : {&p.triple.s, &p.triple.p, &p.triple.o}) {
+      names.emplace_back(dict.Name(term->id));
+    }
+  });
+  return names;
+}
+
+TEST(SparqlLexerTest, TermsInternAsWritten) {
+  const std::string_view text =
+      "SELECT * WHERE { $x <p> \"a\\\"b\"@en-GB . _:b1 a 'c' . "
+      "?x <q> -12.5e3 . ?x <r> \"d\"^^xsd:int . [] <s> true . "
+      "?x <t> FALSE }";
+  const std::vector<std::string> expected = {
+      "?x",      "p",        "\"a\"b@en-GB\"",  //
+      "_:b1",    "rdf:type", "\"c\"",           //
+      "?x",      "q",        "\"-12.5e3\"",     //
+      "?x",      "r",        "\"d^^xsd:int\"",  //
+      "_:anon0", "s",        "\"true\"",        //
+      "?x",      "t",        "\"false\""};
+  EXPECT_EQ(TermNames<Interner>(text), expected);
+  EXPECT_EQ(TermNames<FlatInterner>(text), expected);
 }
 
 TEST_F(SparqlTest, WikidataExampleQueryParses) {
