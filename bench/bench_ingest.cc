@@ -2,10 +2,10 @@
 // large generated log with 20% fault injection to disk as raw text,
 // then stream it back through rwdt::ingest in bounded-memory chunks —
 // once per reader implementation (legacy istream/getline baseline, then
-// the zero-copy block pipeline), each on a fresh engine so neither run
-// warms the other's cache. Reports per-reader throughput, the speedup,
-// the Total-vs-Valid split, and per-class error counts, and writes
-// BENCH_ingest.json for the cross-PR perf trail.
+// the zero-copy block pipeline), each on a fresh engine. Reports
+// per-reader throughput, the speedup, the Total-vs-Valid split, and
+// per-class error counts, and writes BENCH_ingest.json for the cross-PR
+// perf trail.
 //
 //   $ ./build/bench/bench_ingest [num_lines] [threads]
 //

@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     warm.AnalyzeEntries(profile.name, profile.wikidata_like, entries);
   }
 
-  AsciiTable table({"Threads", "Wall", "Queries/s", "Speedup", "Hit rate"});
+  AsciiTable table({"Threads", "Wall", "Queries/s", "Speedup"});
   // RWDT_ADMIN_PORT exposes the currently-sweeping engine's admin
   // endpoints. kAdminPortAuto is not meaningful here (the port would
   // change per engine); a fixed port is rebound by each sweep element.
@@ -122,8 +122,7 @@ int main(int argc, char** argv) {
     table.AddRow({std::to_string(threads), Fixed(ms, 1) + " ms",
                   WithThousands(static_cast<uint64_t>(
                       run.snap.QueriesPerSec())),
-                  Fixed(base_ms / ms, 2) + "x",
-                  Fixed(100.0 * run.snap.CacheHitRate(), 1) + "%"});
+                  Fixed(base_ms / ms, 2) + "x"});
     runs.push_back(std::move(run));
   }
   std::printf("%s\n", table.Render().c_str());

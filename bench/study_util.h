@@ -77,7 +77,7 @@ inline StudyCorpus RunFullStudy(uint64_t scale, uint64_t seed = 2022) {
   corpus.wikidata.name = "Wikidata";
   engine::EngineOptions opts;
   opts.threads = ThreadsFromEnv();
-  engine::Engine eng(opts);  // one engine: the cache warms across sources
+  engine::Engine eng(opts);  // one engine, one stream per source
   for (const auto& profile : loggen::Table2Profiles(scale)) {
     RWDT_LOG(INFO) << "analyzing " << profile.name << " ("
                    << profile.total_queries << " queries, " << eng.threads()

@@ -10,7 +10,7 @@
 // the same log and comparing the studies.
 //
 // Watch a run live: RWDT_PROGRESS=<ms> logs a one-line engine snapshot
-// (entries/sec, cache hit rate, rejects) at that interval during the
+// (entries/sec, analyzed, rejects) at that interval during the
 // ingest phase, and RWDT_TRACE=<file> writes a Chrome/Perfetto trace of
 // the per-worker pipeline stages. RWDT_ADMIN_PORT=<port> serves the
 // admin endpoints (/metrics, /healthz, /readyz, /statusz, /tracez) for

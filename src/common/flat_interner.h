@@ -19,8 +19,8 @@ namespace rwdt {
 ///
 ///  * **Hash-once.** `InternWithHash` accepts a precomputed
 ///    `common::Hash64`, so the engine hashes each query text exactly once
-///    (in Feed routing) and threads the hash through dedup and the query
-///    cache instead of re-hashing per structure.
+///    (in Feed routing) and threads the hash through dedup instead of
+///    re-hashing it.
 ///  * **Allocation-free steady state.** Strings are copied into an
 ///    `Arena`; `Clear()` recycles both the slot table and the arena
 ///    blocks, so a worker reusing one interner per query stops touching

@@ -2,7 +2,6 @@
 #define RWDT_CORE_QUERY_ANALYSIS_H_
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "core/log_study.h"
@@ -20,7 +19,7 @@ namespace rwdt::core {
 struct QueryAnalysis {
   bool is_describe = false;
   size_t triples = 0;
-  std::set<sparql::Feature> features;
+  sparql::FeatureSet features;
   sparql::OperatorSet ops;
   bool afo_only = false, well_designed = false;
   bool safe_filters = false, simple_filters = false;

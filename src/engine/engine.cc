@@ -1,6 +1,5 @@
 #include "engine/engine.h"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdlib>
@@ -50,13 +49,6 @@ Status EngineOptions::Validate() const {
   if (num_shards > kMaxShards) {
     return Status::InvalidArgument("num_shards must be <= 2^20");
   }
-  if (cache_shards > kMaxShards) {
-    return Status::InvalidArgument("cache_shards must be <= 2^20");
-  }
-  if (cache_capacity > 0 && cache_shards > cache_capacity) {
-    return Status::InvalidArgument(
-        "cache_shards exceeds cache_capacity (shards would be empty)");
-  }
   if (admin_port > kAdminPortAuto) {
     return Status::InvalidArgument(
         "admin_port must be 0 (off), a TCP port, or kAdminPortAuto");
@@ -76,8 +68,6 @@ std::string EngineOptions::ToJson() const {
   std::string out = "{";
   out += "\"threads\":" + std::to_string(threads);
   out += ",\"num_shards\":" + std::to_string(num_shards);
-  out += ",\"cache_capacity\":" + std::to_string(cache_capacity);
-  out += ",\"cache_shards\":" + std::to_string(cache_shards);
   out += ",\"collect_stage_timings\":";
   out += collect_stage_timings ? "true" : "false";
   out += ",\"admin_port\":" + std::to_string(admin_port);
@@ -92,11 +82,10 @@ std::string EngineOptions::ToJson() const {
 }
 
 /// Per-shard accumulator and dedup state. Shards never share mutable
-/// state, so workers run lock-free except for cache-shard mutexes. The
-/// state persists across EngineStream::Feed calls: the interner assigns
-/// dense ids to query texts in stream order and `verdict[id]` remembers
-/// the outcome (0 = valid, else 1 + ErrorClass), so chunk boundaries are
-/// invisible to dedup and to error attribution.
+/// state, so workers run lock-free. The state persists across
+/// EngineStream::Feed calls: the interner assigns dense ids to query
+/// texts in stream order and `texts[id]` keeps that text's outcome, so
+/// chunk boundaries are invisible to dedup and to error attribution.
 ///
 /// Layout constraint: alignas(64) — shard states live contiguously in
 /// the `shards` vector and are mutated concurrently by different
@@ -111,25 +100,25 @@ struct alignas(64) Engine::ShardState {
   /// analysis stays a pure function of the query text while the arena
   /// and slot table are reused allocation-free across queries.
   FlatInterner dict;
-  std::vector<uint8_t> verdict;
-  /// Analysis of each distinct text, parallel to `verdict` (null for
-  /// invalid texts), pinned for the stream's lifetime. Duplicates
-  /// aggregate from here instead of re-consulting the bounded LRU cache,
-  /// so a log with more distinct queries than the cache holds never
-  /// re-parses on eviction: each distinct text is computed exactly once
-  /// per stream. Memory is O(distinct texts) — the same class as the
-  /// `seen` interner, which already pins every distinct text itself.
-  std::vector<std::shared_ptr<const CachedQuery>> by_id;
-  /// Deferred duplicate weight, parallel to `by_id`: valid duplicates
-  /// only bump this counter on the hot path; Finish() folds each
-  /// distinct analysis into valid_agg once with its total multiplicity.
-  /// AddToAggregates is weight-linear in every field (unsigned sums), so
-  /// one weighted call is bit-identical to per-occurrence calls.
-  std::vector<uint64_t> dup_extra;
+  /// The outcome of one distinct text, computed once per stream.
+  struct Text {
+    bool parse_ok = false;
+    ErrorClass error = ErrorClass::kParseError;  // when !parse_ok
+    /// Occurrences after the first (valid texts only). Finish folds each
+    /// verdict into valid_agg once with this weight; AddToAggregates is
+    /// weight-linear in every field (unsigned sums), so one weighted
+    /// call is bit-identical to per-occurrence calls.
+    uint64_t dup_extra = 0;
+    core::QueryVerdict verdict;  // when parse_ok
+  };
+  /// Indexed by `seen` id. Memory is O(distinct texts), the same class
+  /// as `seen`, which already pins every distinct text itself.
+  std::vector<Text> texts;
   uint64_t valid = 0;
   uint64_t unique = 0;
   std::array<uint64_t, kNumErrorClasses> errors{};
-  core::LogAggregates valid_agg;
+  /// Each distinct valid text once. Finish adds it to both the study's
+  /// unique_agg and, with the duplicate weight on top, its valid_agg.
   core::LogAggregates unique_agg;
 };
 
@@ -149,10 +138,7 @@ struct EngineStream::Impl {
 Engine::Engine(const EngineOptions& options)
     : options_(options),
       threads_(ResolveThreads(options.threads)),
-      num_shards_(options.num_shards > 0 ? options.num_shards : threads_),
-      cache_(options.cache_capacity,
-             options.cache_shards > 0 ? options.cache_shards
-                                      : std::max<size_t>(threads_, 8)) {
+      num_shards_(options.num_shards > 0 ? options.num_shards : threads_) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   start_ns_ = NowNs();
   ready_ = std::make_shared<std::atomic<bool>>(false);
@@ -350,10 +336,10 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   const uint64_t t_start = NowNs();
 
   // Hash-once routing: each entry's text is hashed exactly once, here,
-  // and the hash travels with the entry through shard routing, per-shard
-  // dedup, and the query cache. Every duplicate of a query lands in the
-  // same shard, making per-shard dedup globally exact. The partition
-  // buffers live in Impl and are recycled across Feed calls.
+  // and the hash travels with the entry through shard routing and
+  // per-shard dedup. Every duplicate of a query lands in the same shard,
+  // making per-shard dedup globally exact. The partition buffers live in
+  // Impl and are recycled across Feed calls.
   const size_t num_shards = eng.num_shards_;
   auto& parts = im.parts;
   for (auto& part : parts) part.clear();
@@ -392,16 +378,20 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   eng.metrics_.AddEntries(count);
   eng.metrics_.AddWallNs(NowNs() - t_start);
 
-  // Occupancy telemetry at chunk granularity: one pass over the shard
-  // states after the workers quiesced, never on the per-query path.
+  // Occupancy telemetry at chunk granularity, after the workers
+  // quiesced, never on the per-query path.
+  eng.PublishOccupancy(im.shards);
+}
+
+void Engine::PublishOccupancy(const std::vector<ShardState>& shards) {
   uint64_t interner_bytes = 0;
   uint64_t dedup_entries = 0;
-  for (const Engine::ShardState& s : im.shards) {
+  for (const ShardState& s : shards) {
     interner_bytes += s.seen.bytes_reserved() + s.dict.bytes_reserved();
     dedup_entries += s.seen.size();
   }
-  eng.interner_bytes_.store(interner_bytes, std::memory_order_relaxed);
-  eng.dedup_entries_.store(dedup_entries, std::memory_order_relaxed);
+  interner_bytes_.store(interner_bytes, std::memory_order_relaxed);
+  dedup_entries_.store(dedup_entries, std::memory_order_relaxed);
 }
 
 void EngineStream::Reject(ErrorClass c, uint64_t n) {
@@ -427,21 +417,20 @@ core::SourceStudy EngineStream::Finish() {
       for (size_t c = 0; c < kNumErrorClasses; ++c) {
         study.errors[c] += s.errors[c];
       }
-      core::Merge(s.valid_agg, &study.valid_agg);
+      // Every distinct valid text counts once in both aggregates; valid
+      // adds one weighted AddToAggregates per text that recurred.
+      // Unsigned sums, so the result equals per-occurrence calls.
+      core::Merge(s.unique_agg, &study.valid_agg);
       core::Merge(s.unique_agg, &study.unique_agg);
-      // Fold the deferred duplicate weight: one weighted AddToAggregates
-      // per distinct text that recurred, replacing what used to be one
-      // call per occurrence on the hot path. Unsigned sums, so folding
-      // into the merged study instead of s.valid_agg changes nothing.
-      for (size_t id = 0; id < s.dup_extra.size(); ++id) {
-        if (s.dup_extra[id] == 0) continue;
-        core::AddToAggregates(s.by_id[id]->verdict.analysis,
-                              s.dup_extra[id], &study.valid_agg);
+      for (const Engine::ShardState::Text& t : s.texts) {
+        if (t.dup_extra == 0) continue;
+        core::AddToAggregates(t.verdict.analysis, t.dup_extra,
+                              &study.valid_agg);
       }
     }
+    // The gauges keep this stream's final occupancy until the next one.
+    im.engine->PublishOccupancy(im.shards);
     im.shards.clear();
-    im.engine->interner_bytes_.store(0, std::memory_order_relaxed);
-    im.engine->dedup_entries_.store(0, std::memory_order_relaxed);
   }
   // Stop after the reduce so the final report's counters are the run's
   // complete totals.
@@ -462,14 +451,39 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
   // enclosing Feed returns.
   LocalMetrics local;
 
-  auto compute = [&](std::string_view text, uint64_t hash)
-      -> std::shared_ptr<const CachedQuery> {
-    auto fresh = std::make_shared<CachedQuery>();
-    // Clear()ing the reusable per-shard dictionary restarts ids at 0, so
-    // each parse is still a pure function of the text — cache entries
-    // stay shareable across shards, threads, and logs — but the arena
-    // and slot table are recycled instead of rebuilding an
-    // unordered_map (and its per-node allocations) for every parse.
+  // Every rejected entry is attributed to exactly one taxonomy class,
+  // duplicates included, so total == valid + sum(errors) holds per shard.
+  auto reject = [&](ErrorClass c) {
+    state->errors[static_cast<size_t>(c)]++;
+    local.AddError(c);
+  };
+
+  // Exact first-occurrence tracking: `texts[id]` keeps the outcome of each
+  // distinct text, so a repeated entry never reaches the parser; each
+  // distinct text is parsed and classified exactly once per stream.
+  for (const RoutedEntry& routed : entries) {
+    const std::string_view text = routed.text;
+    const SymbolId prior = static_cast<SymbolId>(state->seen.size());
+    const SymbolId id = state->seen.InternWithHash(routed.hash, text);
+
+    if (id != prior) {
+      ShardState::Text& known = state->texts[id];
+      if (!known.parse_ok) {
+        reject(known.error);
+        continue;
+      }
+      // Valid duplicate: two counter bumps and done. The aggregate fold
+      // happens once per distinct text at Finish, weighted by this count.
+      state->valid++;
+      known.dup_extra++;
+      continue;
+    }
+
+    // First sight in this stream. Clear()ing the reusable per-shard
+    // dictionary restarts ids at 0, so each parse is a pure function of
+    // the text, while the arena and slot table are recycled instead of
+    // rebuilt for every parse.
+    ShardState::Text& fresh = state->texts.emplace_back();
     state->dict.Clear();
     const uint64_t t0 = timed ? NowNs() : 0;
     auto parsed =
@@ -479,95 +493,36 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
       local.Record(Stage::kParse, t1 - t0);
       obs::EmitSpan("parse", t0, t1 - t0);
     }
-    if (parsed.ok()) {
-      core::StageTimings st;
-      fresh->parse_ok = true;
-      fresh->verdict = core::Classify(parsed.value(), options_.study,
-                                      timed ? &st : nullptr);
-      if (timed) {
-        local.Record(Stage::kFeatures, st.feature_ns);
-        local.Record(Stage::kHypergraph, st.hypergraph_ns);
-        local.Record(Stage::kPaths, st.path_ns);
-        // AnalyzeQuery runs its stages back-to-back starting right after
-        // the parse, so their spans chain from t1 using the durations it
-        // reported (start offsets are exact up to its internal overhead).
-        obs::EmitSpan("features", t1, st.feature_ns);
-        obs::EmitSpan("hypergraph", t1 + st.feature_ns, st.hypergraph_ns);
-        obs::EmitSpan("paths", t1 + st.feature_ns + st.hypergraph_ns,
-                      st.path_ns);
-      }
-      local.analyzed++;
-    } else {
-      fresh->error = ClassifyStatus(parsed.status());
+    if (!parsed.ok()) {
+      fresh.error = ClassifyStatus(parsed.status());
       local.parse_failures++;
-    }
-    // The routing hash doubles as the cache key hash, so the miss path
-    // costs zero extra hash computations (Get and Put share it).
-    cache_.PutWithHash(hash, text, fresh);
-    return fresh;
-  };
-
-  auto aggregate = [&](const core::QueryAnalysis& a, core::LogAggregates* agg) {
-    const uint64_t t0 = timed ? NowNs() : 0;
-    core::AddToAggregates(a, 1, agg);
-    if (timed) {
-      const uint64_t dur = NowNs() - t0;
-      local.Record(Stage::kAggregate, dur);
-      obs::EmitSpan("aggregate", t0, dur);
-    }
-  };
-
-  // Every rejected entry is attributed to exactly one taxonomy class,
-  // duplicates included, so total == valid + sum(errors) holds per shard.
-  auto reject = [&](ErrorClass c) {
-    state->errors[static_cast<size_t>(c)]++;
-    local.AddError(c);
-  };
-
-  // Exact first-occurrence tracking: `verdict[id]` remembers the outcome
-  // of each distinct text and `by_id[id]` pins its analysis, so repeated
-  // entries never hit the parser, the cache mutexes, or — when the log
-  // holds more distinct texts than the cache does — the eviction
-  // recompute path. The bounded LRU cache serves cross-log warm starts;
-  // within one stream, each distinct text is computed exactly once.
-  for (const RoutedEntry& routed : entries) {
-    const std::string_view text = routed.text;
-    const SymbolId prior = static_cast<SymbolId>(state->seen.size());
-    const SymbolId id = state->seen.InternWithHash(routed.hash, text);
-    const bool first_occurrence = id == prior;
-
-    if (!first_occurrence) {
-      const uint8_t v = state->verdict[id];
-      if (v != 0) {  // known-invalid duplicate
-        reject(static_cast<ErrorClass>(v - 1));
-        continue;
-      }
-      // Valid duplicate: two counter bumps and done. The aggregate fold
-      // happens once per distinct text at Finish, weighted by this count.
-      state->valid++;
-      state->dup_extra[id]++;
+      reject(fresh.error);
       continue;
     }
-
-    // First sight in this log; the shared cache may still be warm from
-    // an earlier log analyzed by this engine.
-    auto cached = cache_.GetWithHash(routed.hash, text);
-    if (cached == nullptr) cached = compute(text, routed.hash);
-    if (!cached->parse_ok) {
-      state->verdict.push_back(
-          static_cast<uint8_t>(1 + static_cast<size_t>(cached->error)));
-      state->by_id.push_back(nullptr);
-      state->dup_extra.push_back(0);
-      reject(cached->error);
-      continue;
-    }
-    state->verdict.push_back(0);
+    core::StageTimings st;
+    fresh.parse_ok = true;
+    fresh.verdict =
+        core::Classify(parsed.value(), options_.study, timed ? &st : nullptr);
+    local.analyzed++;
     state->valid++;
     state->unique++;
-    aggregate(cached->verdict.analysis, &state->valid_agg);
-    aggregate(cached->verdict.analysis, &state->unique_agg);
-    state->by_id.push_back(std::move(cached));
-    state->dup_extra.push_back(0);
+    const uint64_t t2 = timed ? NowNs() : 0;
+    core::AddToAggregates(fresh.verdict.analysis, 1, &state->unique_agg);
+    if (timed) {
+      const uint64_t t3 = NowNs();
+      local.Record(Stage::kFeatures, st.feature_ns);
+      local.Record(Stage::kHypergraph, st.hypergraph_ns);
+      local.Record(Stage::kPaths, st.path_ns);
+      local.Record(Stage::kAggregate, t3 - t2);
+      // Classify runs its stages back-to-back starting right after the
+      // parse, so their spans chain from t1 using the durations it
+      // reported (start offsets are exact up to its internal overhead).
+      obs::EmitSpan("features", t1, st.feature_ns);
+      obs::EmitSpan("hypergraph", t1 + st.feature_ns, st.hypergraph_ns);
+      obs::EmitSpan("paths", t1 + st.feature_ns + st.hypergraph_ns,
+                    st.path_ns);
+      obs::EmitSpan("aggregate", t2, t3 - t2);
+    }
   }
 
   metrics_.Merge(local);
@@ -576,10 +531,6 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
 MetricsSnapshot Engine::Snapshot() const {
   MetricsSnapshot snap = metrics_.Snapshot();
   snap.threads = threads_;
-  snap.cache_hits = cache_.hits();
-  snap.cache_misses = cache_.misses();
-  snap.cache_evictions = cache_.evictions();
-  snap.cache_size = cache_.size();
   snap.interner_bytes = interner_bytes_.load(std::memory_order_relaxed);
   snap.dedup_entries = dedup_entries_.load(std::memory_order_relaxed);
   return snap;

@@ -14,7 +14,6 @@
 #include "common/status.h"
 #include "core/log_study.h"
 #include "engine/metrics.h"
-#include "engine/query_cache.h"
 #include "engine/thread_pool.h"
 #include "loggen/sparql_gen.h"
 #include "obs/admin_server.h"
@@ -35,12 +34,6 @@ struct EngineOptions {
   /// all duplicates of a text land in one shard and per-shard dedup is
   /// exact. 0 = one shard per thread.
   size_t num_shards = 0;
-
-  /// Total memoization-cache entries across all cache shards.
-  size_t cache_capacity = 1 << 16;
-
-  /// Cache shards (lock granularity). 0 = max(threads, 8).
-  size_t cache_shards = 0;
 
   /// Record per-stage latency histograms (two steady_clock reads per
   /// stage per analyzed query; disable for maximum throughput). Per-stage
@@ -105,11 +98,11 @@ class Engine;
 
 /// One log entry routed to a shard, carrying the `common::Hash64` of its
 /// text. The hash is computed exactly once (in EngineStream::Feed) and
-/// reused for shard routing, per-shard dedup, and query-cache lookups —
-/// the hash-once pipeline. The text is borrowed, never owned: it may
-/// point into a caller's LogEntry, an mmapped log file, or a chunk
-/// arena, and only needs to stay valid for the duration of the Feed
-/// call that routed it (everything downstream copies on retention).
+/// reused for shard routing and per-shard dedup — the hash-once
+/// pipeline. The text is borrowed, never owned: it may point into a
+/// caller's LogEntry, an mmapped log file, or a chunk arena, and only
+/// needs to stay valid for the duration of the Feed call that routed it
+/// (everything downstream copies on retention).
 struct RoutedEntry {
   std::string_view text;
   uint64_t hash;
@@ -163,7 +156,7 @@ class EngineStream {
   std::unique_ptr<Impl> impl_;
 };
 
-/// A parallel, cache-aware streaming log-analysis engine.
+/// A parallel streaming log-analysis engine.
 ///
 /// The engine runs the paper's per-query classifier battery (Tables 3-8,
 /// Figure 3) over query logs with three production-minded properties the
@@ -174,11 +167,12 @@ class EngineStream {
 ///     Aggregates are pure uint64 sums reduced through `core::Merge` in
 ///     shard order, so results are bit-identical for a given seed
 ///     regardless of thread or shard count.
-///  2. **Memoization.** A sharded LRU cache keyed on the query text
-///     skips parse + analysis for duplicate queries — the Valid/Unique
-///     gap of the paper's Table 2 (duplication factors of 2-10x) turns
-///     directly into cache hits. The cache persists across logs, so
-///     repeated studies warm-start.
+///  2. **Exact dedup.** Every duplicate of a text lands in one shard,
+///     which parses and classifies the text once per stream and keeps
+///     its verdict by value; later occurrences only count. The
+///     Valid/Unique gap of the paper's Table 2 (duplication factors of
+///     2-10x) thus costs a hash lookup per duplicate. Nothing is kept
+///     across streams: a second log on the same engine parses again.
 ///  3. **Observability.** Atomic counters and per-stage latency
 ///     histograms, exported as a `MetricsSnapshot` (text or JSON).
 ///
@@ -208,7 +202,7 @@ class Engine {
   EngineStream OpenStream(std::string name, bool wikidata_like);
 
   /// Cumulative counters since construction (or the last ResetMetrics),
-  /// including cache statistics.
+  /// plus the dedup-occupancy gauges.
   MetricsSnapshot Snapshot() const;
   void ResetMetrics();
 
@@ -229,19 +223,21 @@ class Engine {
   struct ShardState;
   void ProcessShard(const std::vector<RoutedEntry>& entries,
                     ShardState* state);
+  /// Stores the dedup-occupancy gauges of `shards`.
+  void PublishOccupancy(const std::vector<ShardState>& shards);
   void StartAdminServer();
 
   EngineOptions options_;
   unsigned threads_;
   size_t num_shards_;
-  ShardedQueryCache cache_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
   Metrics metrics_;
 
   uint64_t start_ns_ = 0;  // construction time, for /statusz uptime
   /// Occupancy of the open stream's dedup state, updated by FeedImpl
-  /// (chunk granularity, off the per-query hot path) and read by
-  /// Snapshot — the arena/interner gauges on /metrics.
+  /// (chunk granularity, off the per-query hot path) and by Finish, which
+  /// leaves the finished stream's final values; read by Snapshot — the
+  /// arena/interner gauges on /metrics.
   std::atomic<uint64_t> interner_bytes_{0};
   std::atomic<uint64_t> dedup_entries_{0};
   /// /readyz: true once the constructor completes (the engine accepts

@@ -129,8 +129,6 @@ MetricsSnapshot Metrics::Snapshot() const {
   for (size_t c = 0; c < kNumErrorClasses; ++c) {
     snap.errors[c] = errors_[c].load(kRelaxed);
   }
-  snap.cache_hits = hits_.load(kRelaxed);
-  snap.cache_misses = misses_.load(kRelaxed);
   snap.wall_ns = wall_ns_.load(kRelaxed);
   for (size_t s = 0; s < kNumStages; ++s) {
     std::array<uint64_t, kBuckets> buckets{};
@@ -157,8 +155,6 @@ void Metrics::Reset() {
   analyzed_.store(0, kRelaxed);
   parse_failures_.store(0, kRelaxed);
   for (auto& e : errors_) e.store(0, kRelaxed);
-  hits_.store(0, kRelaxed);
-  misses_.store(0, kRelaxed);
   wall_ns_.store(0, kRelaxed);
   for (auto& stage : histogram_) {
     for (auto& bucket : stage) bucket.store(0, kRelaxed);
@@ -180,14 +176,6 @@ std::string MetricsSnapshot::ToText() const {
   std::snprintf(line, sizeof(line),
                 "  throughput: %.0f queries/sec over %s wall\n",
                 QueriesPerSec(), NsHuman(static_cast<double>(wall_ns)).c_str());
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  cache: %.1f%% hit rate (%s hits / %s misses), "
-                "%s resident, %s evicted\n",
-                100.0 * CacheHitRate(), WithThousands(cache_hits).c_str(),
-                WithThousands(cache_misses).c_str(),
-                WithThousands(cache_size).c_str(),
-                WithThousands(cache_evictions).c_str());
   out += line;
   if (TotalErrors() > 0) {
     // Total vs Valid, the paper's Table 2 shape: every rejected entry is
@@ -231,12 +219,6 @@ std::string MetricsSnapshot::ToJson() const {
   AppendJsonField(&out, "queries_analyzed",
                   static_cast<double>(queries_analyzed));
   AppendJsonField(&out, "parse_failures", static_cast<double>(parse_failures));
-  AppendJsonField(&out, "cache_hits", static_cast<double>(cache_hits));
-  AppendJsonField(&out, "cache_misses", static_cast<double>(cache_misses));
-  AppendJsonField(&out, "cache_evictions",
-                  static_cast<double>(cache_evictions));
-  AppendJsonField(&out, "cache_size", static_cast<double>(cache_size));
-  AppendJsonField(&out, "cache_hit_rate", CacheHitRate());
   AppendJsonField(&out, "queries_per_sec", QueriesPerSec());
   AppendJsonField(&out, "wall_ms", wall_ns / 1e6);
   AppendJsonField(&out, "threads", static_cast<double>(threads));

@@ -80,29 +80,24 @@ struct StageStats {
 /// serialize with no further synchronization.
 struct MetricsSnapshot {
   uint64_t entries_processed = 0;  // log entries streamed through
-  uint64_t queries_analyzed = 0;   // full parse+analyze executions
-  uint64_t parse_failures = 0;     // distinct failing texts computed
+  /// Each stream parses every distinct text once and counts it in one
+  /// of these two, so their sum is the distinct texts fed per stream,
+  /// summed over streams.
+  uint64_t queries_analyzed = 0;   // distinct valid texts classified
+  uint64_t parse_failures = 0;     // distinct failing texts
   /// Rejected entries per taxonomy class (duplicates and ingest-level
   /// rejects included) — the Total-vs-Valid gap of the paper's Table 2,
   /// broken down by cause.
   std::array<uint64_t, kNumErrorClasses> errors{};
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_size = 0;
   uint64_t wall_ns = 0;  // cumulative wall time inside AnalyzeEntries
   unsigned threads = 1;
-  /// Occupancy of the currently-open stream's per-shard dedup state
-  /// (interner + parse-dictionary bytes reserved, distinct texts
-  /// pinned). Updated once per Feed chunk, zeroed at Finish — a gauge,
-  /// not a counter.
+  /// Occupancy of the open stream's per-shard dedup state (interner +
+  /// parse-dictionary bytes reserved, distinct texts pinned). Updated
+  /// once per Feed chunk; after Finish it holds the finished stream's
+  /// final values until the next stream feeds — a gauge, not a counter.
   uint64_t interner_bytes = 0;
   uint64_t dedup_entries = 0;
 
-  double CacheHitRate() const {
-    const uint64_t lookups = cache_hits + cache_misses;
-    return lookups == 0 ? 0.0 : static_cast<double>(cache_hits) / lookups;
-  }
   /// Total rejected entries across all error classes.
   uint64_t TotalErrors() const {
     uint64_t sum = 0;
@@ -135,8 +130,6 @@ class Metrics {
   void AddError(ErrorClass c, uint64_t n = 1) {
     errors_[static_cast<size_t>(c)].fetch_add(n, kRelaxed);
   }
-  void AddHits(uint64_t n) { hits_.fetch_add(n, kRelaxed); }
-  void AddMisses(uint64_t n) { misses_.fetch_add(n, kRelaxed); }
   void AddWallNs(uint64_t ns) { wall_ns_.fetch_add(ns, kRelaxed); }
 
   /// Records one latency sample for a stage.
@@ -148,8 +141,8 @@ class Metrics {
   /// skipped — a merge is ~tens of RMWs, not kNumStages*kLatencyBuckets.
   void Merge(const LocalMetrics& local);
 
-  /// Copies counters into a snapshot (cache fields are left zero; the
-  /// engine overlays its cache's counters).
+  /// Copies counters into a snapshot (the occupancy gauges and thread
+  /// count are left for the engine to fill).
   MetricsSnapshot Snapshot() const;
 
   void Reset();
@@ -162,8 +155,6 @@ class Metrics {
   std::atomic<uint64_t> analyzed_;
   std::atomic<uint64_t> parse_failures_;
   std::array<std::atomic<uint64_t>, kNumErrorClasses> errors_;
-  std::atomic<uint64_t> hits_;
-  std::atomic<uint64_t> misses_;
   std::atomic<uint64_t> wall_ns_;
   std::array<std::array<std::atomic<uint64_t>, kBuckets>, kNumStages>
       histogram_;

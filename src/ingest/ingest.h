@@ -64,12 +64,12 @@ struct IngestOptions {
   /// them to the parser. They are not counted at all.
   bool skip_blank_lines = true;
 
-  /// Engine configuration: threads, shards, cache, parse limits.
+  /// Engine configuration: threads, shards, parse limits.
   engine::EngineOptions engine;
 
   /// Live run reporting for this ingest (independent of
   /// `engine.progress`, which covers engine-level streams): a background
-  /// thread logs entries/sec, cache hit rate, and reject counts every
+  /// thread logs entries/sec, analyzed and reject counts every
   /// `interval_ms`, and `report_path` receives the final JSON run
   /// report. Disabled by default.
   obs::ProgressOptions progress;
@@ -89,7 +89,7 @@ struct IngestReport {
   /// study.total == study.valid + sum(study.errors).
   core::SourceStudy study;
   /// Engine counters at the end of the run (includes error classes,
-  /// cache statistics, stage latencies). Serialize with ToJson/ToText.
+  /// dedup occupancy, stage latencies). Serialize with ToJson/ToText.
   engine::MetricsSnapshot metrics;
 
   uint64_t lines_read = 0;     // physical lines consumed (incl. skipped)
@@ -124,8 +124,8 @@ struct IngestReport {
 Result<IngestReport> IngestStream(std::istream& in,
                                   const IngestOptions& options = {});
 
-/// As above, but runs on a caller-owned engine, sharing its warm
-/// memoization cache across logs. `options.engine` is ignored.
+/// As above, but runs on a caller-owned engine (its metrics accumulate
+/// across logs; nothing else carries over). `options.engine` is ignored.
 Result<IngestReport> IngestStream(std::istream& in, engine::Engine* engine,
                                   const IngestOptions& options);
 

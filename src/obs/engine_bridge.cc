@@ -50,7 +50,6 @@ EngineTick ComputeEngineTick(const MetricsSnapshot& snap,
   tick.entries = snap.entries_processed;
   tick.analyzed = snap.queries_analyzed;
   tick.rejects = snap.TotalErrors();
-  tick.cache_hit_rate = snap.CacheHitRate();
   if (interval_s > 0 && tick.entries >= prev_entries) {
     tick.entries_per_sec =
         static_cast<double>(tick.entries - prev_entries) / interval_s;
@@ -67,7 +66,8 @@ void AppendEngineFamilies(const MetricsSnapshot& snap, uint64_t queue_depth,
                                static_cast<double>(snap.entries_processed)));
   out->push_back(CounterFamily(
       "rwdt_engine_queries_analyzed",
-      "Full parse+analyze executions (cache misses).", labels,
+      "Distinct query texts parsed and classified (once per stream).",
+      labels,
       static_cast<double>(snap.queries_analyzed)));
   out->push_back(CounterFamily("rwdt_engine_parse_failures",
                                "Distinct query texts that failed to parse.",
@@ -93,31 +93,17 @@ void AppendEngineFamilies(const MetricsSnapshot& snap, uint64_t queue_depth,
     out->push_back(std::move(errors));
   }
 
-  out->push_back(CounterFamily("rwdt_engine_cache_hits",
-                               "Query-cache lookup hits.", labels,
-                               static_cast<double>(snap.cache_hits)));
-  out->push_back(CounterFamily("rwdt_engine_cache_misses",
-                               "Query-cache lookup misses.", labels,
-                               static_cast<double>(snap.cache_misses)));
-  out->push_back(CounterFamily("rwdt_engine_cache_evictions",
-                               "Query-cache LRU evictions.", labels,
-                               static_cast<double>(snap.cache_evictions)));
-  out->push_back(GaugeFamily("rwdt_engine_cache_size",
-                             "Query-cache resident entries.", labels,
-                             static_cast<double>(snap.cache_size)));
-  out->push_back(GaugeFamily(
-      "rwdt_engine_cache_hit_ratio", "Query-cache hit ratio in [0,1].",
-      labels, ComputeEngineTick(snap, 0, 0).cache_hit_rate));
   out->push_back(GaugeFamily("rwdt_engine_threads", "Engine worker threads.",
                              labels, static_cast<double>(snap.threads)));
   out->push_back(GaugeFamily(
       "rwdt_engine_interner_bytes",
-      "Bytes reserved by the open stream's dedup interners and parse "
-      "dictionaries.",
+      "Bytes reserved by the open (else the last finished) stream's dedup "
+      "interners and parse dictionaries.",
       labels, static_cast<double>(snap.interner_bytes)));
   out->push_back(GaugeFamily(
       "rwdt_engine_dedup_entries",
-      "Distinct query texts pinned by the open stream's dedup state.",
+      "Distinct query texts pinned by the open (else the last finished) "
+      "stream's dedup state.",
       labels, static_cast<double>(snap.dedup_entries)));
   out->push_back(GaugeFamily(
       "rwdt_engine_queue_depth",

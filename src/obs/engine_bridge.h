@@ -17,13 +17,12 @@ namespace rwdt::obs {
 /// The derived numbers every consumer of engine metrics shows: the
 /// progress reporter's live log lines and the registry's gauges both
 /// come from `ComputeEngineTick`, so `/metrics` and the tick log can
-/// never disagree on what "cache hit rate" or "entries/sec" means.
+/// never disagree on what "entries/sec" means.
 struct EngineTick {
   uint64_t entries = 0;
   uint64_t analyzed = 0;
   uint64_t rejects = 0;
   double entries_per_sec = 0;  // delta vs prev_entries over interval_s
-  double cache_hit_rate = 0;   // [0,1]
 };
 
 EngineTick ComputeEngineTick(const engine::MetricsSnapshot& snap,
@@ -36,9 +35,8 @@ EngineTick ComputeEngineTick(const engine::MetricsSnapshot& snap,
 ///   rwdt_engine_entries_total / queries_analyzed_total /
 ///   parse_failures_total / wall_seconds_total        counters
 ///   rwdt_engine_errors_total{class="parse_error"}    counter per class
-///   rwdt_engine_cache_{hits,misses,evictions}_total  counters
-///   rwdt_engine_cache_size / cache_hit_ratio /
-///   threads / queue_depth                            gauges
+///   rwdt_engine_threads / interner_bytes /
+///   dedup_entries / queue_depth                      gauges
 ///   rwdt_engine_stage_latency_ns{stage="parse"}      histograms
 ///
 /// Pull-model: nothing happens until a scrape, so the engine's hot path

@@ -50,15 +50,14 @@ void ProgressReporter::Loop() {
 void ProgressReporter::EmitProgressLine(const engine::MetricsSnapshot& snap) {
   // Same derivation the registry bridge uses for its gauges, so the
   // tick log and a concurrent /metrics scrape can never disagree on
-  // what "entries/sec" or "cache hit rate" means.
+  // what "entries/sec" means.
   const EngineTick tick = ComputeEngineTick(
       snap, last_entries_, options_.interval_ms / 1000.0);
   last_entries_ = tick.entries;
   RWDT_LOG(INFO) << options_.label << ": " << tick.entries << " entries (+"
                  << static_cast<uint64_t>(tick.entries_per_sec) << "/s), "
-                 << tick.analyzed << " analyzed, cache hit "
-                 << static_cast<int>(100.0 * tick.cache_hit_rate + 0.5)
-                 << "%, " << tick.rejects << " rejects";
+                 << tick.analyzed << " analyzed, " << tick.rejects
+                 << " rejects";
 }
 
 void ProgressReporter::Stop() {

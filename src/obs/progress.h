@@ -22,7 +22,7 @@ struct ProgressOptions {
   uint32_t interval_ms = 0;
 
   /// Emit a one-line RWDT_LOG(INFO) per tick: entries/sec since the
-  /// previous tick, cache hit rate, error count.
+  /// previous tick, analyzed count, error count.
   bool log_progress = true;
 
   /// Non-empty: on Stop, write a JSON run report here — elapsed wall

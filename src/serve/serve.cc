@@ -92,9 +92,9 @@ struct ClassifyServer::Job {
 };
 
 /// A batch worker and its private engine. The engine runs
-/// single-threaded and keeps its memoization cache warm across
-/// requests — duplicate queries across a tenant's traffic are cache
-/// hits, exactly like duplicate lines within one log.
+/// single-threaded and dedups within one request body, like duplicate
+/// lines within one log; nothing is memoized across requests, so a text
+/// repeated in later requests is parsed again each time.
 struct ClassifyServer::Worker {
   std::unique_ptr<engine::Engine> engine;
   std::thread thread;

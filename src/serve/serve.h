@@ -35,9 +35,9 @@ struct ServeOptions {
   size_t queue_capacity = 256;
 
   /// Batch workers draining the queue. Each owns a private
-  /// single-threaded engine::Engine (warm memoization cache across
-  /// requests; EngineStream's one-stream-per-engine rule holds because
-  /// a worker processes jobs serially).
+  /// single-threaded engine::Engine (it dedups within a request, not
+  /// across requests; EngineStream's one-stream-per-engine rule holds
+  /// because a worker processes jobs serially).
   unsigned workers = 2;
 
   /// Micro-batch: a worker pops up to this many queued jobs per wakeup,

@@ -76,7 +76,7 @@ const std::vector<Feature>& AllFeatures() {
 
 namespace {
 
-void WalkFilter(const FilterExpr& f, std::set<Feature>* out) {
+void WalkFilter(const FilterExpr& f, FeatureSet* out) {
   if (f.kind == FilterExpr::Kind::kExistsPattern) {
     out->insert(Feature::kExists);
   }
@@ -94,7 +94,7 @@ size_t TripleBearingChildren(const Pattern& p) {
   return n;
 }
 
-void WalkPattern(const Pattern& p, std::set<Feature>* out) {
+void WalkPattern(const Pattern& p, FeatureSet* out) {
   switch (p.op) {
     case Pattern::Op::kAnd:
       // "And" in the paper's sense: a genuine conjunction of triple
@@ -143,7 +143,7 @@ void WalkPattern(const Pattern& p, std::set<Feature>* out) {
   for (const auto& c : p.children) WalkPattern(*c, out);
 }
 
-void WalkModifiers(const Query& q, std::set<Feature>* out) {
+void WalkModifiers(const Query& q, FeatureSet* out) {
   if (q.modifiers.distinct) out->insert(Feature::kDistinct);
   if (q.modifiers.limit.has_value()) out->insert(Feature::kLimit);
   if (q.modifiers.offset.has_value()) out->insert(Feature::kOffset);
@@ -172,13 +172,13 @@ void WalkModifiers(const Query& q, std::set<Feature>* out) {
   }
 }
 
-void WalkQuery(const Query& q, std::set<Feature>* out) {
+void WalkQuery(const Query& q, FeatureSet* out) {
   WalkModifiers(q, out);
   if (q.pattern != nullptr) WalkPattern(*q.pattern, out);
 }
 
 /// Walks the subqueries among `p`'s descendants, not inside them.
-void WalkSubqueries(const Pattern& p, std::set<Feature>* out) {
+void WalkSubqueries(const Pattern& p, FeatureSet* out) {
   if (p.op == Pattern::Op::kSubquery && p.subquery != nullptr) {
     WalkQuery(*p.subquery, out);
   }
@@ -187,8 +187,8 @@ void WalkSubqueries(const Pattern& p, std::set<Feature>* out) {
 
 }  // namespace
 
-std::set<Feature> ExtractFeatures(const Query& q) {
-  std::set<Feature> out;
+FeatureSet ExtractFeatures(const Query& q) {
+  FeatureSet out;
   WalkQuery(q, &out);
   // Subquery modifiers count too.
   if (q.pattern != nullptr) WalkSubqueries(*q.pattern, &out);

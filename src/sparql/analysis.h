@@ -1,7 +1,9 @@
 #ifndef RWDT_SPARQL_ANALYSIS_H_
 #define RWDT_SPARQL_ANALYSIS_H_
 
-#include <set>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,13 +39,53 @@ enum class Feature {
   kSubquery,
 };
 
+inline constexpr size_t kNumFeatures =
+    static_cast<size_t>(Feature::kSubquery) + 1;
+
+/// A set of Features, one bit per enumerator, with the std::set-like
+/// interface its callers use. Iteration is in enum order, which is the
+/// order of every rendered feature list (serve's verdict JSON).
+class FeatureSet {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(uint32_t rest) : rest_(rest) {}
+    Feature operator*() const {
+      return static_cast<Feature>(std::countr_zero(rest_));
+    }
+    Iterator& operator++() {
+      rest_ &= rest_ - 1;  // drop the lowest member
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    uint32_t rest_ = 0;  // members not yet visited
+  };
+
+  void insert(Feature f) { bits_ |= Bit(f); }
+  size_t count(Feature f) const { return (bits_ & Bit(f)) != 0 ? 1 : 0; }
+  size_t size() const { return static_cast<size_t>(std::popcount(bits_)); }
+  bool empty() const { return bits_ == 0; }
+  Iterator begin() const { return Iterator(bits_); }
+  Iterator end() const { return Iterator(0); }
+  bool operator==(const FeatureSet&) const = default;
+
+ private:
+  static uint32_t Bit(Feature f) {
+    return uint32_t{1} << static_cast<unsigned>(f);
+  }
+  uint32_t bits_ = 0;
+};
+static_assert(kNumFeatures <= 32, "FeatureSet holds one bit per Feature");
+
 std::string FeatureName(Feature f);
 
 /// All Table 3 features, in the paper's row order.
 const std::vector<Feature>& AllFeatures();
 
 /// Extracts the set of features a query uses.
-std::set<Feature> ExtractFeatures(const Query& q);
+FeatureSet ExtractFeatures(const Query& q);
 
 /// Pattern-operator sets for Tables 4 and 5: which of And / Filter /
 /// property-path (2RPQ) / "other" operators the pattern uses.

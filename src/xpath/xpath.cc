@@ -5,6 +5,8 @@
 #include <optional>
 #include <functional>
 
+#include "paths/path.h"
+
 namespace rwdt::xpath {
 
 std::string AxisName(Axis axis) {
@@ -239,7 +241,9 @@ class Parser {
   Result<Step> FinishStep(Step step) {
     while (Peek() == '[') {
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(Predicate pred, ParseOr());
+      --depth_;
       if (Peek() != ']') return Status::ParseError("expected ']'");
       ++pos_;
       step.predicates.push_back(std::move(pred));
@@ -279,7 +283,9 @@ class Parser {
     if (LitWord("not")) {
       if (Peek() != '(') return Status::ParseError("expected '(' after not");
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(Predicate inner, ParseOr());
+      --depth_;
       if (Peek() != ')') return Status::ParseError("expected ')'");
       ++pos_;
       Predicate p;
@@ -289,7 +295,9 @@ class Parser {
     }
     if (Peek() == '(') {
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(Predicate inner, ParseOr());
+      --depth_;
       if (Peek() != ')') return Status::ParseError("expected ')'");
       ++pos_;
       return inner;
@@ -360,9 +368,21 @@ class Parser {
     return std::nullopt;
   }
 
+  /// kResourceExhausted once `levels` exceeds the depth bound, the one
+  /// the SPARQL and property-path parsers apply.
+  Status CheckDepth(size_t levels) const {
+    if (levels <= paths::kDefaultMaxDepth) return Status::Ok();
+    return Status::ResourceExhausted(
+        "query nests deeper than " +
+        std::to_string(paths::kDefaultMaxDepth) + " levels");
+  }
+
   std::string_view input_;
   Interner* dict_;
   size_t pos_ = 0;
+  /// Open predicates, not(...) and parenthesized predicates. An error
+  /// ends the parse, so only the success paths close a level.
+  size_t depth_ = 0;
 };
 
 }  // namespace

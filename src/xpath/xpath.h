@@ -74,6 +74,10 @@ struct Query {
 /// Axis shorthands: '/' child, '//' descendant-or-self step, '@'
 /// attribute, '..' parent, '.' self; explicit "axis::test" syntax is also
 /// accepted for every axis.
+///
+/// Predicates, not(...) and parenthesized predicates nesting deeper than
+/// paths::kDefaultMaxDepth levels are refused with kResourceExhausted
+/// before they can exhaust the stack.
 Result<Query> ParseXPath(std::string_view input, Interner* dict);
 
 // --- Fragments (Section 5) ------------------------------------------------

@@ -1,8 +1,8 @@
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <span>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,18 +11,15 @@
 #include "core/log_study.h"
 #include "engine/engine.h"
 #include "engine/metrics.h"
-#include "engine/query_cache.h"
 #include "engine/thread_pool.h"
 
 namespace rwdt::engine {
 namespace {
 
-core::SourceStudy RunWith(unsigned threads, size_t shards, uint64_t seed,
-                          size_t cache_capacity = 1 << 16) {
+core::SourceStudy RunWith(unsigned threads, size_t shards, uint64_t seed) {
   EngineOptions opts;
   opts.threads = threads;
   opts.num_shards = shards;
-  opts.cache_capacity = cache_capacity;
   Engine engine(opts);
   return engine.AnalyzeLog(loggen::ExampleProfile(1500), seed);
 }
@@ -89,37 +86,93 @@ TEST(EngineTest, DeterministicAcrossThreadsShardsAndChunking) {
   }
 }
 
-TEST(EngineTest, ScalingSmokeSameStudyAndCacheConservation) {
+size_t DistinctTexts(const std::vector<loggen::LogEntry>& entries) {
+  std::unordered_set<std::string_view> texts;
+  for (const loggen::LogEntry& e : entries) texts.insert(e.text);
+  return texts.size();
+}
+
+TEST(EngineTest, ScalingSmokeSameStudy) {
   // Scaling smoke for the contention-free hot path: the same 50k-entry
-  // log at 1 and 4 threads must produce an identical SourceStudy, and
-  // cache accounting must follow the shard-local dedup law — only the
-  // first occurrence of each distinct text performs a lookup (duplicates
-  // are served from the shard's pinned by_id table), so
-  // hits + misses == unique + distinct failing texts, and a cold engine
-  // sees only misses. A rewiring that sent duplicates back through the
-  // cache — or silently bypassed it on first sight — would break this.
+  // log at 1 and 4 threads must produce an identical SourceStudy.
   const auto entries = loggen::GenerateLog(loggen::ExampleProfile(50000), 46);
   core::SourceStudy studies[2];
-  MetricsSnapshot snaps[2];
   const unsigned thread_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
     EngineOptions opts;
     opts.threads = thread_counts[i];
     Engine engine(opts);
     studies[i] = engine.AnalyzeEntries("smoke", false, entries);
-    snaps[i] = engine.Snapshot();
   }
   EXPECT_EQ(studies[0], studies[1]);
-  for (int i = 0; i < 2; ++i) {
-    // Cold engine: every distinct text (valid or failing) misses once.
-    EXPECT_EQ(snaps[i].cache_hits, 0u) << "threads=" << thread_counts[i];
-    EXPECT_EQ(snaps[i].cache_misses,
-              studies[i].unique + snaps[i].parse_failures)
-        << "threads=" << thread_counts[i];
+}
+
+TEST(EngineTest, EachDistinctTextParsedOncePerStream) {
+  // The one dedup path: within a stream, the parser runs exactly once per
+  // distinct text (valid or failing), whatever the thread count and
+  // however the log is chunked; duplicates never reach it.
+  loggen::SourceProfile p = loggen::ExampleProfile(2000);
+  p.duplicate_factor = 4.0;  // Valid/Unique ~ 4, as in the busiest logs
+  const auto entries = loggen::GenerateLog(p, 5);
+  const size_t distinct = DistinctTexts(entries);
+  ASSERT_LT(distinct, entries.size());
+  for (unsigned threads : {1u, 2u, 4u}) {
+    for (size_t chunk : {entries.size(), size_t{97}, size_t{1}}) {
+      EngineOptions opts;
+      opts.threads = threads;
+      Engine engine(opts);
+      EngineStream stream = engine.OpenStream("law", false);
+      for (size_t i = 0; i < entries.size(); i += chunk) {
+        stream.Feed(std::vector<loggen::LogEntry>(
+            entries.begin() + i,
+            entries.begin() + std::min(entries.size(), i + chunk)));
+      }
+      const core::SourceStudy study = stream.Finish();
+      const MetricsSnapshot snap = engine.Snapshot();
+      EXPECT_GT(snap.parse_failures, 0u);  // the law covers failing texts
+      EXPECT_EQ(snap.queries_analyzed + snap.parse_failures, distinct)
+          << "threads=" << threads << " chunk=" << chunk;
+      EXPECT_EQ(snap.queries_analyzed, study.unique)
+          << "threads=" << threads << " chunk=" << chunk;
+      EXPECT_EQ(snap.entries_processed, study.total);
+    }
   }
-  // Lookup volume itself is thread-count invariant.
-  EXPECT_EQ(snaps[0].cache_hits + snaps[0].cache_misses,
-            snaps[1].cache_hits + snaps[1].cache_misses);
+}
+
+TEST(EngineTest, SecondStreamOnOneEngineParsesAgain) {
+  // Nothing is memoized across streams: the same log streamed twice
+  // through one engine gives equal studies and parses every distinct
+  // text twice.
+  const auto entries = loggen::GenerateLog(loggen::ExampleProfile(1000), 21);
+  EngineOptions opts;
+  opts.threads = 2;
+  Engine engine(opts);
+  const core::SourceStudy first = engine.AnalyzeEntries("twice", false, entries);
+  const MetricsSnapshot after_first = engine.Snapshot();
+  const core::SourceStudy second =
+      engine.AnalyzeEntries("twice", false, entries);
+  const MetricsSnapshot after_second = engine.Snapshot();
+  EXPECT_EQ(first, second);
+  EXPECT_GT(after_first.queries_analyzed, 0u);
+  EXPECT_GT(after_first.parse_failures, 0u);
+  EXPECT_EQ(after_second.queries_analyzed, 2 * after_first.queries_analyzed);
+  EXPECT_EQ(after_second.parse_failures, 2 * after_first.parse_failures);
+}
+
+TEST(EngineTest, OccupancyGaugesKeepTheFinishedStream) {
+  // After Finish, the dedup gauges hold the finished stream's final
+  // occupancy (bench JSON and run reports snapshot them then).
+  const auto entries = loggen::GenerateLog(loggen::ExampleProfile(1500), 8);
+  for (unsigned threads : {1u, 4u}) {
+    EngineOptions opts;
+    opts.threads = threads;
+    Engine engine(opts);
+    engine.AnalyzeEntries("gauges", false, entries);
+    const MetricsSnapshot snap = engine.Snapshot();
+    EXPECT_EQ(snap.dedup_entries, DistinctTexts(entries))
+        << "threads=" << threads;
+    EXPECT_GT(snap.interner_bytes, 0u) << "threads=" << threads;
+  }
 }
 
 TEST(EngineTest, SpanFeedMatchesVectorFeed) {
@@ -161,54 +214,6 @@ TEST(EngineTest, MatchesLegacySingleThreadedPath) {
   opts.threads = 4;
   Engine engine(opts);
   EXPECT_EQ(legacy, engine.AnalyzeLog(p, 13));
-}
-
-TEST(EngineTest, TinyCacheStillExact) {
-  // Evictions force recomputation but must never change the counts.
-  const core::SourceStudy big = RunWith(2, 0, 99, /*cache_capacity=*/1 << 16);
-  const core::SourceStudy tiny = RunWith(2, 0, 99, /*cache_capacity=*/8);
-  EXPECT_EQ(big, tiny);
-}
-
-TEST(EngineTest, CacheHitsOnDuplicates) {
-  // Duplicates within one stream never touch the cache — the shard's
-  // by_id table serves them — so a cold run is all misses. Hits appear
-  // when the engine re-analyzes a log it has already seen: every first
-  // occurrence then lands on the warm cache.
-  loggen::SourceProfile p = loggen::ExampleProfile(2000);
-  p.duplicate_factor = 4.0;  // Valid/Unique ~ 4, as in the busiest logs
-  EngineOptions opts;
-  opts.threads = 2;
-  Engine engine(opts);
-  const core::SourceStudy study = engine.AnalyzeLog(p, 5);
-  const MetricsSnapshot cold = engine.Snapshot();
-  EXPECT_GT(study.valid, study.unique);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  // Every distinct text is analyzed exactly once, duplicates or not.
-  EXPECT_EQ(cold.queries_analyzed + cold.parse_failures, cold.cache_misses);
-  EXPECT_EQ(cold.entries_processed, study.total);
-
-  const core::SourceStudy rerun = engine.AnalyzeLog(p, 5);
-  const MetricsSnapshot warm = engine.Snapshot();
-  EXPECT_EQ(study, rerun);
-  // Second pass: each distinct text hits the warm cache exactly once.
-  EXPECT_EQ(warm.cache_hits, cold.cache_misses);
-  EXPECT_EQ(warm.cache_misses, cold.cache_misses);
-  EXPECT_GT(warm.CacheHitRate(), 0.0);
-  EXPECT_EQ(warm.queries_analyzed, cold.queries_analyzed);
-}
-
-TEST(EngineTest, CacheWarmsAcrossLogs) {
-  loggen::SourceProfile p = loggen::ExampleProfile(1000);
-  EngineOptions opts;
-  opts.threads = 1;
-  Engine engine(opts);
-  const core::SourceStudy first = engine.AnalyzeLog(p, 21);
-  const uint64_t analyzed_after_first = engine.Snapshot().queries_analyzed;
-  const core::SourceStudy second = engine.AnalyzeLog(p, 21);
-  EXPECT_EQ(first, second);
-  // The second pass is served entirely from the warm cache.
-  EXPECT_EQ(engine.Snapshot().queries_analyzed, analyzed_after_first);
 }
 
 core::LogAggregates RandomAggregates(Rng* rng) {
@@ -315,35 +320,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(count.load(), 150);
 }
 
-TEST(QueryCacheTest, LruEvictsOldest) {
-  ShardedQueryCache cache(/*capacity=*/2, /*shards=*/1);
-  auto entry = [] {
-    auto e = std::make_shared<CachedQuery>();
-    e->parse_ok = true;
-    return e;
-  };
-  cache.Put("a", entry());
-  cache.Put("b", entry());
-  EXPECT_NE(cache.Get("a"), nullptr);  // refresh "a": now b is LRU
-  cache.Put("c", entry());             // evicts "b"
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("a"), nullptr);
-  EXPECT_NE(cache.Get("c"), nullptr);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(QueryCacheTest, SharedPtrSurvivesEviction) {
-  ShardedQueryCache cache(/*capacity=*/1, /*shards=*/1);
-  auto first = std::make_shared<CachedQuery>();
-  first->parse_ok = true;
-  cache.Put("x", first);
-  auto held = cache.Get("x");
-  cache.Put("y", std::make_shared<CachedQuery>());  // evicts "x"
-  ASSERT_NE(held, nullptr);
-  EXPECT_TRUE(held->parse_ok);  // still alive and intact
-}
-
 TEST(MetricsTest, SnapshotSummarizesHistogram) {
   Metrics metrics;
   for (int i = 0; i < 1000; ++i) {
@@ -382,12 +358,12 @@ TEST(MetricsTest, JsonContainsHeadlineFields) {
   engine.AnalyzeLog(loggen::ExampleProfile(300), 3);
   const std::string json = engine.Snapshot().ToJson();
   EXPECT_NE(json.find("\"queries_per_sec\""), std::string::npos);
-  EXPECT_NE(json.find("\"cache_hit_rate\""), std::string::npos);
+  EXPECT_NE(json.find("\"dedup_entries\""), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("\"parse\""), std::string::npos);
   EXPECT_NE(json.find("\"hypergraph\""), std::string::npos);
   const std::string text = engine.Snapshot().ToText();
-  EXPECT_NE(text.find("cache"), std::string::npos);
+  EXPECT_NE(text.find("analyzed"), std::string::npos);
 }
 
 }  // namespace

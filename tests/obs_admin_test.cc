@@ -183,7 +183,7 @@ TEST(AdminServerTest, EngineEndToEnd) {
   };
   expect_value("rwdt_engine_entries_total", snap.entries_processed);
   expect_value("rwdt_engine_queries_analyzed_total", snap.queries_analyzed);
-  expect_value("rwdt_engine_cache_hits_total", snap.cache_hits);
+  expect_value("rwdt_engine_parse_failures_total", snap.parse_failures);
   EXPECT_NE(metrics.body.find("rwdt_engine_stage_latency_ns_bucket"),
             std::string::npos);
   EXPECT_NE(metrics.body.rfind("# EOF\n"), std::string::npos);

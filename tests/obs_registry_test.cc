@@ -256,9 +256,8 @@ TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
   snap.queries_analyzed = 600;
   snap.parse_failures = 40;
   snap.errors[static_cast<size_t>(ErrorClass::kParseError)] = 40;
-  snap.cache_hits = 300;
-  snap.cache_misses = 600;
   snap.wall_ns = 2'000'000'000;
+  snap.dedup_entries = 640;
   snap.threads = 4;
   auto& parse = snap.stages[static_cast<size_t>(engine::Stage::kParse)];
   parse.count = 3;
@@ -280,9 +279,7 @@ TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
                 "rwdt_engine_errors_total{class=\"parse_error\",engine=\"0\"}"
                 " 40\n"),
             std::string::npos);
-  EXPECT_NE(text.find("rwdt_engine_cache_hits_total{engine=\"0\"} 300\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rwdt_engine_cache_hit_ratio{engine=\"0\"} "),
+  EXPECT_NE(text.find("rwdt_engine_dedup_entries{engine=\"0\"} 640\n"),
             std::string::npos);
   EXPECT_NE(text.find("rwdt_engine_queue_depth{engine=\"0\"} 5\n"),
             std::string::npos);
@@ -315,13 +312,10 @@ TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
 TEST(BridgeTest, ComputeEngineTickRates) {
   engine::MetricsSnapshot snap;
   snap.entries_processed = 1500;
-  snap.cache_hits = 75;
-  snap.cache_misses = 25;
   const EngineTick tick = ComputeEngineTick(snap, /*prev_entries=*/500,
                                             /*interval_s=*/2.0);
   EXPECT_EQ(tick.entries, 1500u);
   EXPECT_DOUBLE_EQ(tick.entries_per_sec, 500.0);
-  EXPECT_DOUBLE_EQ(tick.cache_hit_rate, 0.75);
   // Degenerate interval never divides by zero.
   EXPECT_DOUBLE_EQ(ComputeEngineTick(snap, 0, 0).entries_per_sec, 0.0);
 }
@@ -350,8 +344,10 @@ TEST(BridgeTest, LiveEngineScrapeAgreesWithSnapshot) {
               std::to_string(snap.entries_processed) + "\n");
   expect_line("rwdt_engine_queries_analyzed_total{engine=\"t\"} " +
               std::to_string(snap.queries_analyzed) + "\n");
-  expect_line("rwdt_engine_cache_hits_total{engine=\"t\"} " +
-              std::to_string(snap.cache_hits) + "\n");
+  expect_line("rwdt_engine_parse_failures_total{engine=\"t\"} " +
+              std::to_string(snap.parse_failures) + "\n");
+  expect_line("rwdt_engine_dedup_entries{engine=\"t\"} " +
+              std::to_string(snap.dedup_entries) + "\n");
   expect_line("rwdt_engine_threads{engine=\"t\"} 2\n");
 }
 

@@ -570,8 +570,7 @@ TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
   engine::Metrics metrics;
   metrics.AddEntries(123);
   metrics.AddAnalyzed(45);
-  metrics.AddHits(10);
-  metrics.AddMisses(5);
+  metrics.AddParseFailures(5);
 
   const std::string path = "obs_test_report.json";
   ProgressOptions popts;
@@ -603,8 +602,7 @@ TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->Get("entries_processed")->number_value(), 124.0);
   EXPECT_EQ(m->Get("queries_analyzed")->number_value(), 45.0);
-  EXPECT_EQ(m->Get("cache_hits")->number_value(), 10.0);
-  EXPECT_EQ(m->Get("cache_misses")->number_value(), 5.0);
+  EXPECT_EQ(m->Get("parse_failures")->number_value(), 5.0);
 
   // The report file holds the same JSON document.
   std::ifstream in(path);

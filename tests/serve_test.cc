@@ -150,6 +150,21 @@ TEST(ClassifyServerTest, DeeplyNestedQueryIs422AndServerStaysUp) {
   EXPECT_EQ(Fetch(server.port(), "GET", "/healthz").status, 200);
 }
 
+TEST(ClassifyServerTest, DeeplyNestedXPathIs422AndServerStaysUp) {
+  ClassifyServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  // a[a[...a[b]...]] with 5,000 predicates: about 15 KB.
+  std::string query;
+  for (int i = 0; i < 5000; ++i) query += "a[";
+  query += "b" + std::string(5000, ']');
+  const HttpResult r =
+      Fetch(server.port(), "POST", "/v1/classify?lang=xpath", query);
+  EXPECT_EQ(r.status, 422) << r.body;
+  EXPECT_TRUE(Contains(r.body, "\"valid\":false")) << r.body;
+  EXPECT_TRUE(Contains(r.body, "resource_exhausted")) << r.body;
+  EXPECT_EQ(Fetch(server.port(), "GET", "/healthz").status, 200);
+}
+
 TEST(ClassifyServerTest, BadLangAndEmptyBodyAre400) {
   ClassifyServer server(BaseOptions());
   ASSERT_TRUE(server.Start().ok());

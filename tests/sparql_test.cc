@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/flat_interner.h"
 #include "common/interner.h"
+#include "common/rng.h"
 #include "exec/planner.h"
 #include "graph/rdf.h"
 #include "sparql/analysis.h"
@@ -286,6 +288,42 @@ TEST_F(SparqlTest, FeatureExtraction) {
     EXPECT_TRUE(f.count(expected)) << FeatureName(expected);
   }
   EXPECT_FALSE(f.count(Feature::kMinus));
+}
+
+TEST(FeatureSetTest, MatchesStdSetUnderRandomInserts) {
+  Rng rng(24);
+  for (int trial = 0; trial < 200; ++trial) {
+    FeatureSet bits;
+    std::set<Feature> reference;
+    const uint64_t inserts = rng.NextBelow(2 * kNumFeatures);
+    for (uint64_t i = 0; i < inserts; ++i) {
+      const auto f = static_cast<Feature>(rng.NextBelow(kNumFeatures));
+      bits.insert(f);
+      reference.insert(f);
+      ASSERT_EQ(bits.size(), reference.size());
+    }
+    EXPECT_EQ(bits.empty(), reference.empty());
+    for (size_t f = 0; f < kNumFeatures; ++f) {
+      EXPECT_EQ(bits.count(static_cast<Feature>(f)),
+                reference.count(static_cast<Feature>(f)));
+    }
+    // Range-for visits members in enum order, as std::set does.
+    std::vector<Feature> visited;
+    for (const Feature f : bits) visited.push_back(f);
+    EXPECT_EQ(visited,
+              std::vector<Feature>(reference.begin(), reference.end()));
+
+    FeatureSet rebuilt;
+    for (const Feature f : reference) rebuilt.insert(f);
+    EXPECT_EQ(rebuilt, bits);
+    if (!reference.empty()) {
+      FeatureSet missing_first;
+      for (const Feature f : reference) {
+        if (f != *reference.begin()) missing_first.insert(f);
+      }
+      EXPECT_FALSE(missing_first == bits);
+    }
+  }
 }
 
 TEST_F(SparqlTest, OperatorSetClassification) {

@@ -25,7 +25,7 @@ Exit status: 0 ok, 1 regression found (check) or selftest failure,
 2 usage / malformed input.
 
 Direction rules (by metric path suffix):
-  higher is better:  *_per_sec, *qps, *speedup*, *hit_rate*
+  higher is better:  *_per_sec, *qps, *speedup*
   lower is better:   *_ms, *_seconds, *_s, *_bytes, *maxrss*, *dropped*,
                      *errors*, *_us
   everything else:   informational only, never gated.
@@ -41,7 +41,7 @@ import math
 import os
 import sys
 
-HIGHER_BETTER = ("_per_sec", "qps", "speedup", "hit_rate")
+HIGHER_BETTER = ("_per_sec", "qps", "speedup")
 LOWER_BETTER = ("_ms", "_seconds", "_s", "_bytes", "maxrss_kb", "dropped",
                 "errors", "_us")
 
