@@ -11,7 +11,8 @@
 // overrides the sweep; RWDT_BENCH_JSON overrides the output path;
 // RWDT_TRACE=<file> records a Chrome/Perfetto trace of the whole sweep;
 // RWDT_PROGRESS=<ms> enables live one-line progress reporting at that
-// interval.
+// interval; RWDT_ADMIN_PORT=<port> hosts the admin endpoints for the
+// whole sweep, with /statusz reading the engine currently sweeping.
 //
 // The JSON output carries `speedup_vs_1t` per run (wall of the
 // 1-thread run divided by this run's wall) and the machine's
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -95,21 +97,33 @@ int main(int argc, char** argv) {
   }
 
   AsciiTable table({"Threads", "Wall", "Queries/s", "Speedup"});
-  // RWDT_ADMIN_PORT exposes the currently-sweeping engine's admin
-  // endpoints. kAdminPortAuto is not meaningful here (the port would
-  // change per engine); a fixed port is rebound by each sweep element.
-  const uint32_t admin_port = obs::AdminPortFromEnv();
+  // One admin host for the whole sweep (RWDT_ADMIN_PORT). Its /statusz
+  // reads the engine currently sweeping; `sweeping` is cleared under
+  // the lock before that engine is destroyed, so a scrape never reads a
+  // dead engine.
+  std::mutex sweeping_mu;
+  const engine::Engine* sweeping = nullptr;
+  auto admin = obs::MaybeStartEnvAdmin([&] {
+    std::lock_guard<std::mutex> lock(sweeping_mu);
+    return sweeping != nullptr ? sweeping->Snapshot()
+                               : engine::MetricsSnapshot{};
+  });
+  auto set_sweeping = [&](const engine::Engine* eng) {
+    std::lock_guard<std::mutex> lock(sweeping_mu);
+    sweeping = eng;
+  };
   for (unsigned threads : ThreadSweep()) {
     engine::EngineOptions opts;
     opts.threads = threads;
     opts.progress.interval_ms = progress_ms;
-    opts.admin_port = admin_port;
     engine::Engine eng(opts);
+    set_sweeping(&eng);
     const auto t0 = Clock::now();
     const core::SourceStudy study =
         eng.AnalyzeEntries(profile.name, profile.wikidata_like, entries);
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    set_sweeping(nullptr);
     if (runs.empty()) {
       reference = study;
       base_ms = ms;

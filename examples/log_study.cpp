@@ -12,11 +12,12 @@
 // Watch a run live: RWDT_PROGRESS=<ms> logs a one-line engine snapshot
 // (entries/sec, analyzed, rejects) at that interval during the
 // ingest phase, and RWDT_TRACE=<file> writes a Chrome/Perfetto trace of
-// the per-worker pipeline stages. RWDT_ADMIN_PORT=<port> serves the
-// admin endpoints (/metrics, /healthz, /readyz, /statusz, /tracez) for
-// the ingest engine; RWDT_ADMIN_LINGER_MS=<ms> keeps them up after the
-// run until GET /quitquitquit (or the deadline) releases the process —
-// how CI scrapes a finished run.
+// the per-worker pipeline stages. RWDT_ADMIN_PORT=<port> makes this
+// process host the admin endpoints (/metrics, /healthz, /readyz,
+// /statusz, /tracez, /profilez), with /statusz reading the ingest
+// engine; RWDT_ADMIN_LINGER_MS=<ms> keeps them up after the run until
+// GET /quitquitquit (or the deadline) releases the process — how CI
+// scrapes a finished run.
 
 #include <chrono>
 #include <cstdio>
@@ -164,16 +165,18 @@ int main(int argc, char** argv) {
   ingest::IngestOptions iopts;
   iopts.source_name = profile.name;
   iopts.wikidata_like = profile.wikidata_like;
-  iopts.progress.interval_ms = progress_ms;  // live one-line snapshots
 
   // The ingest runs on an engine we own (rather than an IngestStream
-  // internal one) so its admin endpoints — enabled via RWDT_ADMIN_PORT,
+  // internal one) so the admin endpoints — enabled via RWDT_ADMIN_PORT,
   // off and free by default — expose this phase live and stay
-  // scrapeable after it finishes.
+  // scrapeable after it finishes. The admin host is declared after the
+  // engine, so it stops before the engine its /statusz reads.
   engine::EngineOptions eng_opts;
   eng_opts.threads = threads;
-  eng_opts.admin_port = obs::AdminPortFromEnv();
+  eng_opts.progress.interval_ms = progress_ms;  // live one-line snapshots
   engine::Engine ingest_engine(eng_opts);
+  auto admin = obs::MaybeStartEnvAdmin(
+      [&ingest_engine] { return ingest_engine.Snapshot(); });
   auto ingested = ingest::IngestStream(log_text, &ingest_engine, iopts);
   if (!ingested.ok()) {
     RWDT_LOG(ERROR) << "ingest failed: " << ingested.error_message();
@@ -227,10 +230,10 @@ int main(int argc, char** argv) {
       linger_env != nullptr
           ? static_cast<uint32_t>(std::strtoul(linger_env, nullptr, 10))
           : 0;
-  if (linger_ms > 0 && ingest_engine.admin_server() != nullptr) {
+  if (linger_ms > 0 && admin != nullptr) {
     RWDT_LOG(INFO) << "lingering up to " << linger_ms
                    << " ms for admin scrapes (GET /quitquitquit to release)";
-    ingest_engine.admin_server()->WaitForQuit(linger_ms);
+    admin->WaitForQuit(linger_ms);
   }
   return 0;
 }

@@ -10,7 +10,6 @@ SourceStudy AnalyzeLog(const loggen::SourceProfile& profile, uint64_t seed,
   // one shard, entries processed in log order, no worker threads.
   engine::EngineOptions eopts;
   eopts.threads = 1;
-  eopts.collect_stage_timings = false;
   eopts.study = options;
   engine::Engine eng(eopts);
   return eng.AnalyzeLog(profile, seed);

@@ -93,7 +93,7 @@ struct LogStudyOptions {
 ///
 /// This is the single-threaded convenience entry point: it delegates to
 /// `engine::Engine` with `threads = 1`. Use the engine directly for
-/// parallel sharding, cross-log memoization, and metrics.
+/// parallel sharding and metrics.
 SourceStudy AnalyzeLog(const loggen::SourceProfile& profile, uint64_t seed,
                        const LogStudyOptions& options = {});
 

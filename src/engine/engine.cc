@@ -2,18 +2,13 @@
 
 #include <array>
 #include <chrono>
-#include <cstdlib>
-#include <functional>
 #include <thread>
 #include <utility>
 
-#include "common/build_info.h"
 #include "common/flat_interner.h"
 #include "common/hash.h"
-#include "common/json.h"
 #include "core/verdict.h"
 #include "obs/engine_bridge.h"
-#include "obs/log.h"
 #include "obs/trace.h"
 #include "sparql/parser.h"
 
@@ -49,36 +44,8 @@ Status EngineOptions::Validate() const {
   if (num_shards > kMaxShards) {
     return Status::InvalidArgument("num_shards must be <= 2^20");
   }
-  if (admin_port > kAdminPortAuto) {
-    return Status::InvalidArgument(
-        "admin_port must be 0 (off), a TCP port, or kAdminPortAuto");
-  }
-  if (admin_port != 0 && admin_bind.empty()) {
-    return Status::InvalidArgument("admin_bind must be set when admin is on");
-  }
-  if (!profile_path.empty() && (profile_hz < 1.0 || profile_hz > 1000.0)) {
-    return Status::InvalidArgument("profile_hz must be in [1, 1000]");
-  }
-  RWDT_RETURN_IF_ERROR(parse_limits.Validate());
   RWDT_RETURN_IF_ERROR(progress.Validate());
   return Status::Ok();
-}
-
-std::string EngineOptions::ToJson() const {
-  std::string out = "{";
-  out += "\"threads\":" + std::to_string(threads);
-  out += ",\"num_shards\":" + std::to_string(num_shards);
-  out += ",\"collect_stage_timings\":";
-  out += collect_stage_timings ? "true" : "false";
-  out += ",\"admin_port\":" + std::to_string(admin_port);
-  out += ",";
-  AppendJsonStringField("profile_path", profile_path, &out);
-  out += "\"profile_hz\":" + std::to_string(profile_hz);
-  out += ",";
-  AppendJsonStringField("admin_bind", admin_bind, &out,
-                        /*trailing_comma=*/false);
-  out += "}";
-  return out;
 }
 
 /// Per-shard accumulator and dedup state. Shards never share mutable
@@ -140,138 +107,17 @@ Engine::Engine(const EngineOptions& options)
       threads_(ResolveThreads(options.threads)),
       num_shards_(options.num_shards > 0 ? options.num_shards : threads_) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
-  start_ns_ = NowNs();
-  ready_ = std::make_shared<std::atomic<bool>>(false);
   const uint64_t ordinal =
       g_engine_ordinal.fetch_add(1, std::memory_order_relaxed);
   registry_collector_ = obs::RegisterEngineMetrics(
       &obs::MetricRegistry::Global(), this,
       {{"engine", std::to_string(ordinal)}});
-  StartAdminServer();
-  if (!options_.profile_path.empty()) {
-    obs::ProfileOptions popts;
-    popts.hz = options_.profile_hz;
-    self_profile_ = std::make_unique<obs::ScopedSelfProfile>(
-        options_.profile_path, popts);
-  }
-  ready_->store(true, std::memory_order_release);
 }
 
 Engine::~Engine() {
-  if (ready_ != nullptr) ready_->store(false, std::memory_order_release);
-  // Order matters: the admin server's handlers and the registry bridge
-  // both read engine state, so they must be torn down before the engine
-  // members they touch. Stop the server (drains in-flight /metrics
-  // scrapes), then unhook the global-registry collector.
-  // Stop the self-profile before teardown starts so the final capture
-  // covers only the engine's working lifetime.
-  self_profile_.reset();
-  admin_.reset();
-  proc_stats_.reset();
+  // The registry bridge reads engine state at scrape time, so unhook it
+  // before the members it touches are destroyed.
   registry_collector_.Reset();
-}
-
-void Engine::StartAdminServer() {
-  if (options_.admin_port == 0) return;
-  obs::AdminServer::Options sopts;
-  sopts.bind_address = options_.admin_bind;
-  sopts.port = options_.admin_port == EngineOptions::kAdminPortAuto
-                   ? 0
-                   : static_cast<uint16_t>(options_.admin_port);
-  auto server = std::make_unique<obs::AdminServer>(sopts);
-
-  server->Handle("/metrics", "OpenMetrics exposition of every registry family",
-                 [](const obs::HttpRequest&) {
-                   obs::HttpResponse resp;
-                   resp.content_type =
-                       "application/openmetrics-text; version=1.0.0; "
-                       "charset=utf-8";
-                   resp.body = obs::MetricRegistry::Global().RenderOpenMetrics();
-                   return resp;
-                 });
-  server->Handle("/healthz", "liveness: 200 while the process runs",
-                 [](const obs::HttpRequest&) {
-                   obs::HttpResponse resp;
-                   resp.body = "ok\n";
-                   return resp;
-                 });
-  // The ready flag is shared (not `this->ready_`) so a handler draining
-  // during destruction never dereferences a dead engine.
-  server->Handle("/readyz", "readiness: 200 once the engine accepts work",
-                 [ready = ready_](const obs::HttpRequest&) {
-                   obs::HttpResponse resp;
-                   if (ready->load(std::memory_order_acquire)) {
-                     resp.body = "ready\n";
-                   } else {
-                     resp.status = 503;
-                     resp.body = "not ready\n";
-                   }
-                   return resp;
-                 });
-  server->Handle(
-      "/statusz", "JSON: build info, uptime, options, metrics snapshot",
-      [this](const obs::HttpRequest&) {
-        obs::HttpResponse resp;
-        resp.content_type = "application/json; charset=utf-8";
-        std::string body = "{\"build\":";
-        body += common::BuildInfo::Get().ToJson();
-        body += ",\"uptime_seconds\":";
-        body += std::to_string(
-            static_cast<double>(NowNs() - start_ns_) / 1e9);
-        body += ",\"options\":" + options_.ToJson();
-        body += ",\"metrics\":" + Snapshot().ToJson();
-        body += "}";
-        resp.body = std::move(body);
-        return resp;
-      });
-  server->Handle("/tracez",
-                 "drains the active TraceCollector as Chrome trace JSON; "
-                 "?limit=N caps rendered events (default 5000, 0 = all)",
-                 [](const obs::HttpRequest& request) {
-                   obs::HttpResponse resp;
-                   // Default cap keeps a scrape of a large multi-thread
-                   // ring from rendering multi-MB; limit=0 disables it.
-                   size_t limit = 5000;
-                   const std::string param =
-                       serve::QueryParam(request.query, "limit");
-                   if (!param.empty()) {
-                     limit = std::strtoull(param.c_str(), nullptr, 10);
-                   }
-                   std::string json;
-                   // A trace drain is a point-in-time snapshot; caching
-                   // one would hide every later scrape.
-                   resp.extra_headers.push_back(
-                       {"Cache-Control", "no-store"});
-                   if (obs::DrainActiveTraceJson(&json, limit)) {
-                     resp.content_type = "application/json; charset=utf-8";
-                     resp.body = std::move(json);
-                   } else {
-                     resp.status = 503;
-                     resp.body =
-                         "no active trace collector (set RWDT_TRACE or "
-                         "install one)\n";
-                   }
-                   return resp;
-                 });
-  server->Handle("/profilez",
-                 "timed sampling CPU profile; ?seconds=N&hz=F"
-                 "&format=collapsed|json (blocks for the capture)",
-                 [](const obs::HttpRequest& request) {
-                   return obs::HandleProfilez(request);
-                 });
-
-  Status started = server->Start();
-  if (!started.ok()) {
-    // Never fatal: an engine must not die because a port was taken.
-    RWDT_LOG(ERROR) << "admin server disabled: " << started.ToString();
-    return;
-  }
-  RWDT_LOG(INFO) << "admin server listening on " << options_.admin_bind << ":"
-                  << server->port();
-  // Process-footprint gauges ride along whenever this engine serves
-  // /metrics (inert if another subsystem already installed them).
-  proc_stats_ = std::make_unique<obs::ProcStatsCollector>();
-  admin_ = std::move(server);
 }
 
 size_t Engine::queue_depth() const {
@@ -443,7 +289,6 @@ core::SourceStudy EngineStream::Finish() {
 
 void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
                           ShardState* state) {
-  const bool timed = options_.collect_stage_timings;
   obs::Span shard_span("shard");
   // Worker-private metric slab (stack-resident, cache-hot): the per-query
   // path below touches no shared counter; everything folds into the
@@ -485,14 +330,11 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     // rebuilt for every parse.
     ShardState::Text& fresh = state->texts.emplace_back();
     state->dict.Clear();
-    const uint64_t t0 = timed ? NowNs() : 0;
-    auto parsed =
-        sparql::ParseSparql(text, &state->dict, options_.parse_limits);
-    const uint64_t t1 = timed ? NowNs() : 0;
-    if (timed) {
-      local.Record(Stage::kParse, t1 - t0);
-      obs::EmitSpan("parse", t0, t1 - t0);
-    }
+    const uint64_t t0 = NowNs();
+    auto parsed = sparql::ParseSparql(text, &state->dict);
+    const uint64_t t1 = NowNs();
+    local.Record(Stage::kParse, t1 - t0);
+    obs::EmitSpan("parse", t0, t1 - t0);
     if (!parsed.ok()) {
       fresh.error = ClassifyStatus(parsed.status());
       local.parse_failures++;
@@ -501,28 +343,25 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     }
     core::StageTimings st;
     fresh.parse_ok = true;
-    fresh.verdict =
-        core::Classify(parsed.value(), options_.study, timed ? &st : nullptr);
+    fresh.verdict = core::Classify(parsed.value(), options_.study, &st);
     local.analyzed++;
     state->valid++;
     state->unique++;
-    const uint64_t t2 = timed ? NowNs() : 0;
+    const uint64_t t2 = NowNs();
     core::AddToAggregates(fresh.verdict.analysis, 1, &state->unique_agg);
-    if (timed) {
-      const uint64_t t3 = NowNs();
-      local.Record(Stage::kFeatures, st.feature_ns);
-      local.Record(Stage::kHypergraph, st.hypergraph_ns);
-      local.Record(Stage::kPaths, st.path_ns);
-      local.Record(Stage::kAggregate, t3 - t2);
-      // Classify runs its stages back-to-back starting right after the
-      // parse, so their spans chain from t1 using the durations it
-      // reported (start offsets are exact up to its internal overhead).
-      obs::EmitSpan("features", t1, st.feature_ns);
-      obs::EmitSpan("hypergraph", t1 + st.feature_ns, st.hypergraph_ns);
-      obs::EmitSpan("paths", t1 + st.feature_ns + st.hypergraph_ns,
-                    st.path_ns);
-      obs::EmitSpan("aggregate", t2, t3 - t2);
-    }
+    const uint64_t t3 = NowNs();
+    local.Record(Stage::kFeatures, st.feature_ns);
+    local.Record(Stage::kHypergraph, st.hypergraph_ns);
+    local.Record(Stage::kPaths, st.path_ns);
+    local.Record(Stage::kAggregate, t3 - t2);
+    // Classify runs its stages back-to-back starting right after the
+    // parse, so their spans chain from t1 using the durations it
+    // reported (start offsets are exact up to its internal overhead).
+    obs::EmitSpan("features", t1, st.feature_ns);
+    obs::EmitSpan("hypergraph", t1 + st.feature_ns, st.hypergraph_ns);
+    obs::EmitSpan("paths", t1 + st.feature_ns + st.hypergraph_ns,
+                  st.path_ns);
+    obs::EmitSpan("aggregate", t2, t3 - t2);
   }
 
   metrics_.Merge(local);

@@ -1,6 +1,7 @@
 #ifndef RWDT_ENGINE_ENGINE_H_
 #define RWDT_ENGINE_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -8,20 +9,13 @@
 #include <string_view>
 #include <vector>
 
-#include <atomic>
-
-#include "common/flat_interner.h"
 #include "common/status.h"
 #include "core/log_study.h"
 #include "engine/metrics.h"
 #include "engine/thread_pool.h"
 #include "loggen/sparql_gen.h"
-#include "obs/admin_server.h"
-#include "obs/proc_stats.h"
-#include "obs/profiler.h"
 #include "obs/progress.h"
 #include "obs/registry.h"
-#include "sparql/parser.h"
 
 namespace rwdt::engine {
 
@@ -35,63 +29,22 @@ struct EngineOptions {
   /// exact. 0 = one shard per thread.
   size_t num_shards = 0;
 
-  /// Record per-stage latency histograms (two steady_clock reads per
-  /// stage per analyzed query; disable for maximum throughput). Per-stage
-  /// trace spans (obs::TraceCollector) also piggyback on these readings,
-  /// so tracing a run requires this to stay on.
-  bool collect_stage_timings = true;
-
-  /// Embedded admin server (GET /metrics, /healthz, /readyz, /statusz,
-  /// /tracez). 0 (the default) = no server: no thread, no socket, and —
-  /// because the registry bridge is pull-only — zero added work on the
-  /// analysis hot path. 1-65535 = that TCP port; kAdminPortAuto = let
-  /// the kernel pick a free port (tests; read it back via
-  /// `admin_server()->port()`). Examples and benches populate this from
-  /// the RWDT_ADMIN_PORT environment variable.
-  uint32_t admin_port = 0;
-
-  /// Admin bind address. Defaults to loopback: the admin endpoints
-  /// expose engine internals and must be tunneled, not exposed.
-  std::string admin_bind = "127.0.0.1";
-
-  /// Sentinel for `admin_port`: bind an ephemeral kernel-assigned port.
-  static constexpr uint32_t kAdminPortAuto = 65536;
-
-  /// Live run reporting: while a stream is open (AnalyzeLog,
-  /// AnalyzeEntries, OpenStream..Finish), a background thread snapshots
-  /// Metrics every `progress.interval_ms` and logs a one-line summary;
+  /// Live run reporting for every stream (AnalyzeLog, AnalyzeEntries,
+  /// OpenStream..Finish, and so every ingest): while the stream is open
+  /// a background thread snapshots Metrics every `progress.interval_ms`
+  /// and logs a one-line summary labeled with the stream's source name;
   /// on Finish a JSON run report goes to `progress.report_path` if set.
   /// Disabled by default (interval 0, empty path).
   obs::ProgressOptions progress;
 
-  /// Self-profiling: when non-empty, the engine starts a sampling CPU
-  /// profile (obs::StartProfiling) at construction and writes
-  /// flamegraph.pl collapsed stacks to this path at destruction.
-  /// Profiling is process-global; if another capture is already running
-  /// the engine logs and continues unprofiled. Tools populate this from
-  /// the RWDT_PROFILE environment variable. Empty (default) = off: no
-  /// timer, no handler, zero overhead.
-  std::string profile_path;
-
-  /// Sampling frequency for `profile_path` captures, in Hz of process
-  /// CPU time. Must be in [1, 1000].
-  double profile_hz = 99;
-
-  /// Per-query analysis knobs, forwarded to core::AnalyzeQuery.
+  /// Per-query analysis knobs, forwarded to core::Classify.
   core::LogStudyOptions study;
 
-  /// Per-query resource guards, forwarded to sparql::ParseSparql.
-  /// Violations are classified as `ErrorClass::kResourceExhausted`.
-  sparql::ParseLimits parse_limits;
-
-  /// Rejects nonsensical configurations (zero parse limits, degenerate
-  /// shard/thread counts) before any work is scheduled. The ingest layer
-  /// calls this up front so misconfiguration fails fast, not mid-stream.
+  /// Rejects nonsensical configurations (degenerate shard/thread
+  /// counts, an hour-long progress interval) before any work is
+  /// scheduled. The ingest layer calls this up front so
+  /// misconfiguration fails fast, not mid-stream.
   Status Validate() const;
-
-  /// JSON object of the serving-relevant knobs — the "options" block of
-  /// the admin server's /statusz.
-  std::string ToJson() const;
 };
 
 class Engine;
@@ -174,7 +127,11 @@ class EngineStream {
 ///     2-10x) thus costs a hash lookup per duplicate. Nothing is kept
 ///     across streams: a second log on the same engine parses again.
 ///  3. **Observability.** Atomic counters and per-stage latency
-///     histograms, exported as a `MetricsSnapshot` (text or JSON).
+///     histograms, exported as a `MetricsSnapshot` (text or JSON) and
+///     bridged into the process-wide obs::MetricRegistry. The engine
+///     only analyzes: the tools that run it host the admin endpoints
+///     (obs::MaybeStartEnvAdmin) and the profiler
+///     (obs::MaybeStartEnvProfile).
 ///
 /// Thread-safe for metrics reads; `AnalyzeLog`/`AnalyzeEntries` must not
 /// be called concurrently on the same engine.
@@ -213,11 +170,6 @@ class Engine {
   /// Shard tasks queued or running on the pool (0 when single-threaded).
   size_t queue_depth() const;
 
-  /// The embedded admin server, or null when `admin_port == 0` or the
-  /// bind failed (failure is logged, never fatal — an engine must not
-  /// die because a port was taken).
-  obs::AdminServer* admin_server() const { return admin_.get(); }
-
  private:
   friend class EngineStream;
   struct ShardState;
@@ -225,7 +177,6 @@ class Engine {
                     ShardState* state);
   /// Stores the dedup-occupancy gauges of `shards`.
   void PublishOccupancy(const std::vector<ShardState>& shards);
-  void StartAdminServer();
 
   EngineOptions options_;
   unsigned threads_;
@@ -233,25 +184,13 @@ class Engine {
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
   Metrics metrics_;
 
-  uint64_t start_ns_ = 0;  // construction time, for /statusz uptime
   /// Occupancy of the open stream's dedup state, updated by FeedImpl
   /// (chunk granularity, off the per-query hot path) and by Finish, which
   /// leaves the finished stream's final values; read by Snapshot — the
   /// arena/interner gauges on /metrics.
   std::atomic<uint64_t> interner_bytes_{0};
   std::atomic<uint64_t> dedup_entries_{0};
-  /// /readyz: true once the constructor completes (the engine accepts
-  /// Feed), false again the moment destruction begins.
-  std::shared_ptr<std::atomic<bool>> ready_;
   obs::ScopedCollector registry_collector_;  // global-registry bridge
-  /// Process-footprint gauges (rwdt_proc_*) on /metrics while this
-  /// engine's admin server is up; inert if another collector (e.g. a
-  /// serve front end) already installed one.
-  std::unique_ptr<obs::ProcStatsCollector> proc_stats_;
-  std::unique_ptr<obs::AdminServer> admin_;
-  /// RWDT_PROFILE / EngineOptions::profile_path self-profile: started
-  /// at construction, collapsed stacks written at destruction.
-  std::unique_ptr<obs::ScopedSelfProfile> self_profile_;
 };
 
 }  // namespace rwdt::engine

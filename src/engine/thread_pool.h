@@ -38,7 +38,7 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// Tasks submitted but not yet finished (queued + running) — the
-  /// admin server's `rwdt_engine_queue_depth` gauge. Point-in-time by
+  /// `rwdt_engine_queue_depth` gauge on /metrics. Point-in-time by
   /// nature; taken under the queue mutex, off the worker hot path.
   size_t QueueDepth() const;
 

@@ -1,12 +1,9 @@
 #include "ingest/ingest.h"
 
 #include <array>
-#include <fstream>
 #include <istream>
-#include <memory>
 #include <optional>
 #include <span>
-#include <streambuf>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -16,45 +13,13 @@
 #include "common/swar.h"
 #include "ingest/block_reader.h"
 #include "ingest/line_scanner.h"
-#include "loggen/sparql_gen.h"
 #include "obs/log.h"
-#include "obs/progress.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "tree/xml.h"
 
 namespace rwdt::ingest {
 namespace {
-
-/// Reads one physical line from `buf` into *line, appending at most
-/// `max` bytes; the rest of an over-long line is consumed and dropped,
-/// so memory stays bounded no matter what the log contains. Returns
-/// false at end of input with nothing read. A trailing '\r' (CRLF logs)
-/// is stripped. `*bytes` counts every byte consumed, terminator
-/// included.
-///
-/// This is the kLegacy reader — the byte-at-a-time baseline the block
-/// pipeline is differentially tested (and benchmarked) against.
-bool ReadLine(std::streambuf* buf, size_t max, std::string* line,
-              bool* overflow, uint64_t* bytes) {
-  using Traits = std::streambuf::traits_type;
-  line->clear();
-  *overflow = false;
-  int ch = buf->sbumpc();
-  if (Traits::eq_int_type(ch, Traits::eof())) return false;
-  while (!Traits::eq_int_type(ch, Traits::eof()) && ch != '\n') {
-    ++*bytes;
-    if (line->size() < max) {
-      line->push_back(static_cast<char>(ch));
-    } else {
-      *overflow = true;
-    }
-    ch = buf->sbumpc();
-  }
-  if (ch == '\n') ++*bytes;
-  if (!line->empty() && line->back() == '\r') line->pop_back();
-  return true;
-}
 
 bool IsBlank(std::string_view s) {
   for (const char c : s) {
@@ -75,7 +40,7 @@ struct IngestInstruments {
   obs::Counter* blocks_mmap;
   obs::Counter* blocks_fallback;
   obs::Counter* carry_stitches;
-  std::array<obs::Counter*, 2> runs;  // indexed by ReaderKind
+  obs::Counter* runs;
   std::array<obs::Counter*, kNumErrorClasses> rejects;
 
   static const IngestInstruments& Get() {
@@ -102,12 +67,7 @@ struct IngestInstruments {
           "rwdt_ingest_carry_stitches",
           "Records straddling a block boundary, re-assembled in the carry "
           "arena.");
-      in->runs[static_cast<size_t>(ReaderKind::kBlock)] =
-          reg.GetCounter("rwdt_ingest_runs", "Ingest runs by reader kind.",
-                         {{"reader", "block"}});
-      in->runs[static_cast<size_t>(ReaderKind::kLegacy)] =
-          reg.GetCounter("rwdt_ingest_runs", "Ingest runs by reader kind.",
-                         {{"reader", "legacy"}});
+      in->runs = reg.GetCounter("rwdt_ingest_runs", "Ingest runs.");
       for (size_t c = 0; c < kNumErrorClasses; ++c) {
         in->rejects[c] = reg.GetCounter(
             "rwdt_ingest_rejects",
@@ -121,9 +81,7 @@ struct IngestInstruments {
 };
 
 /// One ingest run. Exactly one of `in` (stream input) or `path` (file
-/// input, eligible for mmap) is non-null. Both readers funnel every
-/// line through the same classification body, so the block pipeline
-/// cannot drift from the legacy semantics it replaces.
+/// input, eligible for mmap) is non-null.
 Result<IngestReport> Run(std::istream* in, const std::string* path,
                          engine::Engine* engine,
                          const IngestOptions& options) {
@@ -131,40 +89,37 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
 
   obs::Span ingest_span("ingest");
   IngestReport report;
-  report.reader = options.reader;
+  BlockReader::Options bopts;
+  bopts.block_bytes = options.block_bytes;
+  std::optional<BlockReader> reader;
+  if (path != nullptr) {
+    // The reader opens the file itself so regular files can be mapped;
+    // an unreadable path surfaces as kNotFound.
+    RWDT_ASSIGN_OR_RETURN(BlockReader opened,
+                          BlockReader::OpenFile(*path, bopts));
+    reader.emplace(std::move(opened));
+  } else {
+    reader.emplace(in, bopts);
+  }
   engine::EngineStream stream =
       engine->OpenStream(options.source_name, options.wikidata_like);
 
-  // Live reporting for this ingest: snapshots the engine (which may be
-  // caller-owned and warm) on a background thread. The final report is
-  // rendered in Stop(), after the last Feed.
-  std::unique_ptr<obs::ProgressReporter> reporter;
-  if (options.progress.enabled()) {
-    obs::ProgressOptions popts = options.progress;
-    if (popts.label == "run") popts.label = "ingest:" + options.source_name;
-    reporter = std::make_unique<obs::ProgressReporter>(
-        [engine] { return engine->Snapshot(); }, std::move(popts));
-  }
-
-  // The chunk holds borrowed views only. Block reader: views point into
-  // the mmapped file / block buffer, or into `chunk_arena` for the one
-  // record per block that straddles a boundary. Legacy reader: its line
-  // buffer is reused per line, so each line is copied into the arena.
-  // Either way the arena is reset once per flush — the per-entry
-  // allocation of the old std::string-per-line path, batched into one
-  // O(1) clear per chunk.
+  // The chunk holds borrowed views only: into the mapped file or the
+  // block buffer, or into `chunk_arena` for the one record per block
+  // that straddles a boundary. The arena is reset once per flush — the
+  // per-entry allocation of a std::string-per-line reader, batched into
+  // one O(1) clear per chunk.
   std::vector<std::string_view> chunk;
-  chunk.reserve(options.chunk_entries);
+  chunk.reserve(kChunkEntries);
   Arena chunk_arena;
+  LineScanner scanner(&*reader, options.max_line_bytes, &chunk_arena);
 
   const IngestInstruments& metrics = IngestInstruments::Get();
-  metrics.runs[static_cast<size_t>(options.reader)]->Increment();
+  metrics.runs->Increment();
 
   // Byte/block progress reaches /metrics at chunk granularity (delta at
   // each flush), not per line — one shared-counter touch per chunk.
   uint64_t bytes_reported = 0;
-  const BlockReader* active_reader = nullptr;
-  const LineScanner* active_scanner = nullptr;
   uint64_t blocks_reported = 0;
   uint64_t stitches_reported = 0;
   auto flush = [&] {
@@ -175,16 +130,13 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
     chunk_arena.Clear();
     metrics.bytes->Increment(report.bytes_read - bytes_reported);
     bytes_reported = report.bytes_read;
-    if (active_reader != nullptr) {
-      obs::Counter* blocks = active_reader->used_mmap()
-                                 ? metrics.blocks_mmap
-                                 : metrics.blocks_fallback;
-      blocks->Increment(active_reader->blocks_read() - blocks_reported);
-      blocks_reported = active_reader->blocks_read();
-      metrics.carry_stitches->Increment(active_scanner->carry_stitches() -
-                                        stitches_reported);
-      stitches_reported = active_scanner->carry_stitches();
-    }
+    obs::Counter* blocks =
+        reader->used_mmap() ? metrics.blocks_mmap : metrics.blocks_fallback;
+    blocks->Increment(reader->blocks_read() - blocks_reported);
+    blocks_reported = reader->blocks_read();
+    metrics.carry_stitches->Increment(scanner.carry_stitches() -
+                                      stitches_reported);
+    stitches_reported = scanner.carry_stitches();
   };
 
   // Every reader-level reject is a structured log event carrying the
@@ -200,88 +152,54 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
                     << " source=" << options.source_name;
   };
 
-  // The shared per-line body. `stable` says the view outlives the chunk
-  // (block pipeline); otherwise it is copied into the chunk arena.
-  auto process_line = [&](std::string_view line, bool overflow, bool stable) {
+  // An unstable (non-mmap) reader reuses its block buffer: the chunk's
+  // borrowed views must reach the engine before the buffer turns over.
+  // Mapped blocks are stable for the whole run, so the hook never fires
+  // and chunk size alone decides flush timing.
+  scanner.set_release_hook(flush);
+  LineScanner::Line rec;
+  while (scanner.Next(&rec, &report.bytes_read)) {
     report.lines_read++;
     metrics.lines->Increment();
-    if (options.skip_blank_lines && IsBlank(line)) {
+    if (IsBlank(rec.text)) {
       report.blank_lines++;
       metrics.blank_lines->Increment();
-      return;
+      continue;
     }
     // Oversize first: a truncated line's tab or encoding is meaningless.
-    if (overflow) {
+    if (rec.overflow) {
       reject(ErrorClass::kResourceExhausted, "read");
-      return;
+      continue;
     }
 
-    std::string_view query = line;
+    std::string_view query = rec.text;
     if (options.format == LogFormat::kTsv) {
-      const size_t tab = swar::FindByte(line, '\t');
+      const size_t tab = swar::FindByte(query, '\t');
       if (tab == std::string_view::npos) {
         // Structurally broken record; no source column to attribute.
         reject(ErrorClass::kParseError, "split");
-        return;
+        continue;
       }
-      report.per_source[std::string(line.substr(0, tab))]++;
-      query = line.substr(tab + 1);
+      report.per_source[std::string(query.substr(0, tab))]++;
+      query = query.substr(tab + 1);
     }
 
-    if (options.validate_utf8 && !tree::IsValidUtf8(query)) {
+    if (!tree::IsValidUtf8(query)) {
       reject(ErrorClass::kEncodingError, "utf8");
-      return;
+      continue;
     }
 
-    chunk.push_back(stable ? query : chunk_arena.Copy(query));
-    if (chunk.size() >= options.chunk_entries) flush();
-  };
-
-  if (options.reader == ReaderKind::kLegacy) {
-    std::streambuf* buf = in->rdbuf();
-    std::string line;
-    bool overflow = false;
-    while (ReadLine(buf, options.max_line_bytes, &line, &overflow,
-                    &report.bytes_read)) {
-      process_line(line, overflow, /*stable=*/false);
-    }
-  } else {
-    BlockReader::Options bopts;
-    bopts.block_bytes = options.block_bytes;
-    std::optional<BlockReader> reader;
-    if (path != nullptr) {
-      RWDT_ASSIGN_OR_RETURN(BlockReader opened,
-                            BlockReader::OpenFile(*path, bopts));
-      reader.emplace(std::move(opened));
-    } else {
-      reader.emplace(in, bopts);
-    }
-    LineScanner scanner(&*reader, options.max_line_bytes, &chunk_arena);
-    active_reader = &*reader;
-    active_scanner = &scanner;
-    // An unstable (non-mmap) reader reuses its block buffer: the chunk's
-    // borrowed views must reach the engine before the buffer turns over.
-    // mmap blocks are stable for the whole run, so the hook never fires
-    // and chunk size alone decides flush timing.
-    scanner.set_release_hook(flush);
-    LineScanner::Line rec;
-    while (scanner.Next(&rec, &report.bytes_read)) {
-      process_line(rec.text, rec.overflow, /*stable=*/true);
-    }
-    report.used_mmap = reader->used_mmap();
-    report.blocks_read = reader->blocks_read();
-    report.carry_stitches = scanner.carry_stitches();
-    flush();
-    active_reader = nullptr;
-    active_scanner = nullptr;
+    chunk.push_back(query);
+    if (chunk.size() >= kChunkEntries) flush();
   }
+  report.used_mmap = reader->used_mmap();
+  report.blocks_read = reader->blocks_read();
+  report.carry_stitches = scanner.carry_stitches();
   flush();
 
   report.study = stream.Finish();
-  if (reporter != nullptr) reporter->Stop();
   report.metrics = engine->Snapshot();
-  RWDT_LOG(INFO) << "ingest " << options.source_name << " ("
-                 << ReaderKindName(options.reader) << " reader): "
+  RWDT_LOG(INFO) << "ingest " << options.source_name << ": "
                  << report.lines_read << " lines, " << report.study.valid
                  << " valid, " << report.study.unique << " unique, "
                  << (report.study.total - report.study.valid)
@@ -291,14 +209,7 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
 
 }  // namespace
 
-const char* ReaderKindName(ReaderKind k) {
-  return k == ReaderKind::kBlock ? "block" : "legacy";
-}
-
 Status IngestOptions::Validate() const {
-  if (chunk_entries == 0) {
-    return Status::InvalidArgument("chunk_entries must be > 0");
-  }
   if (max_line_bytes == 0) {
     return Status::InvalidArgument("max_line_bytes must be > 0");
   }
@@ -306,7 +217,6 @@ Status IngestOptions::Validate() const {
     return Status::InvalidArgument("block_bytes must be > 0");
   }
   RWDT_RETURN_IF_ERROR(engine.Validate());
-  RWDT_RETURN_IF_ERROR(progress.Validate());
   return Status::Ok();
 }
 
@@ -329,7 +239,6 @@ std::string IngestReport::ToJson() const {
   w.UIntField("lines_read", lines_read);
   w.UIntField("blank_lines", blank_lines);
   w.UIntField("bytes_read", bytes_read);
-  w.StringField("reader", ReaderKindName(reader));
   w.BoolField("used_mmap", used_mmap);
   w.UIntField("blocks_read", blocks_read);
   w.UIntField("carry_stitches", carry_stitches);
@@ -360,16 +269,7 @@ Result<IngestReport> IngestFile(const std::string& path,
                                 const IngestOptions& options) {
   RWDT_RETURN_IF_ERROR(options.Validate());
   engine::Engine engine(options.engine);
-  if (options.reader == ReaderKind::kBlock) {
-    // The block reader opens the file itself so regular files can be
-    // mmapped; existence errors surface as kNotFound exactly as before.
-    return Run(nullptr, &path, &engine, options);
-  }
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) {
-    return Status::NotFound("cannot open log file: " + path);
-  }
-  return Run(&file, nullptr, &engine, options);
+  return Run(nullptr, &path, &engine, options);
 }
 
 }  // namespace rwdt::ingest

@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "core/log_study.h"
 #include "engine/engine.h"
-#include "obs/progress.h"
 
 namespace rwdt::ingest {
 
@@ -23,63 +22,35 @@ enum class LogFormat {
   kTsv,
 };
 
-/// Which reader implementation drives the ingest loop.
-enum class ReaderKind {
-  /// Zero-copy block pipeline (the default): BlockReader (mmap for
-  /// regular files, buffered read otherwise) + SWAR LineScanner, query
-  /// text flowing borrower-owned into the engine.
-  kBlock,
-  /// The historical istream/ReadLine/std::string-per-line reader. Kept
-  /// as the differential-testing baseline and for A/B benchmarking;
-  /// produces bit-identical reports by contract.
-  kLegacy,
-};
-
-const char* ReaderKindName(ReaderKind k);
+/// Entries buffered per EngineStream::Feed call — the memory bound. Peak
+/// resident query text is roughly kChunkEntries * mean line length,
+/// independent of the log size.
+inline constexpr size_t kChunkEntries = 4096;
 
 struct IngestOptions {
   LogFormat format = LogFormat::kPlain;
 
-  /// Reader implementation. Results never depend on this; speed does.
-  ReaderKind reader = ReaderKind::kBlock;
-
-  /// Block granularity of the kBlock reader. Tests shrink it to a few
-  /// bytes to sweep records across every block-boundary alignment.
+  /// Block granularity of the reader. Settable for one reason:
+  /// ingest_test shrinks it to a few bytes to put a block boundary at
+  /// every alignment of a record, a CRLF pair and a UTF-8 sequence.
   size_t block_bytes = size_t{1} << 20;
 
-  /// Entries buffered per EngineStream::Feed call — the memory bound.
-  /// Peak resident query text is roughly chunk_entries * mean line
-  /// length, independent of the log size.
-  size_t chunk_entries = 4096;
-
   /// Lines longer than this are rejected as kResourceExhausted without
-  /// buffering the full line.
+  /// buffering the full line. Settable for one reason: ingest_test
+  /// shrinks it below the block size to reach an overflow that straddles
+  /// two blocks.
   size_t max_line_bytes = 1 << 20;  // 1 MiB
-
-  /// Lines that are not valid UTF-8 are rejected as kEncodingError
-  /// before they reach the parser.
-  bool validate_utf8 = true;
-
-  /// Skip lines that are empty (or whitespace-only) instead of feeding
-  /// them to the parser. They are not counted at all.
-  bool skip_blank_lines = true;
-
-  /// Engine configuration: threads, shards, parse limits.
-  engine::EngineOptions engine;
-
-  /// Live run reporting for this ingest (independent of
-  /// `engine.progress`, which covers engine-level streams): a background
-  /// thread logs entries/sec, analyzed and reject counts every
-  /// `interval_ms`, and `report_path` receives the final JSON run
-  /// report. Disabled by default.
-  obs::ProgressOptions progress;
 
   /// Name recorded on the resulting SourceStudy.
   std::string source_name = "ingest";
   bool wikidata_like = false;
 
-  /// Rejects nonsensical configurations (zero chunk size, zero line
-  /// budget, invalid engine options).
+  /// Engine configuration: threads, shards, live progress reporting
+  /// (`engine.progress` reports this ingest, labeled `source_name`).
+  engine::EngineOptions engine;
+
+  /// Rejects nonsensical configurations (zero block or line budget,
+  /// invalid engine options).
   Status Validate() const;
 };
 
@@ -98,12 +69,10 @@ struct IngestReport {
   /// kTsv only: entry count per source column value.
   std::map<std::string, uint64_t> per_source;
 
-  /// Reader provenance: which implementation ran and, for kBlock, how
-  /// the bytes were acquired and stitched. Zero/false for kLegacy.
-  ReaderKind reader = ReaderKind::kLegacy;
-  bool used_mmap = false;       // kBlock: file was mapped, not read(2)
-  uint64_t blocks_read = 0;     // kBlock: blocks handed out
-  uint64_t carry_stitches = 0;  // kBlock: records straddling a boundary
+  /// Reader provenance: how the bytes were acquired and stitched.
+  bool used_mmap = false;       // the file was mapped, not read(2)
+  uint64_t blocks_read = 0;     // blocks handed out
+  uint64_t carry_stitches = 0;  // records straddling a block boundary
 
   /// Single JSON object: study counts (total/valid/unique + per-class
   /// errors), reader counters, per-source counts (keys escaped — source
@@ -114,13 +83,18 @@ struct IngestReport {
 
 /// Streams a raw query log through the engine in bounded-memory chunks.
 ///
-/// The reader never materializes the log: it buffers at most
-/// `chunk_entries` lines (each capped at `max_line_bytes`) before
-/// handing them to the engine and releasing them. Malformed lines are
+/// The one reader is a zero-copy block pipeline: BlockReader (mmap for
+/// regular files, buffered read(2) otherwise) and the SWAR LineScanner,
+/// with query text flowing borrowed into the engine. It never
+/// materializes the log: it buffers at most kChunkEntries lines (each
+/// capped at `max_line_bytes`) before handing them to the engine and
+/// releasing them. Blank (empty or whitespace-only) lines are skipped
+/// and not counted; lines that are not valid UTF-8 are rejected as
+/// kEncodingError before they reach the parser. Malformed lines are
 /// classified into the error taxonomy and counted — a corrupt log
 /// streams end-to-end without aborting, and the valid subset's
 /// aggregates are bit-identical to analyzing only the surviving queries,
-/// for any thread count and any chunk size.
+/// for any thread count and any chunk boundary.
 Result<IngestReport> IngestStream(std::istream& in,
                                   const IngestOptions& options = {});
 
@@ -129,7 +103,8 @@ Result<IngestReport> IngestStream(std::istream& in,
 Result<IngestReport> IngestStream(std::istream& in, engine::Engine* engine,
                                   const IngestOptions& options);
 
-/// Opens `path` and ingests it. Fails with kNotFound if unreadable.
+/// Opens `path` (mapped when it is a regular file) and ingests it.
+/// Fails with kNotFound if unreadable.
 Result<IngestReport> IngestFile(const std::string& path,
                                 const IngestOptions& options = {});
 

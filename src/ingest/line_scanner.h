@@ -15,8 +15,9 @@ namespace rwdt::ingest {
 /// Splits a BlockReader's blocks into terminator-free line records
 /// without materializing a std::string per line.
 ///
-/// Behavioral contract — byte-for-byte identical to the legacy
-/// `istream`/ReadLine reader, proven by the differential tests:
+/// Behavioral contract — byte-for-byte identical to a plain
+/// std::getline splitter, proven by ingest_test's differential tests
+/// against the reference splitter kept in that test:
 ///
 ///   * Records are separated by '\n'; one trailing '\r' is stripped
 ///     from the kept bytes (CRLF logs), and a final record without a

@@ -1,11 +1,110 @@
 #include "obs/admin_server.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 
+#include "common/build_info.h"
+#include "common/json.h"
 #include "obs/log.h"
+#include "obs/profiler.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace rwdt::obs {
+namespace {
+
+constexpr const char* kJsonType = "application/json; charset=utf-8";
+
+/// The /tracez cap on rendered events when ?limit= is absent: an
+/// 8192-event ring per thread times a worker pool renders megabytes
+/// otherwise.
+constexpr size_t kDefaultTraceLimit = 5000;
+
+/// ?limit= of /tracez: absent keeps `*limit`; otherwise the whole value
+/// must be a decimal count ("0" = all). False for anything else ("abc",
+/// "-1", "5x"), which /tracez answers with 400 rather than reading it as
+/// "no cap".
+bool ParseTraceLimit(const std::string& param, size_t* limit) {
+  if (param.empty()) return true;
+  const char* end = param.data() + param.size();
+  const auto [ptr, ec] = std::from_chars(param.data(), end, *limit);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+std::vector<AdminRoute> AdminRoutes(AdminHooks hooks) {
+  std::vector<AdminRoute> routes;
+  routes.push_back(
+      {"/metrics", "OpenMetrics exposition of every registry family",
+       [](const HttpRequest&) {
+         HttpResponse resp;
+         resp.content_type =
+             "application/openmetrics-text; version=1.0.0; charset=utf-8";
+         resp.body = MetricRegistry::Global().RenderOpenMetrics();
+         return resp;
+       }});
+  routes.push_back({"/healthz", "liveness: 200 while the process runs",
+                    [](const HttpRequest&) {
+                      HttpResponse resp;
+                      resp.body = "ok\n";
+                      return resp;
+                    }});
+  routes.push_back(
+      {"/readyz", "readiness: 200 while accepting work, 503 once draining",
+       [ready = std::move(hooks.ready)](const HttpRequest&) {
+         HttpResponse resp;
+         if (ready == nullptr || ready()) {
+           resp.body = "ready\n";
+         } else {
+           resp.status = 503;
+           resp.body = "draining\n";
+         }
+         return resp;
+       }});
+  routes.push_back({"/statusz", "JSON status snapshot",
+                    [statusz = std::move(hooks.statusz)](const HttpRequest&) {
+                      HttpResponse resp;
+                      resp.content_type = kJsonType;
+                      resp.body = statusz != nullptr ? statusz() : "{}";
+                      return resp;
+                    }});
+  routes.push_back(
+      {"/tracez",
+       "drains the active TraceCollector as Chrome trace JSON; ?limit=N "
+       "caps rendered events (default 5000, 0 = all)",
+       [](const HttpRequest& request) {
+         HttpResponse resp;
+         // A trace drain is a point-in-time snapshot; caching one would
+         // hide every later scrape.
+         resp.extra_headers.push_back({"Cache-Control", "no-store"});
+         size_t limit = kDefaultTraceLimit;
+         if (!ParseTraceLimit(serve::QueryParam(request.query, "limit"),
+                              &limit)) {
+           resp.status = 400;
+           resp.body = "bad limit parameter (want a decimal count)\n";
+           return resp;
+         }
+         std::string json;
+         if (DrainActiveTraceJson(&json, limit)) {
+           resp.content_type = kJsonType;
+           resp.body = std::move(json);
+         } else {
+           resp.status = 503;
+           resp.body =
+               "no active trace collector (set RWDT_TRACE or install one)\n";
+         }
+         return resp;
+       }});
+  routes.push_back({"/profilez",
+                    "timed sampling CPU profile; ?seconds=N&hz=F"
+                    "&format=collapsed|json (blocks for the capture)",
+                    [](const HttpRequest& request) {
+                      return HandleProfilez(request);
+                    }});
+  return routes;
+}
 
 AdminServer::AdminServer(Options options) : options_(std::move(options)) {}
 
@@ -41,11 +140,13 @@ Status AdminServer::Start() {
 
   RWDT_RETURN_IF_ERROR(http->Start());
   http_ = std::move(http);
+  proc_stats_ = std::make_unique<ProcStatsCollector>();
   return Status::Ok();
 }
 
 void AdminServer::Stop() {
   if (http_ != nullptr) http_->Stop();
+  proc_stats_.reset();
 }
 
 uint16_t AdminServer::port() const {
@@ -85,6 +186,43 @@ uint32_t AdminPortFromEnv(uint32_t fallback) {
     return 0;
   }
   return static_cast<uint32_t>(v);
+}
+
+std::unique_ptr<AdminServer> StartEngineAdmin(
+    uint16_t port, std::function<engine::MetricsSnapshot()> snapshot) {
+  AdminServer::Options options;
+  options.port = port;
+  auto server = std::make_unique<AdminServer>(options);
+  AdminHooks hooks;
+  hooks.statusz = [snapshot = std::move(snapshot), start_ns = TraceNowNs()] {
+    std::string out;
+    JsonWriter w(&out);
+    w.BeginObject();
+    w.RawField("build", common::BuildInfo::Get().ToJson());
+    w.DoubleField("uptime_seconds", (TraceNowNs() - start_ns) / 1e9);
+    w.RawField("metrics", snapshot().ToJson());
+    w.EndObject();
+    return out;
+  };
+  for (AdminRoute& route : AdminRoutes(std::move(hooks))) {
+    server->Handle(std::move(route.path), std::move(route.help),
+                   std::move(route.handler));
+  }
+  const Status started = server->Start();
+  if (!started.ok()) {
+    RWDT_LOG(ERROR) << "admin server disabled: " << started.ToString();
+    return nullptr;
+  }
+  RWDT_LOG(INFO) << "admin server listening on " << options.bind_address
+                 << ":" << server->port();
+  return server;
+}
+
+std::unique_ptr<AdminServer> MaybeStartEnvAdmin(
+    std::function<engine::MetricsSnapshot()> snapshot) {
+  const uint32_t port = AdminPortFromEnv();
+  if (port == 0) return nullptr;
+  return StartEngineAdmin(static_cast<uint16_t>(port), std::move(snapshot));
 }
 
 }  // namespace rwdt::obs

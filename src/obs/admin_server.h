@@ -2,12 +2,16 @@
 #define RWDT_OBS_ADMIN_SERVER_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
+#include "engine/metrics.h"
+#include "obs/proc_stats.h"
 #include "serve/http_server.h"
 
 namespace rwdt::obs {
@@ -18,10 +22,36 @@ namespace rwdt::obs {
 using HttpRequest = serve::HttpRequest;
 using HttpResponse = serve::HttpResponse;
 
+/// What the shared admin routes read from the process that hosts them.
+struct AdminHooks {
+  /// /readyz: 200 "ready" while this returns true, 503 "draining" once
+  /// it returns false. Null = always ready.
+  std::function<bool()> ready;
+  /// /statusz: the JSON body.
+  std::function<std::string()> statusz;
+};
+
+/// One GET route: its path, its line on the "/" index page, its handler.
+struct AdminRoute {
+  std::string path;
+  std::string help;
+  serve::HttpServer::Handler handler;
+};
+
+/// The admin routes, each implemented once, here: /metrics (every
+/// registry family as OpenMetrics), /healthz, /readyz and /statusz (from
+/// `hooks`), /tracez (the active TraceCollector as Chrome trace JSON;
+/// ?limit=N caps the events rendered, default 5000, 0 = all, 400 when N
+/// is not a decimal number) and /profilez (HandleProfilez). rwdt_serve
+/// registers them on its front end; tools that run engines host them on
+/// an AdminServer (StartEngineAdmin).
+std::vector<AdminRoute> AdminRoutes(AdminHooks hooks);
+
 /// In-process admin endpoints (/metrics, /healthz, ...) on top of
 /// serve::HttpServer. GET-only, one response per connection
 /// (Connection: close), bound to loopback by default — admin endpoints
-/// expose internals and must not face the open network.
+/// expose internals and must not face the open network. While it runs,
+/// /metrics also carries the process footprint (rwdt_proc_*).
 ///
 /// Lifecycle: construct, register routes with Handle(), Start(), and
 /// eventually Stop() (or destroy). Stop is graceful: queued and
@@ -83,12 +113,31 @@ class AdminServer {
   Options options_;
   std::map<std::string, std::pair<std::string, Handler>> routes_;
   std::unique_ptr<serve::HttpServer> http_;
+  /// rwdt_proc_* gauges while the server runs (inert if another
+  /// subsystem, e.g. a serve front end, installed them first).
+  std::unique_ptr<ProcStatsCollector> proc_stats_;
 };
 
 /// Parses the RWDT_ADMIN_PORT environment variable: unset, empty, or
 /// "0" yield `fallback` (admin off). Values above 65535 are clamped to
 /// 0 with a warning.
 uint32_t AdminPortFromEnv(uint32_t fallback = 0);
+
+/// The admin host of a tool that runs engines: an AdminServer on
+/// loopback `port` (0 = kernel-assigned) serving AdminRoutes, always
+/// ready, whose /statusz renders build info, uptime and `snapshot()`.
+/// Returns null when the bind fails — logged, never fatal: a tool must
+/// not die because a port was taken. `snapshot` must stay callable until
+/// the server is destroyed, so the server is destroyed before the engine
+/// it reads.
+std::unique_ptr<AdminServer> StartEngineAdmin(
+    uint16_t port, std::function<engine::MetricsSnapshot()> snapshot);
+
+/// The env-driven admin hook every engine tool shares, next to
+/// MaybeStartEnvProfile: StartEngineAdmin on RWDT_ADMIN_PORT when it
+/// names a port; null (no thread, no socket) otherwise.
+std::unique_ptr<AdminServer> MaybeStartEnvAdmin(
+    std::function<engine::MetricsSnapshot()> snapshot);
 
 }  // namespace rwdt::obs
 

@@ -12,9 +12,12 @@
 //                  registry family snapshots.
 //   * engine_bridge.h — pull-model adapter from engine::MetricsSnapshot
 //                  into registry families (rwdt_engine_*).
-//   * admin_server.h — embedded blocking HTTP/1.1 admin server serving
-//                  /metrics, /healthz, /readyz, /statusz, /tracez,
-//                  /profilez.
+//   * admin_server.h — the admin routes, each implemented once
+//                  (/metrics, /healthz, /readyz, /statusz, /tracez,
+//                  /profilez; AdminRoutes), and the blocking HTTP/1.1
+//                  AdminServer a tool hosts them on (MaybeStartEnvAdmin,
+//                  keyed off RWDT_ADMIN_PORT). rwdt_serve mounts the
+//                  same routes on its own front end.
 //   * profiler.h — SIGPROF sampling CPU profiler (per-thread lock-free
 //                  sample rings, off-signal-path symbolization) with
 //                  collapsed-stack / JSON export and an off-CPU

@@ -8,6 +8,7 @@
 
 #include "common/flat_interner.h"
 #include "common/interner.h"
+#include "common/max_depth.h"
 #include "common/status.h"
 
 namespace rwdt::paths {
@@ -82,10 +83,6 @@ class Path {
   std::vector<std::pair<SymbolId, bool>> negated_;
   size_t height_ = 0;
 };
-
-/// The nesting budget ParsePath applies by default, and the one
-/// sparql::ParseSparql applies to a whole query.
-inline constexpr size_t kDefaultMaxDepth = 256;
 
 /// Parses SPARQL property path syntax over IRIs written either as
 /// prefixed names (wdt:P31), <angle-bracket> IRIs, or bare identifiers.

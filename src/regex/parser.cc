@@ -3,6 +3,8 @@
 #include <cctype>
 #include <string>
 
+#include "common/max_depth.h"
+
 namespace rwdt::regex {
 namespace {
 
@@ -72,6 +74,8 @@ class Parser {
 
   Result<RegexPtr> ParsePostfix() {
     RWDT_ASSIGN_OR_RETURN(RegexPtr e, ParseAtom());
+    // Each postfix operator wraps the atom in one more AST level.
+    size_t levels = depth_;
     for (;;) {
       // Postfix operators bind to the immediately preceding atom; no
       // whitespace skipping here so "a *" is concat(a, error) rather than
@@ -80,16 +84,15 @@ class Parser {
       const char c = input_[pos_];
       if (c == '*') {
         e = Regex::Star(e);
-        ++pos_;
       } else if (c == '+') {
         e = Regex::Plus(e);
-        ++pos_;
       } else if (c == '?') {
         e = Regex::Optional(e);
-        ++pos_;
       } else {
         break;
       }
+      ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++levels));
     }
     return e;
   }
@@ -98,12 +101,14 @@ class Parser {
     const char c = Peek();
     if (c == '(') {
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(RegexPtr inner, ParseUnion());
       if (Peek() != ')') {
         return Status::ParseError("expected ')' at offset " +
                                   std::to_string(pos_));
       }
       ++pos_;
+      --depth_;
       return inner;
     }
     if (c == '<') {
@@ -139,9 +144,21 @@ class Parser {
                               "' at offset " + std::to_string(pos_));
   }
 
+  /// kResourceExhausted once `levels` exceeds the depth bound that
+  /// every parser in the tree applies.
+  Status CheckDepth(size_t levels) const {
+    if (levels <= kDefaultMaxDepth) return Status::Ok();
+    return Status::ResourceExhausted(
+        "expression nests deeper than " + std::to_string(kDefaultMaxDepth) +
+        " levels at offset " + std::to_string(pos_));
+  }
+
   std::string_view input_;
   Interner* dict_;
   size_t pos_ = 0;
+  /// Open groups. An error ends the parse, so only a closed group gives
+  /// its level back.
+  size_t depth_ = 0;
 };
 
 }  // namespace

@@ -22,7 +22,8 @@ namespace rwdt::regex {
 /// Symbols are either single characters from [A-Za-z0-9_#$@] or quoted
 /// multi-character names 'like:this'. Symbol names are interned into
 /// `dict`, which the caller owns (so several expressions can share one
-/// alphabet).
+/// alphabet). Groups and postfix operators nesting deeper than
+/// kDefaultMaxDepth levels are refused with kResourceExhausted.
 Result<RegexPtr> ParseRegex(std::string_view input, Interner* dict);
 
 }  // namespace rwdt::regex

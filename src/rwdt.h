@@ -16,7 +16,10 @@
 //   * Observability is opt-in and zero-cost when idle: install an
 //     obs::TraceCollector for a Perfetto-loadable per-worker timeline,
 //     use RWDT_LOG for leveled structured logging, and set
-//     EngineOptions/IngestOptions::progress for live run reporting.
+//     EngineOptions::progress (also IngestOptions::engine.progress) for
+//     live run reporting. The engine only analyzes; a process that runs
+//     it hosts the admin endpoints (obs::MaybeStartEnvAdmin) and the
+//     profiler (obs::MaybeStartEnvProfile) itself.
 #ifndef RWDT_RWDT_H_
 #define RWDT_RWDT_H_
 
@@ -30,7 +33,8 @@
 #include "common/status.h"
 #include "common/table.h"
 
-// Observability: tracing, structured logging, live run reporting.
+// Observability: tracing, structured logging, live run reporting, the
+// metric registry, the shared admin routes and the profiler.
 #include "obs/obs.h"
 
 // Parsers and per-formalism analyses.

@@ -5,6 +5,7 @@
 #include <deque>
 #include <functional>
 
+#include "common/max_depth.h"
 #include "regex/glushkov.h"
 
 namespace rwdt::schema {
@@ -243,20 +244,21 @@ class ContentParser {
 
   Result<regex::RegexPtr> ParsePostfix() {
     RWDT_ASSIGN_OR_RETURN(regex::RegexPtr e, ParseAtom());
+    // Each postfix modifier wraps the atom in one more AST level.
+    size_t levels = depth_;
     for (;;) {
       const char c = pos_ < input_.size() ? input_[pos_] : '\0';
       if (c == '*') {
         e = regex::Regex::Star(e);
-        ++pos_;
       } else if (c == '+') {
         e = regex::Regex::Plus(e);
-        ++pos_;
       } else if (c == '?') {
         e = regex::Regex::Optional(e);
-        ++pos_;
       } else {
         break;
       }
+      ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++levels));
     }
     return e;
   }
@@ -265,9 +267,11 @@ class ContentParser {
     const char c = Peek();
     if (c == '(') {
       ++pos_;
+      RWDT_RETURN_IF_ERROR(CheckDepth(++depth_));
       RWDT_ASSIGN_OR_RETURN(regex::RegexPtr inner, ParseUnion());
       if (Peek() != ')') return Status::ParseError("expected ')'");
       ++pos_;
+      --depth_;
       return inner;
     }
     if (c == '#') {
@@ -291,9 +295,21 @@ class ContentParser {
                               "' in content model");
   }
 
+  /// kResourceExhausted once `levels` exceeds the depth bound that
+  /// every parser in the tree applies.
+  Status CheckDepth(size_t levels) const {
+    if (levels <= kDefaultMaxDepth) return Status::Ok();
+    return Status::ResourceExhausted(
+        "content model nests deeper than " +
+        std::to_string(kDefaultMaxDepth) + " levels");
+  }
+
   std::string_view input_;
   Interner* dict_;
   size_t pos_ = 0;
+  /// Open groups. An error ends the parse, so only a closed group gives
+  /// its level back.
+  size_t depth_ = 0;
 };
 
 }  // namespace

@@ -102,7 +102,9 @@ class StreamingDtdValidator {
 ///   <!ELEMENT extra ANY>
 /// Operators: ',' concatenation, '|' union, postfix '*' '+' '?'. Mixed
 /// content (#PCDATA|a|b)* is modeled as (a|b)*. The first declared
-/// element becomes the start label.
+/// element becomes the start label. A content model whose groups and
+/// postfix modifiers nest deeper than kDefaultMaxDepth levels is refused
+/// with kResourceExhausted.
 Result<Dtd> ParseDtd(std::string_view input, Interner* dict);
 
 /// Renders the DTD back to <!ELEMENT ...> syntax.

@@ -10,6 +10,7 @@
 #include "exec/planner.h"
 #include "graph/rdf.h"
 #include "ingest/ingest.h"
+#include "obs/admin_server.h"
 #include "obs/log.h"
 #include "sparql/parser.h"
 
@@ -17,8 +18,6 @@ namespace rwdt::serve {
 namespace {
 
 constexpr const char* kJsonType = "application/json; charset=utf-8";
-constexpr const char* kOpenMetricsType =
-    "application/openmetrics-text; version=1.0.0; charset=utf-8";
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -118,9 +117,7 @@ Status ServeOptions::Validate() const {
   if (enable_slow_log && slow_log.capacity == 0) {
     return Status::InvalidArgument("slow_log.capacity must be > 0");
   }
-  engine::EngineOptions e = engine;
-  e.threads = 1;
-  return e.Validate();
+  return Status::Ok();
 }
 
 ClassifyServer::ClassifyServer(ServeOptions options)
@@ -153,17 +150,9 @@ Status ClassifyServer::Start() {
                   ? std::make_unique<SlowQueryLog>(options_.slow_log)
                   : nullptr;
 
-  // Per-worker engines: single-threaded, no embedded admin server (the
-  // serving front end owns /metrics), no per-run progress reporting.
-  engine::EngineOptions eopts = options_.engine;
+  // Per-worker engines: single-threaded, default options.
+  engine::EngineOptions eopts;
   eopts.threads = 1;
-  eopts.num_shards = 1;
-  eopts.admin_port = 0;
-  eopts.progress = {};
-  // Profiling is process-global; N workers racing to start N captures
-  // (and overwrite one file) would be nonsense. /profilez profiles the
-  // whole serving process instead.
-  eopts.profile_path.clear();
   for (unsigned i = 0; i < options_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
     worker->engine = std::make_unique<engine::Engine>(eopts);
@@ -188,44 +177,21 @@ Status ClassifyServer::Start() {
   http_->Handle("POST", "/v1/log", [this](const HttpRequest& r) {
     return HandleIngest(r, /*full_report=*/true);
   });
-  http_->Handle("GET", "/healthz", [this](const HttpRequest&) {
-    HttpResponse resp;
-    resp.body = "ok\n";
-    CountRequest("/healthz", resp.status);
-    return resp;
-  });
-  http_->Handle("GET", "/readyz", [this](const HttpRequest&) {
-    HttpResponse resp;
-    if (draining()) {
-      resp.status = 503;
-      resp.body = "draining\n";
-    } else {
-      resp.body = "ready\n";
-    }
-    CountRequest("/readyz", resp.status);
-    return resp;
-  });
-  http_->Handle("GET", "/metrics", [this](const HttpRequest&) {
-    HttpResponse resp;
-    resp.content_type = kOpenMetricsType;
-    resp.body = obs::MetricRegistry::Global().RenderOpenMetrics();
-    CountRequest("/metrics", resp.status);
-    return resp;
-  });
-  http_->Handle("GET", "/statusz", [this](const HttpRequest& r) {
-    return HandleStatusz(r);
-  });
   http_->Handle("GET", "/slowz", [this](const HttpRequest& r) {
     return HandleSlowz(r);
   });
-  http_->Handle("GET", "/tracez", [this](const HttpRequest& r) {
-    return HandleTracez(r);
-  });
-  http_->Handle("GET", "/profilez", [this](const HttpRequest& r) {
-    HttpResponse resp = obs::HandleProfilez(r);
-    CountRequest("/profilez", resp.status);
-    return resp;
-  });
+  obs::AdminHooks hooks;
+  hooks.ready = [this] { return !draining(); };
+  hooks.statusz = [this] { return StatuszJson(); };
+  for (obs::AdminRoute& route : obs::AdminRoutes(std::move(hooks))) {
+    http_->Handle("GET", route.path,
+                  [this, path = route.path,
+                   handler = std::move(route.handler)](const HttpRequest& r) {
+                    HttpResponse resp = handler(r);
+                    CountRequest(path.c_str(), resp.status);
+                    return resp;
+                  });
+  }
 
   const Status status = http_->Start();
   if (!status.ok()) {
@@ -386,7 +352,7 @@ HttpResponse ClassifyServer::HandleIngest(const HttpRequest& request,
   return Submit(std::move(job), tenant, route);
 }
 
-HttpResponse ClassifyServer::HandleStatusz(const HttpRequest&) {
+std::string ClassifyServer::StatuszJson() const {
   size_t depth = 0;
   bool drain = false;
   {
@@ -428,11 +394,7 @@ HttpResponse ClassifyServer::HandleStatusz(const HttpRequest&) {
     w.EndObject();
   }
   w.EndObject();
-  HttpResponse resp;
-  resp.content_type = kJsonType;
-  resp.body = std::move(out);
-  CountRequest("/statusz", resp.status);
-  return resp;
+  return out;
 }
 
 HttpResponse ClassifyServer::HandleSlowz(const HttpRequest&) {
@@ -448,26 +410,6 @@ HttpResponse ClassifyServer::HandleSlowz(const HttpRequest&) {
     resp.body = slow_log_->ToJson();
   }
   CountRequest("/slowz", resp.status);
-  return resp;
-}
-
-HttpResponse ClassifyServer::HandleTracez(const HttpRequest& request) {
-  HttpResponse resp;
-  resp.extra_headers.push_back({"Cache-Control", "no-store"});
-  // Default cap: 5000 events per scrape. An 8192-event ring per thread
-  // times a worker pool renders multi-MB otherwise; limit=0 means all.
-  size_t limit = 5000;
-  const std::string param = QueryParam(request.query, "limit");
-  if (!param.empty()) limit = std::strtoull(param.c_str(), nullptr, 10);
-  std::string json;
-  if (obs::DrainActiveTraceJson(&json, limit)) {
-    resp.content_type = kJsonType;
-    resp.body = std::move(json);
-  } else {
-    resp.status = 503;
-    resp.body = "no active trace collector\n";
-  }
-  CountRequest("/tracez", resp.status);
   return resp;
 }
 
@@ -661,8 +603,7 @@ void ClassifyServer::MaybeRecordSlow(const Job& job, double queue_wait_s,
 
 std::string ClassifyServer::ExplainPlanJson(const std::string& text) const {
   Interner dict;
-  const Result<sparql::Query> query =
-      sparql::ParseSparql(text, &dict, options_.engine.parse_limits);
+  const Result<sparql::Query> query = sparql::ParseSparql(text, &dict);
   if (!query.ok()) return "";
   // Planned against an empty store: strategy dispatch depends only on
   // the classifier verdict (fragment, acyclicity, htw, shape), so the
@@ -670,9 +611,7 @@ std::string ClassifyServer::ExplainPlanJson(const std::string& text) const {
   // this text; only the cardinality-based join order would differ on
   // real data.
   const graph::TripleStore store;
-  exec::ExecOptions xopts;
-  xopts.study = options_.engine.study;
-  const exec::Executor executor(store, &dict, xopts);
+  const exec::Executor executor(store, &dict);
   const Result<exec::Plan> plan = executor.MakePlan(query.value());
   if (!plan.ok()) return "";
   return plan.value().ToJson();
@@ -682,8 +621,8 @@ void ClassifyServer::ProcessJob(Worker* worker, Job* job) {
   switch (job->kind) {
     case Job::Kind::kClassify: {
       Result<std::string> verdict =
-          ClassifyToJson(job->body, job->lang, options_.engine.study,
-                         options_.engine.parse_limits);
+          ClassifyToJson(job->body, job->lang, core::LogStudyOptions{},
+                         sparql::ParseLimits{});
       job->response.content_type = kJsonType;
       if (verdict.ok()) {
         job->response.body = std::move(verdict).value();

@@ -35,9 +35,11 @@ struct ServeOptions {
   size_t queue_capacity = 256;
 
   /// Batch workers draining the queue. Each owns a private
-  /// single-threaded engine::Engine (it dedups within a request, not
-  /// across requests; EngineStream's one-stream-per-engine rule holds
-  /// because a worker processes jobs serially).
+  /// single-threaded engine::Engine with default options (it dedups
+  /// within a request, not across requests; EngineStream's
+  /// one-stream-per-engine rule holds because a worker processes jobs
+  /// serially). Classification uses the default core::LogStudyOptions
+  /// and sparql::ParseLimits.
   unsigned workers = 2;
 
   /// Micro-batch: a worker pops up to this many queued jobs per wakeup,
@@ -72,11 +74,6 @@ struct ServeOptions {
   bool enable_slow_log = true;
   SlowLogOptions slow_log;
 
-  /// Per-worker engine configuration. `threads` is forced to 1 and the
-  /// embedded admin server is forced off — the serving process exposes
-  /// one /metrics on its own front end instead of one per worker.
-  engine::EngineOptions engine;
-
   /// Test-only: artificial delay per processed job, to make overload
   /// (429) and drain tests deterministic. Keep 0 in production.
   uint32_t debug_worker_delay_ms = 0;
@@ -98,18 +95,22 @@ struct ServeOptions {
 ///   POST /v1/log?format=plain|tsv              body: raw query log
 ///        -> 200 full IngestReport JSON (study + reader counters +
 ///           per-source counts + engine metrics).
-///   GET  /healthz   liveness: 200 while the process serves at all.
-///   GET  /readyz    readiness: 200 while accepting new work; 503 once
-///                   draining (load balancers stop routing here first).
-///   GET  /metrics   obs::MetricRegistry::Global() as OpenMetrics text.
-///   GET  /statusz   JSON snapshot: queue depth, worker count, shed
-///                   counts, per-tenant bucket levels.
 ///   GET  /slowz     the tail sampler's slow-query log as JSON: the
 ///                   slowest requests of the recent window with trace
 ///                   id, timing breakdown, verdict, explained plan.
+///   GET  /quitquitquit   requests shutdown (releases WaitForQuit).
+///   The shared admin routes (obs::AdminRoutes), each counted in
+///   rwdt_serve_requests_total like the routes above:
+///   GET  /healthz   liveness: 200 while the process serves at all.
+///   GET  /readyz    readiness: 200 while accepting new work; 503
+///                   "draining" once draining (load balancers stop
+///                   routing here first).
+///   GET  /metrics   obs::MetricRegistry::Global() as OpenMetrics text.
+///   GET  /statusz   JSON snapshot: queue depth, worker count, shed
+///                   counts, per-tenant bucket levels.
 ///   GET  /tracez?limit=N   the active TraceCollector as Chrome trace
 ///                   JSON (503 when none); N caps the events rendered.
-///   GET  /quitquitquit   requests shutdown (releases WaitForQuit).
+///   GET  /profilez  a timed sampling CPU profile of the process.
 ///
 /// Request flow: handler threads validate + check the tenant quota,
 /// enqueue a job into the bounded queue (full -> 429 + Retry-After),
@@ -173,9 +174,9 @@ class ClassifyServer {
 
   HttpResponse HandleClassify(const HttpRequest& request);
   HttpResponse HandleIngest(const HttpRequest& request, bool full_report);
-  HttpResponse HandleStatusz(const HttpRequest& request);
+  /// The /statusz body.
+  std::string StatuszJson() const;
   HttpResponse HandleSlowz(const HttpRequest& request);
-  HttpResponse HandleTracez(const HttpRequest& request);
 
   /// The request's trace context: parsed from `traceparent` (keeping
   /// the caller's trace id and sampled flag, with the caller's span id
@@ -224,7 +225,7 @@ class ClassifyServer {
   bool started_ = false;
   bool stopped_ = false;
 
-  std::mutex tenants_mu_;
+  mutable std::mutex tenants_mu_;
   std::map<std::string, TenantBucket> tenants_;
 
   // Cached instruments (registration is mutexed; lookups here are not).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/ascii.h"
+#include "common/max_depth.h"
 
 namespace rwdt::sparql {
 namespace {
@@ -131,10 +132,10 @@ class SparqlParser {
 
   /// kResourceExhausted once the open levels exceed the depth bound.
   Status CheckDepth() const {
-    if (depth_ <= paths::kDefaultMaxDepth) return Status::Ok();
+    if (depth_ <= kDefaultMaxDepth) return Status::Ok();
     return Status::ResourceExhausted(
         "query nests deeper than " +
-        std::to_string(paths::kDefaultMaxDepth) + " levels");
+        std::to_string(kDefaultMaxDepth) + " levels");
   }
 
   void SkipSpace() {
@@ -742,7 +743,7 @@ class SparqlParser {
     }
     RWDT_ASSIGN_OR_RETURN(
         paths::PathPtr path,
-        paths::ParsePath(verb_text, dict_, paths::kDefaultMaxDepth - depth_));
+        paths::ParsePath(verb_text, dict_, kDefaultMaxDepth - depth_));
     pos_ = end;
     // Trivial one-IRI paths degrade to plain triple patterns.
     if (path->op() == paths::PathOp::kIri) {

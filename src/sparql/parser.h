@@ -44,7 +44,7 @@ struct ParseLimits {
 /// for malformed tokens, kParseError for grammar violations,
 /// kUnsupported for recognized-but-unsupported syntax, and
 /// kResourceExhausted when `limits` are exceeded or the query nests
-/// deeper than paths::kDefaultMaxDepth levels.
+/// deeper than kDefaultMaxDepth levels.
 ///
 /// The depth bound keeps the parser's recursion, and that of everything
 /// that walks the AST afterwards, off the end of the stack. One level

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/max_depth.h"
+
 namespace rwdt::tree {
 
 JsonPtr JsonValue::Null() { return JsonPtr(new JsonValue(Kind::kNull)); }
@@ -130,9 +132,19 @@ class JsonParser {
   Result<JsonPtr> ParseValue() {
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Each open array or object is one level. An error ends the
+        // parse, so only a completed container closes its level.
+        if (++depth_ > kDefaultMaxDepth) {
+          return Status::ResourceExhausted(
+              "JSON nests deeper than " + std::to_string(kDefaultMaxDepth) +
+              " levels at offset " + std::to_string(pos_));
+        }
+        Result<JsonPtr> container =
+            input_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return container;
+      }
       case '"': {
         RWDT_ASSIGN_OR_RETURN(std::string s, ParseString());
         return JsonValue::String(std::move(s));
@@ -299,6 +311,7 @@ class JsonParser {
   std::string_view input_;
   Interner* dict_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // open arrays and objects
 };
 
 void AttachJson(const JsonPtr& value, Interner* dict,

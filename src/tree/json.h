@@ -58,7 +58,9 @@ class JsonValue {
 /// numbers, literals, arrays, objects). Object keys are interned into
 /// `dict`, so key symbols are shared with JsonToTree and the schema
 /// layer. Follows the library-wide parser shape
-/// `Parse*(std::string_view, Interner*) -> Result<T>`.
+/// `Parse*(std::string_view, Interner*) -> Result<T>`. Arrays and objects
+/// nesting deeper than kDefaultMaxDepth levels are refused with
+/// kResourceExhausted.
 Result<JsonPtr> ParseJson(std::string_view input, Interner* dict);
 
 /// Maps a JSON document onto a labeled ordered tree (paper Figure 1):

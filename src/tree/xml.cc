@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "common/max_depth.h"
 #include "common/swar.h"
 
 namespace rwdt::tree {
@@ -357,7 +358,16 @@ class XmlParser {
           pos_ = end + 2;
           continue;
         }
+        // Each open element is one level, the root the first. An error
+        // ends the parse, so only a closed element gives its level back.
+        if (++depth_ > kDefaultMaxDepth) {
+          return Status::ResourceExhausted(
+              "document nests deeper than " +
+              std::to_string(kDefaultMaxDepth) + " levels at offset " +
+              std::to_string(pos_));
+        }
         RWDT_RETURN_IF_ERROR(ParseElement(node));
+        --depth_;
         continue;
       }
       if (c == '&') {
@@ -373,6 +383,7 @@ class XmlParser {
   std::string_view input_;
   Interner* dict_;
   size_t pos_ = 0;
+  size_t depth_ = 1;  // open elements, the root included
   XmlDocument doc_;
 };
 

@@ -50,9 +50,11 @@ struct XmlDocument {
 /// are accepted and skipped. Element names are interned into `dict`.
 ///
 /// On failure the Status carries `Code::kEncodingError` for invalid
-/// UTF-8 and `Code::kParseError` otherwise; its message is
-/// "<category>: <detail> at offset N" with the category name from
-/// XmlErrorCategoryName, recoverable via ClassifyXmlError.
+/// UTF-8, `Code::kResourceExhausted` for elements nesting deeper than
+/// kDefaultMaxDepth levels, and `Code::kParseError` otherwise; a parse
+/// error's message is "<category>: <detail> at offset N" with the
+/// category name from XmlErrorCategoryName, recoverable via
+/// ClassifyXmlError.
 Result<XmlDocument> ParseXml(std::string_view input, Interner* dict);
 
 /// Recovers the well-formedness category from a ParseXml error Status

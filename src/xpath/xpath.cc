@@ -5,7 +5,7 @@
 #include <optional>
 #include <functional>
 
-#include "paths/path.h"
+#include "common/max_depth.h"
 
 namespace rwdt::xpath {
 
@@ -371,10 +371,10 @@ class Parser {
   /// kResourceExhausted once `levels` exceeds the depth bound, the one
   /// the SPARQL and property-path parsers apply.
   Status CheckDepth(size_t levels) const {
-    if (levels <= paths::kDefaultMaxDepth) return Status::Ok();
+    if (levels <= kDefaultMaxDepth) return Status::Ok();
     return Status::ResourceExhausted(
         "query nests deeper than " +
-        std::to_string(paths::kDefaultMaxDepth) + " levels");
+        std::to_string(kDefaultMaxDepth) + " levels");
   }
 
   std::string_view input_;

@@ -76,7 +76,7 @@ struct Query {
 /// accepted for every axis.
 ///
 /// Predicates, not(...) and parenthesized predicates nesting deeper than
-/// paths::kDefaultMaxDepth levels are refused with kResourceExhausted
+/// kDefaultMaxDepth levels are refused with kResourceExhausted
 /// before they can exhaust the stack.
 Result<Query> ParseXPath(std::string_view input, Interner* dict);
 

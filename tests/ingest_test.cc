@@ -4,17 +4,24 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/interner.h"
 #include "engine/engine.h"
 #include "loggen/corruptor.h"
-#include "obs/registry.h"
 #include "loggen/log_text.h"
 #include "loggen/sparql_gen.h"
+#include "obs/log.h"
+#include "obs/registry.h"
 #include "sparql/parser.h"
+#include "tree/json.h"
+#include "tree/xml.h"
 
 namespace rwdt::ingest {
 namespace {
@@ -73,20 +80,21 @@ TEST(IngestTest, OversizeLineRejectedAsResourceExhausted) {
 }
 
 TEST(IngestTest, ParserStepBudgetRejectsAsResourceExhausted) {
-  IngestOptions opts;
-  opts.engine.parse_limits.max_parser_steps = 4;
+  // A query nesting past the parser's depth bound, between two that fit.
+  std::string deep = "ASK ";
+  for (int i = 0; i < 1000; ++i) deep += "{ ";
+  deep += "?s ?p ?o";
+  for (int i = 0; i < 1000; ++i) deep += " }";
   std::stringstream in;
-  in << "ASK { ?x a ?y }\n"  // fits in four steps? no — also rejected
+  in << "ASK { ?x a ?y }\n" << deep << "\n"
      << "SELECT ?a ?b ?c WHERE { ?a ?b ?c . ?c ?b ?a . ?b ?a ?c }\n";
 
-  auto r = IngestStream(in, opts);
+  auto r = IngestStream(in);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().study.total, 2u);
+  EXPECT_EQ(r.value().study.total, 3u);
   // Everything over budget lands in resource_exhausted, nothing aborts.
-  EXPECT_EQ(r.value().study.valid +
-                ErrorCount(r.value().study, ErrorClass::kResourceExhausted),
-            2u);
-  EXPECT_GE(ErrorCount(r.value().study, ErrorClass::kResourceExhausted), 1u);
+  EXPECT_EQ(r.value().study.valid, 2u);
+  EXPECT_EQ(ErrorCount(r.value().study, ErrorClass::kResourceExhausted), 1u);
 }
 
 TEST(IngestTest, TsvFormatSplitsSourceColumn) {
@@ -137,21 +145,21 @@ TEST(IngestTest, MetricsJsonCarriesErrorCounts) {
 }
 
 TEST(IngestTest, RejectsNonsensicalOptions) {
-  IngestOptions zero_chunk;
-  zero_chunk.chunk_entries = 0;
-  EXPECT_FALSE(zero_chunk.Validate().ok());
+  IngestOptions zero_block;
+  zero_block.block_bytes = 0;
+  EXPECT_FALSE(zero_block.Validate().ok());
 
   IngestOptions zero_line;
   zero_line.max_line_bytes = 0;
   EXPECT_FALSE(zero_line.Validate().ok());
 
   IngestOptions bad_engine;
-  bad_engine.engine.parse_limits.max_parser_steps = 0;
+  bad_engine.engine.threads = 1u << 20;
   EXPECT_FALSE(bad_engine.Validate().ok());
 
   std::stringstream in;
   in << "ASK { ?s ?p ?o }\n";
-  EXPECT_FALSE(IngestStream(in, zero_chunk).ok());
+  EXPECT_FALSE(IngestStream(in, zero_line).ok());
 }
 
 TEST(IngestTest, MissingFileIsNotFound) {
@@ -192,7 +200,10 @@ TEST(CorruptorTest, EnsureInvalidMeansCorruptedNeverParses) {
 // The tentpole property: corruption at ANY rate never changes what the
 // engine reports for the surviving queries. The Valid-subset aggregates
 // of a corrupted ingest run are bit-identical to analyzing only the
-// uncorrupted entries directly — for every thread count and chunk size.
+// uncorrupted entries directly — for every thread count and chunk
+// boundary. Stream input reuses its block buffer, so every block
+// turnover flushes a chunk: the block sizes below move the chunk
+// boundaries from a few lines to the whole log.
 TEST(IngestTest, CorruptionNeverPerturbsValidSubsetAggregates) {
   loggen::SourceProfile profile = loggen::ExampleProfile(300);
   const auto pristine = loggen::GenerateLog(profile, 11);
@@ -227,11 +238,12 @@ TEST(IngestTest, CorruptionNeverPerturbsValidSubsetAggregates) {
     core::SourceStudy first;
     bool have_first = false;
     for (const unsigned threads : {1u, 2u, 8u}) {
-      for (const size_t chunk : {size_t{1}, size_t{64}, size_t{4096}}) {
+      for (const size_t block_bytes :
+           {size_t{16}, size_t{1024}, size_t{1} << 20}) {
         IngestOptions opts;
         opts.source_name = "ref";
         opts.engine.threads = threads;
-        opts.chunk_entries = chunk;
+        opts.block_bytes = block_bytes;
         std::stringstream in(text);
         auto r = IngestStream(in, opts);
         ASSERT_TRUE(r.ok()) << r.error_message();
@@ -250,8 +262,8 @@ TEST(IngestTest, CorruptionNeverPerturbsValidSubsetAggregates) {
           // Full study (including per-class error counts) is identical
           // across every thread count and chunk size.
           EXPECT_TRUE(got == first)
-              << "rate " << rate << " threads " << threads << " chunk "
-              << chunk;
+              << "rate " << rate << " threads " << threads
+              << " block_bytes " << block_bytes;
         }
       }
     }
@@ -261,11 +273,59 @@ TEST(IngestTest, CorruptionNeverPerturbsValidSubsetAggregates) {
 // --- Reader differential tests -----------------------------------------
 //
 // The block pipeline (BlockReader + SWAR LineScanner + string_view
-// chunks) must be observationally identical to the legacy
-// istream/getline reader: same study, same line/byte accounting, same
-// per-source split — for every line-ending dialect and every block size,
-// including the degenerate 1-byte blocks that put a boundary inside
-// every record, every CRLF pair, and every UTF-8 sequence.
+// chunks) must be observationally identical to a plain std::getline
+// splitter: same study, same line/byte accounting, same per-source split
+// — for every line-ending dialect and every block size, including the
+// degenerate 1-byte blocks that put a boundary inside every record,
+// every CRLF pair, and every UTF-8 sequence.
+
+/// The reference reader: std::getline over the text, one line at a time
+/// into the same engine, with the ingest line semantics spelled out.
+/// Lines are split on '\n' (a final line may lack it) and keep at most
+/// max_line_bytes bytes, minus one trailing '\r'. Blank lines are
+/// skipped uncounted; then an over-long line is resource_exhausted, a
+/// TSV line without a tab a parse error, invalid UTF-8 an encoding
+/// error, and everything else goes to the parser.
+IngestReport ReferenceIngest(const std::string& text,
+                             const IngestOptions& opts) {
+  IngestReport report;
+  engine::Engine engine(opts.engine);
+  engine::EngineStream stream =
+      engine.OpenStream(opts.source_name, opts.wikidata_like);
+  std::istringstream in(text);
+  std::string raw;
+  while (std::getline(in, raw)) {
+    report.lines_read++;
+    report.bytes_read += raw.size() + (in.eof() ? 0 : 1);  // + '\n'
+    std::string line = raw.substr(0, opts.max_line_bytes);
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.find_first_not_of(" \t") == std::string::npos) {
+      report.blank_lines++;
+      continue;
+    }
+    if (raw.size() > opts.max_line_bytes) {
+      stream.Reject(ErrorClass::kResourceExhausted);
+      continue;
+    }
+    std::string_view query = line;
+    if (opts.format == LogFormat::kTsv) {
+      const size_t tab = query.find('\t');
+      if (tab == std::string_view::npos) {
+        stream.Reject(ErrorClass::kParseError);
+        continue;
+      }
+      report.per_source[std::string(query.substr(0, tab))]++;
+      query.remove_prefix(tab + 1);
+    }
+    if (!tree::IsValidUtf8(query)) {
+      stream.Reject(ErrorClass::kEncodingError);
+      continue;
+    }
+    stream.Feed(std::span<const std::string_view>(&query, 1));
+  }
+  report.study = stream.Finish();
+  return report;
+}
 
 IngestReport MustIngest(const std::string& text, const IngestOptions& opts) {
   std::stringstream in(text);
@@ -274,14 +334,14 @@ IngestReport MustIngest(const std::string& text, const IngestOptions& opts) {
   return std::move(r).value();
 }
 
-void ExpectSameObservables(const IngestReport& legacy,
+void ExpectSameObservables(const IngestReport& reference,
                            const IngestReport& block,
                            const std::string& context) {
-  EXPECT_TRUE(legacy.study == block.study) << context;
-  EXPECT_EQ(legacy.lines_read, block.lines_read) << context;
-  EXPECT_EQ(legacy.blank_lines, block.blank_lines) << context;
-  EXPECT_EQ(legacy.bytes_read, block.bytes_read) << context;
-  EXPECT_EQ(legacy.per_source, block.per_source) << context;
+  EXPECT_TRUE(reference.study == block.study) << context;
+  EXPECT_EQ(reference.lines_read, block.lines_read) << context;
+  EXPECT_EQ(reference.blank_lines, block.blank_lines) << context;
+  EXPECT_EQ(reference.bytes_read, block.bytes_read) << context;
+  EXPECT_EQ(reference.per_source, block.per_source) << context;
 }
 
 TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
@@ -308,12 +368,7 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
         IngestOptions opts;
         opts.format = tsv ? LogFormat::kTsv : LogFormat::kPlain;
         opts.engine.threads = 1;
-        opts.reader = ReaderKind::kLegacy;
-        const IngestReport legacy = MustIngest(text, opts);
-        EXPECT_EQ(legacy.reader, ReaderKind::kLegacy);
-        EXPECT_EQ(legacy.blocks_read, 0u);
-
-        opts.reader = ReaderKind::kBlock;
+        const IngestReport reference = ReferenceIngest(text, opts);
         for (const size_t block_bytes :
              {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
               size_t{4096}, size_t{1} << 20}) {
@@ -323,8 +378,7 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
               "tsv=" + std::to_string(tsv) + " crlf=" + std::to_string(crlf) +
               " final_newline=" + std::to_string(final_newline) +
               " block_bytes=" + std::to_string(block_bytes);
-          ExpectSameObservables(legacy, block, context);
-          EXPECT_EQ(block.reader, ReaderKind::kBlock) << context;
+          ExpectSameObservables(reference, block, context);
           EXPECT_FALSE(block.used_mmap) << context;  // istream fallback
           if (block_bytes < 64) {
             // Tiny blocks force records across boundaries: the carry
@@ -337,7 +391,7 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
   }
 }
 
-TEST(IngestReaderDifferentialTest, OverflowSpanningBlocksMatchesLegacy) {
+TEST(IngestReaderDifferentialTest, OverflowSpanningBlocksMatchesReference) {
   // A 100-byte line against max_line_bytes=16 and block_bytes=32: the
   // overflow is detected mid-carry and the tail still has to be drained
   // with exact byte accounting.
@@ -348,15 +402,13 @@ TEST(IngestReaderDifferentialTest, OverflowSpanningBlocksMatchesLegacy) {
   IngestOptions opts;
   opts.engine.threads = 1;
   opts.max_line_bytes = 16;
-  opts.reader = ReaderKind::kLegacy;
-  const IngestReport legacy = MustIngest(text, opts);
-  EXPECT_EQ(ErrorCount(legacy.study, ErrorClass::kResourceExhausted), 1u);
+  const IngestReport reference = ReferenceIngest(text, opts);
+  EXPECT_EQ(ErrorCount(reference.study, ErrorClass::kResourceExhausted), 1u);
 
-  opts.reader = ReaderKind::kBlock;
   for (const size_t block_bytes : {size_t{1}, size_t{16}, size_t{32}}) {
     opts.block_bytes = block_bytes;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block,
+    ExpectSameObservables(reference, block,
                           "block_bytes=" + std::to_string(block_bytes));
   }
 }
@@ -370,16 +422,14 @@ TEST(IngestReaderDifferentialTest, Utf8AndCrSplitAcrossBlockEdges) {
 
   IngestOptions opts;
   opts.engine.threads = 1;
-  opts.reader = ReaderKind::kLegacy;
-  const IngestReport legacy = MustIngest(text, opts);
-  EXPECT_EQ(legacy.study.valid, 2u);
-  EXPECT_EQ(legacy.study.unique, 1u);
+  const IngestReport reference = ReferenceIngest(text, opts);
+  EXPECT_EQ(reference.study.valid, 2u);
+  EXPECT_EQ(reference.study.unique, 1u);
 
-  opts.reader = ReaderKind::kBlock;
   for (size_t block_bytes = 1; block_bytes <= 8; ++block_bytes) {
     opts.block_bytes = block_bytes;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block,
+    ExpectSameObservables(reference, block,
                           "block_bytes=" + std::to_string(block_bytes));
   }
 }
@@ -392,12 +442,10 @@ TEST(IngestReaderDifferentialTest, EmbeddedNulsPassThroughIdentically) {
   for (const size_t block_bytes : {size_t{1}, size_t{4096}}) {
     IngestOptions opts;
     opts.engine.threads = 1;
-    opts.reader = ReaderKind::kLegacy;
-    const IngestReport legacy = MustIngest(text, opts);
-    opts.reader = ReaderKind::kBlock;
+    const IngestReport reference = ReferenceIngest(text, opts);
     opts.block_bytes = block_bytes;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block,
+    ExpectSameObservables(reference, block,
                           "block_bytes=" + std::to_string(block_bytes));
     // NUL-bearing lines are real records, not terminators.
     EXPECT_EQ(block.lines_read, 3u);
@@ -410,47 +458,43 @@ TEST(IngestReaderDifferentialTest, EmptyAndNewlinelessInputs) {
         std::string{"\n"}, std::string{"\r\n"}}) {
     IngestOptions opts;
     opts.engine.threads = 1;
-    opts.reader = ReaderKind::kLegacy;
-    const IngestReport legacy = MustIngest(text, opts);
-    opts.reader = ReaderKind::kBlock;
+    const IngestReport reference = ReferenceIngest(text, opts);
     opts.block_bytes = 4;
     const IngestReport block = MustIngest(text, opts);
-    ExpectSameObservables(legacy, block, "text=" + text);
+    ExpectSameObservables(reference, block, "text=" + text);
   }
 }
 
-TEST(IngestReaderDifferentialTest, FileIngestUsesMmapAndMatchesLegacy) {
+TEST(IngestReaderDifferentialTest, FileIngestUsesMmapAndMatchesReference) {
   loggen::SourceProfile profile = loggen::ExampleProfile(120);
   auto log = loggen::GenerateLog(profile, 23);
   loggen::CorruptionOptions copts;
   copts.rate = 0.25;
   loggen::CorruptLog(&log, 37, copts);
 
+  std::stringstream out;
+  loggen::WriteLogText(log, out);
+  const std::string text = out.str();
   const std::string path =
       ::testing::TempDir() + "/rwdt_ingest_differential.log";
   {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.is_open());
-    loggen::WriteLogText(log, out);
+    std::ofstream file(path, std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file << text;
   }
 
   IngestOptions opts;
   opts.engine.threads = 1;
-  opts.reader = ReaderKind::kLegacy;
-  auto legacy = IngestFile(path, opts);
-  ASSERT_TRUE(legacy.ok()) << legacy.error_message();
-
-  opts.reader = ReaderKind::kBlock;
+  const IngestReport reference = ReferenceIngest(text, opts);
   auto block = IngestFile(path, opts);
   ASSERT_TRUE(block.ok()) << block.error_message();
   std::remove(path.c_str());
 
-  ExpectSameObservables(legacy.value(), block.value(), "file ingest");
+  ExpectSameObservables(reference, block.value(), "file ingest");
   // Regular file => the mapped zero-copy path, in one 1 MiB block.
   EXPECT_TRUE(block.value().used_mmap);
   EXPECT_EQ(block.value().blocks_read, 1u);
   EXPECT_EQ(block.value().carry_stitches, 0u);
-  EXPECT_FALSE(legacy.value().used_mmap);
 }
 
 TEST(IngestTest, BlockReaderCountersReachMetricRegistry) {
@@ -470,8 +514,7 @@ TEST(IngestTest, BlockReaderCountersReachMetricRegistry) {
             std::string::npos)
       << om;
   EXPECT_NE(om.find("rwdt_ingest_carry_stitches_total"), std::string::npos);
-  EXPECT_NE(om.find("rwdt_ingest_runs_total{reader=\"block\"}"),
-            std::string::npos);
+  EXPECT_NE(om.find("rwdt_ingest_runs_total "), std::string::npos) << om;
 }
 
 TEST(IngestTest, ReportJsonCarriesReaderProvenance) {
@@ -482,10 +525,74 @@ TEST(IngestTest, ReportJsonCarriesReaderProvenance) {
   auto r = IngestStream(in, opts);
   ASSERT_TRUE(r.ok());
   const std::string json = r.value().ToJson();
-  EXPECT_NE(json.find("\"reader\":\"block\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"used_mmap\":false"), std::string::npos) << json;
   EXPECT_NE(json.find("\"blocks_read\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"carry_stitches\":"), std::string::npos) << json;
+}
+
+// One progress knob: `engine.progress` reports an ingest once, labeled
+// with its source name, and the run report's counters are the
+// IngestReport's.
+TEST(IngestTest, ProgressReportPathWritesOneRunReportMatchingTheIngest) {
+  class CaptureSink : public obs::LogSink {
+   public:
+    void Write(const obs::LogRecord& record) override {
+      messages.push_back(record.message);
+    }
+    std::vector<std::string> messages;
+  };
+  auto sink = std::make_shared<CaptureSink>();
+  obs::Logger::Global().SetSinks({sink});
+
+  const std::string path = ::testing::TempDir() + "/rwdt_ingest_report.json";
+  std::remove(path.c_str());
+  std::stringstream in;
+  in << "ASK { ?s ?p ?o }\n"
+     << "ASK { ?s ?p ?o }\n"
+     << "SELECT ?x WHERE {\n"
+     << "\xff not utf8\n";
+  IngestOptions opts;
+  opts.source_name = "progress-src";
+  opts.engine.threads = 1;
+  opts.engine.progress.log_progress = false;
+  opts.engine.progress.report_path = path;
+  auto r = IngestStream(in, opts);
+  obs::Logger::Global().ResetToDefault();
+  ASSERT_TRUE(r.ok()) << r.error_message();
+  const IngestReport& report = r.value();
+
+  size_t reports_written = 0;
+  for (const std::string& message : sink->messages) {
+    if (message.find("run report written to") != std::string::npos) {
+      ++reports_written;
+    }
+  }
+  EXPECT_EQ(reports_written, 1u);
+
+  std::ifstream file(path);
+  ASSERT_TRUE(file.is_open());
+  std::stringstream contents;
+  contents << file.rdbuf();
+  file.close();
+  std::remove(path.c_str());
+  Interner dict;
+  const auto parsed = tree::ParseJson(contents.str(), &dict);
+  ASSERT_TRUE(parsed.ok()) << parsed.error_message() << contents.str();
+  EXPECT_EQ(parsed.value()->Get("label")->string_value(), "progress-src");
+  const tree::JsonPtr m = parsed.value()->Get("metrics");
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->Get("entries_processed")->number_value(),
+            static_cast<double>(report.metrics.entries_processed));
+  EXPECT_EQ(m->Get("entries_processed")->number_value(),
+            static_cast<double>(report.study.total));
+  EXPECT_EQ(m->Get("queries_analyzed")->number_value(),
+            static_cast<double>(report.metrics.queries_analyzed));
+  EXPECT_EQ(m->Get("parse_failures")->number_value(),
+            static_cast<double>(report.metrics.parse_failures));
+  EXPECT_EQ(m->Get("entries_valid")->number_value(),
+            static_cast<double>(report.study.valid));
+  EXPECT_EQ(m->Get("entries_rejected")->number_value(),
+            static_cast<double>(report.study.total - report.study.valid));
 }
 
 }  // namespace

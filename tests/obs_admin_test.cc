@@ -1,6 +1,6 @@
-// Loopback tests for the embedded admin HTTP server: every built-in
-// route, error handling, and graceful shutdown with a request in
-// flight.
+// Loopback tests for the admin HTTP server and the shared admin routes
+// a tool hosts next to its engine: every route, error handling, and
+// graceful shutdown with a request in flight.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -145,17 +145,18 @@ TEST(AdminServerTest, PortFromEnv) {
   ::unsetenv("RWDT_ADMIN_PORT");
 }
 
-/// End-to-end: an engine with admin_port=kAdminPortAuto serves all five
-/// routes, and /metrics agrees with the engine's final MetricsSnapshot.
+/// End-to-end: the tool-side host of an engine (StartEngineAdmin on an
+/// ephemeral port) serves every shared route, and /metrics agrees with
+/// the engine's final MetricsSnapshot.
 TEST(AdminServerTest, EngineEndToEnd) {
   TraceCollector trace;  // makes /tracez live
 
   engine::EngineOptions opts;
   opts.threads = 2;
-  opts.admin_port = engine::EngineOptions::kAdminPortAuto;
   engine::Engine eng(opts);
-  ASSERT_NE(eng.admin_server(), nullptr);
-  const uint16_t port = eng.admin_server()->port();
+  const auto admin = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  ASSERT_NE(admin, nullptr);
+  const uint16_t port = admin->port();
   ASSERT_NE(port, 0);
 
   loggen::SourceProfile profile = loggen::ExampleProfile(3000);
@@ -195,7 +196,6 @@ TEST(AdminServerTest, EngineEndToEnd) {
   EXPECT_TRUE(tree::ParseJson(statusz.body, &dict).ok()) << statusz.body;
   EXPECT_NE(statusz.body.find("\"build\""), std::string::npos);
   EXPECT_NE(statusz.body.find("\"uptime_seconds\""), std::string::npos);
-  EXPECT_NE(statusz.body.find("\"admin_port\":65536"), std::string::npos);
 
   const HttpResult tracez = HttpGet(port, "/tracez");
   EXPECT_EQ(tracez.status, 200);
@@ -207,7 +207,7 @@ TEST(AdminServerTest, EngineEndToEnd) {
   EXPECT_NE(tracez.raw.find("Cache-Control: no-store"), std::string::npos)
       << tracez.raw;
 
-  // /metrics exposes the process footprint via the engine's
+  // /metrics exposes the process footprint via the admin server's
   // ProcStatsCollector (Linux: sampled from /proc at scrape time).
 #if defined(__linux__)
   EXPECT_NE(metrics.body.find("rwdt_proc_resident_bytes"), std::string::npos);
@@ -219,7 +219,7 @@ TEST(AdminServerTest, EngineEndToEnd) {
   EXPECT_NE(metrics.body.find("rwdt_engine_dedup_entries"),
             std::string::npos);
 
-  // /profilez mounts on the engine admin too; parameter errors are 400s
+  // /profilez mounts on the tool-side host too; parameter errors are 400s
   // without starting a capture (the capture path itself is covered by
   // obs_profiler_test and serve_test).
   EXPECT_EQ(HttpGet(port, "/profilez?format=xml").status, 400);
@@ -228,31 +228,64 @@ TEST(AdminServerTest, EngineEndToEnd) {
 TEST(AdminServerTest, TracezWithoutCollectorIs503) {
   engine::EngineOptions opts;
   opts.threads = 1;
-  opts.admin_port = engine::EngineOptions::kAdminPortAuto;
   engine::Engine eng(opts);
-  ASSERT_NE(eng.admin_server(), nullptr);
-  EXPECT_EQ(HttpGet(eng.admin_server()->port(), "/tracez").status, 503);
+  const auto admin = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  ASSERT_NE(admin, nullptr);
+  EXPECT_EQ(HttpGet(admin->port(), "/tracez").status, 503);
+}
+
+/// ?limit= must be a decimal count: garbage is a 400, never "no cap".
+TEST(AdminServerTest, TracezRejectsLimitThatIsNotADecimalCount) {
+  TraceCollector trace;
+  engine::EngineOptions opts;
+  opts.threads = 1;
+  engine::Engine eng(opts);
+  const auto admin = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  ASSERT_NE(admin, nullptr);
+  loggen::SourceProfile profile = loggen::ExampleProfile(300);
+  profile.name = "tracez-limit";
+  eng.AnalyzeLog(profile, 5);  // records spans
+  for (const char* bad : {"abc", "-1", "2x", "+2", "%202", "1e3",
+                          "99999999999999999999999"}) {
+    const HttpResult result =
+        HttpGet(admin->port(), std::string("/tracez?limit=") + bad);
+    EXPECT_EQ(result.status, 400) << bad;
+    EXPECT_NE(result.raw.find("Cache-Control: no-store"), std::string::npos)
+        << bad;
+  }
+  const HttpResult capped = HttpGet(admin->port(), "/tracez?limit=2");
+  ASSERT_EQ(capped.status, 200);
+  EXPECT_NE(capped.body.find("\"events_shown\":2"), std::string::npos)
+      << capped.body.substr(0, 400);
+  EXPECT_EQ(HttpGet(admin->port(), "/tracez?limit=0").status, 200);
 }
 
 TEST(AdminServerTest, AdminOffByDefaultAndBindFailureIsNonFatal) {
-  engine::Engine off;  // admin_port defaults to 0
-  EXPECT_EQ(off.admin_server(), nullptr);
-
-  // Two engines on the same fixed port: the second bind fails, which
-  // must disable its admin server, not kill the engine.
+  ::unsetenv("RWDT_ADMIN_PORT");
   engine::EngineOptions opts;
   opts.threads = 1;
-  opts.admin_port = engine::EngineOptions::kAdminPortAuto;
-  engine::Engine first(opts);
-  ASSERT_NE(first.admin_server(), nullptr);
-  engine::EngineOptions clash = opts;
-  clash.admin_port = first.admin_server()->port();
-  engine::Engine second(clash);
-  EXPECT_EQ(second.admin_server(), nullptr);
-  // Both engines still work.
+  engine::Engine eng(opts);
+  EXPECT_TRUE(MaybeStartEnvAdmin([&eng] { return eng.Snapshot(); }) ==
+              nullptr);
+
+  // A second admin server on a port that is taken fails Start(); the
+  // engine beside it still analyzes.
+  const auto first = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  ASSERT_NE(first, nullptr);
+  AdminServer::Options clash;
+  clash.port = first->port();
+  AdminServer second(clash);
+  for (AdminRoute& route : AdminRoutes({})) {
+    second.Handle(route.path, route.help, route.handler);
+  }
+  EXPECT_FALSE(second.Start().ok());
+  EXPECT_FALSE(second.running());
+  EXPECT_TRUE(StartEngineAdmin(first->port(),
+                               [&eng] { return eng.Snapshot(); }) == nullptr);
   loggen::SourceProfile profile = loggen::ExampleProfile(200);
   profile.name = "clash";
-  EXPECT_GT(second.AnalyzeLog(profile, 3).total, 0u);
+  EXPECT_GT(eng.AnalyzeLog(profile, 3).total, 0u);
+  EXPECT_EQ(HttpGet(first->port(), "/healthz").body, "ok\n");
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/interner.h"
+#include "common/max_depth.h"
 #include "regex/ast.h"
 #include "regex/parser.h"
 
@@ -130,6 +135,55 @@ TEST(AstTest, SingletonFactoriesCollapse) {
             Op::kSymbol);
   EXPECT_EQ(Regex::Concat(std::vector<RegexPtr>{})->op(), Op::kEpsilon);
   EXPECT_EQ(Regex::Union(std::vector<RegexPtr>{})->op(), Op::kEmpty);
+}
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// Input nesting one construct n times, for n = 10 .. 10^6: up to
+// kDefaultMaxDepth levels it parses, past it ParseRegex refuses with
+// kResourceExhausted instead of recursing until the stack runs out.
+TEST(ParserTest, NestingLadderIsResourceExhaustedBeyondMaxDepth) {
+  struct Nesting {
+    const char* name;
+    std::function<std::string(size_t)> text;  // n levels
+  };
+  const std::vector<Nesting> nestings = {
+      {"groups",
+       [](size_t n) { return Repeat("(", n) + "a" + Repeat(")", n); }},
+      {"postfix", [](size_t n) { return Repeat("a", 1) + Repeat("*", n); }},
+      {"starred_groups",
+       [](size_t n) { return Repeat("(", n) + "a|b" + Repeat(")*", n); }},
+  };
+  for (const Nesting& nesting : nestings) {
+    for (size_t n = 10; n <= 1000000; n *= 10) {
+      Interner dict;
+      const auto r = ParseRegex(nesting.text(n), &dict);
+      if (n <= kDefaultMaxDepth) {
+        EXPECT_TRUE(r.ok()) << nesting.name << " n=" << n << ": "
+                            << r.status().ToString();
+        continue;
+      }
+      ASSERT_FALSE(r.ok()) << nesting.name << " n=" << n;
+      EXPECT_EQ(r.status().code(), Code::kResourceExhausted)
+          << nesting.name << " n=" << n << ": " << r.status().ToString();
+      EXPECT_NE(r.status().message().find("nests deeper than"),
+                std::string::npos)
+          << nesting.name << " n=" << n << ": " << r.status().ToString();
+    }
+    Interner dict;
+    EXPECT_TRUE(ParseRegex(nesting.text(kDefaultMaxDepth), &dict).ok())
+        << nesting.name;
+    EXPECT_EQ(ParseRegex(nesting.text(kDefaultMaxDepth + 1), &dict)
+                  .status()
+                  .code(),
+              Code::kResourceExhausted)
+        << nesting.name;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/interner.h"
+#include "common/max_depth.h"
 #include "regex/glushkov.h"
 #include "regex/parser.h"
 #include "schema/bonxai.h"
@@ -356,6 +361,57 @@ TEST_F(BonxaiTest, TranslationToSingleTypeEdtdAgrees) {
     EXPECT_EQ(ValidateBonxai(schema, t), expected) << xml;
     EXPECT_EQ(ValidateEdtd(edtd, t), expected) << "EDTD: " << xml;
     EXPECT_EQ(ValidateSingleType(edtd, t), expected) << "stEDTD: " << xml;
+  }
+}
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// A content model nesting one construct n times, for n = 10 .. 10^6: up
+// to kDefaultMaxDepth levels it parses, past it ParseDtd refuses with
+// kResourceExhausted instead of recursing until the stack runs out.
+TEST(DtdNestingTest, ContentModelLadderIsResourceExhaustedBeyondMaxDepth) {
+  struct Nesting {
+    const char* name;
+    std::function<std::string(size_t)> content;  // n levels
+  };
+  const std::vector<Nesting> nestings = {
+      {"groups",
+       [](size_t n) { return Repeat("(", n) + "a" + Repeat(")", n); }},
+      {"postfix", [](size_t n) { return "(a" + Repeat("*", n - 1) + ")"; }},
+      {"sequences",
+       [](size_t n) { return Repeat("(b,", n) + "a" + Repeat(")?", n); }},
+  };
+  auto parse = [](const std::string& content) {
+    Interner dict;
+    return ParseDtd("<!ELEMENT r " + content + ">\n<!ELEMENT a EMPTY>\n"
+                    "<!ELEMENT b EMPTY>",
+                    &dict)
+        .status();
+  };
+  for (const Nesting& nesting : nestings) {
+    for (size_t n = 10; n <= 1000000; n *= 10) {
+      const Status status = parse(nesting.content(n));
+      if (n <= kDefaultMaxDepth) {
+        EXPECT_TRUE(status.ok()) << nesting.name << " n=" << n << ": "
+                                 << status.ToString();
+        continue;
+      }
+      EXPECT_EQ(status.code(), Code::kResourceExhausted)
+          << nesting.name << " n=" << n << ": " << status.ToString();
+      EXPECT_NE(status.message().find("nests deeper than"),
+                std::string::npos)
+          << nesting.name << " n=" << n << ": " << status.ToString();
+    }
+    EXPECT_TRUE(parse(nesting.content(kDefaultMaxDepth)).ok())
+        << nesting.name;
+    EXPECT_EQ(parse(nesting.content(kDefaultMaxDepth + 1)).code(),
+              Code::kResourceExhausted)
+        << nesting.name;
   }
 }
 

@@ -608,6 +608,39 @@ TEST(ClassifyServerTest, TracezRequiresACollectorAndHonorsLimit) {
   EXPECT_TRUE(Contains(traced.body, "deadbeefcafef00d")) << traced.body;
 }
 
+// ?limit= must be a decimal count: garbage is a 400 (counted under its
+// route), never read as "no cap".
+TEST(ClassifyServerTest, TracezRejectsLimitThatIsNotADecimalCount) {
+  ClassifyServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  obs::TraceCollector collector;
+  ASSERT_TRUE(collector.installed());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(
+        Fetch(server.port(), "POST", "/v1/classify",
+              "SELECT ?s WHERE { ?s <p> <o> }",
+              "traceparent: "
+              "00-0000000000000000deadbeefcafef00d-0123456789abcdef-01\r\n")
+            .status,
+        200);
+  }
+  for (const char* bad : {"abc", "-1", "2x"}) {
+    const HttpResult result =
+        Fetch(server.port(), "GET", std::string("/tracez?limit=") + bad);
+    EXPECT_EQ(result.status, 400) << bad;
+    EXPECT_TRUE(Contains(result.head, "Cache-Control: no-store"))
+        << result.head;
+  }
+  const HttpResult capped = Fetch(server.port(), "GET", "/tracez?limit=2");
+  ASSERT_EQ(capped.status, 200);
+  EXPECT_TRUE(Contains(capped.body, "\"events_shown\":2")) << capped.body;
+  const HttpResult metrics = Fetch(server.port(), "GET", "/metrics");
+  EXPECT_TRUE(Contains(
+      metrics.body,
+      "rwdt_serve_requests_total{code=\"400\",route=\"/tracez\"} 3"))
+      << metrics.body;
+}
+
 TEST(ClassifyServerTest, ProfilezCapturesUnderLoad) {
   if (!obs::ProfilerSupported()) GTEST_SKIP() << "no backtrace(3) here";
   ClassifyServer server(BaseOptions());

@@ -476,7 +476,31 @@ std::vector<Nesting> Nestings() {
   };
 }
 
-constexpr size_t kMaxDepth = paths::kDefaultMaxDepth;
+// The parser's step budget: every term, pattern node, filter node and
+// path expression costs one step, and a query over budget is refused
+// with kResourceExhausted, on both dictionaries.
+TEST_F(SparqlTest, StepBudgetIsResourceExhausted) {
+  const ParseLimits tight{.max_parser_steps = 4};
+  ASSERT_TRUE(tight.Validate().ok());
+  // One triple pattern: three terms and a pattern node fit the budget.
+  EXPECT_TRUE(ParseSparql("ASK { ?x a ?y }", &dict_, tight).ok());
+  const std::string over =
+      "SELECT ?a ?b ?c WHERE { ?a ?b ?c . ?c ?b ?a . ?b ?a ?c }";
+  const auto q = ParseSparql(over, &dict_, tight);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), Code::kResourceExhausted)
+      << q.status().ToString();
+  FlatInterner flat;
+  const auto fq = ParseSparql(over, &flat, tight);
+  ASSERT_FALSE(fq.ok());
+  EXPECT_EQ(fq.status().code(), Code::kResourceExhausted)
+      << fq.status().ToString();
+  // The default budget takes it.
+  EXPECT_TRUE(ParseSparql(over, &dict_).ok());
+  EXPECT_FALSE((ParseLimits{.max_parser_steps = 0}).Validate().ok());
+}
+
+constexpr size_t kMaxDepth = kDefaultMaxDepth;
 
 TEST_F(SparqlTest, NestingLadderIsResourceExhaustedBeyondMaxDepth) {
   ASSERT_EQ(kMaxDepth, 256u);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/interner.h"
+#include "common/max_depth.h"
 #include "tree/json.h"
 #include "tree/tree.h"
 #include "tree/xml.h"
@@ -211,6 +216,90 @@ TEST_F(JsonTest, JsonToTreeMapsKeysToLabels) {
   const auto kids = t.ChildLabels(1);
   ASSERT_EQ(kids.size(), 2u);
   EXPECT_EQ(dict.Name(kids[0]), "person");
+}
+
+// --- Nesting ladders ----------------------------------------------------
+//
+// Input nesting one construct n times, for n = 10 .. 10^6: up to
+// kDefaultMaxDepth levels it parses, past it the parser refuses with
+// kResourceExhausted instead of recursing until the stack runs out.
+
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+struct Nesting {
+  const char* name;
+  std::function<std::string(size_t)> text;  // n levels
+};
+
+template <typename ParseFn>
+void ExpectLadder(const std::vector<Nesting>& nestings, ParseFn parse) {
+  for (const Nesting& nesting : nestings) {
+    for (size_t n = 10; n <= 1000000; n *= 10) {
+      const Status status = parse(nesting.text(n));
+      if (n <= kDefaultMaxDepth) {
+        EXPECT_TRUE(status.ok()) << nesting.name << " n=" << n << ": "
+                                 << status.ToString();
+        continue;
+      }
+      EXPECT_EQ(status.code(), Code::kResourceExhausted)
+          << nesting.name << " n=" << n << ": " << status.ToString();
+      EXPECT_NE(status.message().find("nests deeper than"),
+                std::string::npos)
+          << nesting.name << " n=" << n << ": " << status.ToString();
+    }
+    // The bound is exact: kDefaultMaxDepth levels parse, one more does not.
+    EXPECT_TRUE(parse(nesting.text(kDefaultMaxDepth)).ok()) << nesting.name;
+    EXPECT_EQ(parse(nesting.text(kDefaultMaxDepth + 1)).code(),
+              Code::kResourceExhausted)
+        << nesting.name;
+  }
+}
+
+TEST(JsonNestingTest, LadderIsResourceExhaustedBeyondMaxDepth) {
+  const std::vector<Nesting> nestings = {
+      {"arrays",
+       [](size_t n) { return Repeat("[", n) + "1" + Repeat("]", n); }},
+      {"objects",
+       [](size_t n) {
+         return Repeat("{\"k\":", n) + "null" + Repeat("}", n);
+       }},
+      {"mixed",
+       [](size_t n) {
+         return Repeat("[{\"k\":", n / 2) + Repeat("[", n % 2) + "true" +
+                Repeat("]", n % 2) + Repeat("}]", n / 2);
+       }},
+  };
+  ExpectLadder(nestings, [](const std::string& text) {
+    Interner dict;
+    return ParseJson(text, &dict).status();
+  });
+  // Unclosed nesting is refused on depth before the missing brackets.
+  Interner dict;
+  EXPECT_EQ(ParseJson(Repeat("[", 100000), &dict).status().code(),
+            Code::kResourceExhausted);
+}
+
+TEST(XmlNestingTest, LadderIsResourceExhaustedBeyondMaxDepth) {
+  const std::vector<Nesting> nestings = {
+      {"elements",
+       [](size_t n) { return Repeat("<a>", n) + Repeat("</a>", n); }},
+      {"attributes_and_text",
+       [](size_t n) {
+         return Repeat("<a x=\"1\">t", n) + Repeat("</a>", n);
+       }},
+  };
+  ExpectLadder(nestings, [](const std::string& text) {
+    Interner dict;
+    return ParseXml(text, &dict).status();
+  });
+  Interner dict;
+  EXPECT_EQ(ParseXml(Repeat("<a>", 40000), &dict).status().code(),
+            Code::kResourceExhausted);
 }
 
 }  // namespace

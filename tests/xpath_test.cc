@@ -196,7 +196,7 @@ std::vector<Nesting> Nestings() {
   };
 }
 
-constexpr size_t kMaxDepth = paths::kDefaultMaxDepth;
+constexpr size_t kMaxDepth = kDefaultMaxDepth;
 
 TEST_F(XPathTest, NestingLadderIsResourceExhaustedBeyondMaxDepth) {
   for (const Nesting& nesting : Nestings()) {
