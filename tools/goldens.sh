@@ -25,7 +25,8 @@ DEFAULT_BENCHES="bench_table1_treewidth bench_table2_corpus
 bench_table3_features bench_table4_cq_fragments bench_table5_c2rpq_fragments
 bench_table6_htw bench_table7_shapes bench_table8_path_types
 bench_figure3_query_size bench_dtd_study bench_xml_quality bench_xpath_study
-bench_rdf_structure bench_inference bench_determinization"
+bench_rdf_structure bench_inference bench_determinization
+bench_well_designed bench_path_semantics bench_appendix_a"
 SCALE500_BENCHES="bench_table2_corpus bench_table3_features
 bench_table4_cq_fragments bench_table5_c2rpq_fragments bench_table6_htw
 bench_table7_shapes bench_table8_path_types bench_figure3_query_size"
