@@ -91,10 +91,15 @@ class Result {
   T& value() & { return std::get<T>(data_); }
   T&& value() && { return std::get<T>(std::move(data_)); }
 
-  /// Returns the error status, or OK when this holds a value.
-  Status status() const {
+  /// Returns the error status, or OK when this holds a value. The
+  /// rvalue overload moves the message out instead of copying it.
+  Status status() const& {
     if (ok()) return Status::Ok();
     return std::get<Status>(data_);
+  }
+  Status status() && {
+    if (ok()) return Status::Ok();
+    return std::get<Status>(std::move(data_));
   }
 
   /// The error message, or "" when this holds a value.
@@ -136,15 +141,22 @@ ErrorClass ClassifyStatus(const Status& status);
 
 namespace internal {
 inline const Status& AsStatus(const Status& s) { return s; }
+inline Status AsStatus(Status&& s) { return std::move(s); }
 template <typename T>
 Status AsStatus(const Result<T>& r) {
   return r.status();
+}
+template <typename T>
+Status AsStatus(Result<T>&& r) {
+  return std::move(r).status();
 }
 }  // namespace internal
 
 /// Evaluates an expression yielding a `Status` or `Result<T>`; on error,
 /// returns the error status from the enclosing function (which may itself
-/// return either `Status` or any `Result<U>`).
+/// return either `Status` or any `Result<U>`). A temporary's status is
+/// moved out, not copied, so an error climbing many calls keeps one
+/// message buffer.
 #define RWDT_RETURN_IF_ERROR(expr)                                       \
   do {                                                                   \
     if (auto _rwdt_status = ::rwdt::internal::AsStatus((expr));          \
@@ -165,7 +177,7 @@ Status AsStatus(const Result<T>& r) {
 
 #define RWDT_ASSIGN_OR_RETURN_IMPL_(tmp, lhs, rexpr) \
   auto tmp = (rexpr);                                \
-  if (!tmp.ok()) return tmp.status();                \
+  if (!tmp.ok()) return std::move(tmp).status();     \
   lhs = std::move(tmp).value()
 
 }  // namespace rwdt

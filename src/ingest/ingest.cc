@@ -30,9 +30,9 @@ bool IsBlank(std::string_view s) {
 
 /// Process-wide first-class registry counters for the reader taxonomy
 /// (`/metrics` shows ingest health without waiting for the final
-/// IngestReport). Instruments are registered once and cached — the
-/// per-line cost is one relaxed fetch_add, and the block counters are
-/// folded in at chunk granularity.
+/// IngestReport). Instruments are registered once and cached. The line,
+/// byte and block counters are folded in at chunk granularity, so a line
+/// touches no shared counter; only a reject bumps one.
 struct IngestInstruments {
   obs::Counter* lines;
   obs::Counter* bytes;
@@ -117,8 +117,11 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
   const IngestInstruments& metrics = IngestInstruments::Get();
   metrics.runs->Increment();
 
-  // Byte/block progress reaches /metrics at chunk granularity (delta at
-  // each flush), not per line — one shared-counter touch per chunk.
+  // Line/byte/block progress reaches /metrics at chunk granularity
+  // (delta at each flush), not per line — one shared-counter touch per
+  // chunk.
+  uint64_t lines_reported = 0;
+  uint64_t blank_reported = 0;
   uint64_t bytes_reported = 0;
   uint64_t blocks_reported = 0;
   uint64_t stitches_reported = 0;
@@ -128,6 +131,10 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
       chunk.clear();
     }
     chunk_arena.Clear();
+    metrics.lines->Increment(report.lines_read - lines_reported);
+    lines_reported = report.lines_read;
+    metrics.blank_lines->Increment(report.blank_lines - blank_reported);
+    blank_reported = report.blank_lines;
     metrics.bytes->Increment(report.bytes_read - bytes_reported);
     bytes_reported = report.bytes_read;
     obs::Counter* blocks =
@@ -160,10 +167,8 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
   LineScanner::Line rec;
   while (scanner.Next(&rec, &report.bytes_read)) {
     report.lines_read++;
-    metrics.lines->Increment();
     if (IsBlank(rec.text)) {
       report.blank_lines++;
-      metrics.blank_lines->Increment();
       continue;
     }
     // Oversize first: a truncated line's tab or encoding is meaningless.

@@ -69,6 +69,31 @@ TEST(StatusMacroTest, ReturnIfErrorForwardsBothShapes) {
   EXPECT_EQ(from_result(Status::NotFound("x")).code(), Code::kNotFound);
 }
 
+TEST(ResultTest, MovedOutStatusKeepsCodeAndMessage) {
+  // Longer than any small-string buffer, so the message lives on the
+  // heap and moving it hands over the buffer.
+  const std::string message(100, 'm');
+  Result<int> r = Status::ParseError(message);
+  const Status moved = std::move(r).status();
+  EXPECT_EQ(moved.code(), Code::kParseError);
+  EXPECT_EQ(moved.message(), message);
+  // Both macros move a temporary's status up the call chain.
+  auto leaf = [&]() -> Result<int> { return Status::LexError(message); };
+  auto middle = [&]() -> Result<int> {
+    RWDT_ASSIGN_OR_RETURN(const int x, leaf());
+    return x;
+  };
+  auto top = [&]() -> Status {
+    RWDT_RETURN_IF_ERROR(middle());
+    return Status::Ok();
+  };
+  const Status passed_up = top();
+  EXPECT_EQ(passed_up.code(), Code::kLexError);
+  EXPECT_EQ(passed_up.message(), message);
+  Result<int> good = 5;
+  EXPECT_TRUE(std::move(good).status().ok());
+}
+
 TEST(StatusMacroTest, AssignOrReturnDeclaresAndAssigns) {
   auto chain = [](Result<int> a, Result<int> b) -> Result<int> {
     RWDT_ASSIGN_OR_RETURN(const int x, std::move(a));

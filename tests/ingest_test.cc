@@ -517,6 +517,50 @@ TEST(IngestTest, BlockReaderCountersReachMetricRegistry) {
   EXPECT_NE(om.find("rwdt_ingest_runs_total "), std::string::npos) << om;
 }
 
+/// The value of one unlabeled counter in the global registry's
+/// exposition, e.g. "rwdt_ingest_lines_total"; 0 when absent.
+uint64_t RegistryCounter(const std::string& series) {
+  const std::string om = obs::MetricRegistry::Global().RenderOpenMetrics();
+  const size_t at = om.find("\n" + series + " ");
+  if (at == std::string::npos) return 0;
+  return std::stoull(om.substr(at + series.size() + 2));
+}
+
+TEST(IngestTest, LineCountersReachMetricRegistryAtEachFlush) {
+  // More lines than one chunk holds, blank lines among them, so the
+  // counters are folded in over several flushes.
+  std::string text;
+  uint64_t blank = 0;
+  for (size_t i = 0; i < kChunkEntries + kChunkEntries / 2; ++i) {
+    if (i % 7 == 3) {
+      text += "\n";
+      ++blank;
+    } else {
+      text += "ASK { ?s <p" + std::to_string(i % 50) + "> ?o }\n";
+    }
+  }
+  const std::string path = ::testing::TempDir() + "/rwdt_ingest_lines.log";
+  {
+    std::ofstream file(path, std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file << text;
+  }
+  const uint64_t lines_before = RegistryCounter("rwdt_ingest_lines_total");
+  const uint64_t blank_before =
+      RegistryCounter("rwdt_ingest_blank_lines_total");
+  IngestOptions opts;
+  opts.engine.threads = 1;
+  auto r = IngestFile(path, opts);
+  std::remove(path.c_str());
+  ASSERT_TRUE(r.ok()) << r.error_message();
+  EXPECT_GT(r.value().lines_read, kChunkEntries);
+  EXPECT_EQ(r.value().blank_lines, blank);
+  EXPECT_EQ(RegistryCounter("rwdt_ingest_lines_total") - lines_before,
+            r.value().lines_read);
+  EXPECT_EQ(RegistryCounter("rwdt_ingest_blank_lines_total") - blank_before,
+            blank);
+}
+
 TEST(IngestTest, ReportJsonCarriesReaderProvenance) {
   std::stringstream in;
   in << "ASK { ?s ?p ?o }\n";
