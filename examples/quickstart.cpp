@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   const sparql::Query& query = parsed.value();
 
   // --- classify like the log studies do -------------------------------
-  std::printf("triple patterns: %zu\n",
-              query.pattern->NumTriplePatterns());
+  std::printf("triple patterns: %zu\n", query.NumTriplePatterns());
   std::printf("features:");
   for (sparql::Feature f : sparql::ExtractFeatures(query)) {
     std::printf(" [%s]", sparql::FeatureName(f).c_str());
@@ -49,7 +48,7 @@ int main(int argc, char** argv) {
   hypergraph::Hypergraph h =
       hypergraph::BuildCanonicalHypergraph(query);
   std::printf("canonical hypergraph: %zu vertices, %zu edges; acyclic: %s\n",
-              h.num_vertices, h.edges.size(),
+              h.num_vertices, h.num_edges(),
               hypergraph::IsAcyclic(h) ? "yes" : "no");
   std::printf("canonical graph shape: %s\n",
               hypergraph::GraphShapeName(
@@ -57,9 +56,9 @@ int main(int argc, char** argv) {
                       hypergraph::BuildCanonicalGraphs(query).with_constants))
                   .c_str());
 
-  sparql::ForEachNode(*query.pattern, [&](const sparql::Pattern& p) {
+  sparql::ForEachNode(query, [&](const sparql::Pattern& p) {
     if (p.op != sparql::Pattern::Op::kPath) return;
-    const paths::Path& path = *p.path.path;
+    const paths::Path& path = *query.path(p).path;
     std::printf("property path %s : type %s, %s\n",
                 path.ToString(dict).c_str(),
                 paths::Table8TypeName(paths::ClassifyTable8(path)).c_str(),

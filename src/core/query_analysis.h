@@ -42,11 +42,29 @@ struct StageTimings {
   uint64_t path_ns = 0;        // property-path type classification
 };
 
+/// The buffers one classification fills: the well-designedness check's
+/// arrays, the canonical hypergraph with its vertex map, free vertices
+/// and acyclicity arrays, and Table 7's edge lists. A caller that
+/// classifies query after query (each engine shard) keeps one, so once
+/// they have grown a query costs no heap allocation outside the rare
+/// paths: an htw search, a Table 7 graph with a cycle, a property path's
+/// type list.
+struct ClassifyScratch {
+  sparql::WellDesignedScratch well_designed;
+  hypergraph::Scratch hypergraph;
+  hypergraph::Hypergraph canonical;
+  std::vector<SymbolId> vertex_vars;
+  std::vector<SymbolId> projected;
+  std::vector<uint32_t> free_vertices;
+};
+
 /// Runs the full per-query classifier battery behind Tables 3-8 and
-/// Figure 3. Deterministic in the query alone; never touches shared
-/// state, so it is safe to call concurrently from many threads.
+/// Figure 3, refilling `scratch`. Deterministic in the query alone;
+/// touches no state but `scratch`, so it is safe to call concurrently
+/// from many threads with one scratch each.
 QueryAnalysis AnalyzeQuery(const sparql::Query& q,
                            const LogStudyOptions& options,
+                           ClassifyScratch* scratch,
                            StageTimings* timings = nullptr);
 
 /// Adds one analyzed query to `agg` with multiplicity `weight`.

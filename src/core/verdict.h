@@ -65,9 +65,14 @@ struct QueryVerdict {
 
 /// Runs the full per-query classifier battery (`AnalyzeQuery`) and wraps
 /// it into the shared verdict. Deterministic in the query alone; never
-/// touches shared state, so it is safe to call concurrently.
+/// touches shared state, so it is safe to call concurrently. This form
+/// classifies with a fresh scratch.
 QueryVerdict Classify(const sparql::Query& q, const LogStudyOptions& options,
                       StageTimings* timings = nullptr);
+/// The same with the caller's scratch, reused from query to query (each
+/// engine shard keeps one).
+QueryVerdict Classify(const sparql::Query& q, const LogStudyOptions& options,
+                      ClassifyScratch* scratch, StageTimings* timings);
 
 }  // namespace rwdt::core
 

@@ -67,6 +67,11 @@ struct alignas(64) Engine::ShardState {
   /// analysis stays a pure function of the query text while the arena
   /// and slot table are reused allocation-free across queries.
   FlatInterner dict;
+  /// The query each first sight parses into and the buffers its
+  /// classification fills, both emptied and refilled per distinct text,
+  /// so a first sight allocates nothing once they have grown.
+  sparql::Query query;
+  core::ClassifyScratch scratch;
   /// The outcome of one distinct text, computed once per stream.
   struct Text {
     bool parse_ok = false;
@@ -331,19 +336,21 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     ShardState::Text& fresh = state->texts.emplace_back();
     state->dict.Clear();
     const uint64_t t0 = NowNs();
-    auto parsed = sparql::ParseSparql(text, &state->dict);
+    const Status parsed = sparql::ParseSparql(
+        text, &state->dict, sparql::ParseLimits{}, &state->query);
     const uint64_t t1 = NowNs();
     local.Record(Stage::kParse, t1 - t0);
     obs::EmitSpan("parse", t0, t1 - t0);
     if (!parsed.ok()) {
-      fresh.error = ClassifyStatus(parsed.status());
+      fresh.error = ClassifyStatus(parsed);
       local.parse_failures++;
       reject(fresh.error);
       continue;
     }
     core::StageTimings st;
     fresh.parse_ok = true;
-    fresh.verdict = core::Classify(parsed.value(), options_.study, &st);
+    fresh.verdict =
+        core::Classify(state->query, options_.study, &state->scratch, &st);
     local.analyzed++;
     state->valid++;
     state->unique++;

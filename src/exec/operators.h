@@ -298,11 +298,12 @@ class NestedLoopJoinOp : public Operator {
 /// Filter at its exact pattern position; delegates the predicate to
 /// Evaluator::EvalFilter, reading the row through a variable lookup, so
 /// filter semantics (unbound-variable handling, EXISTS against the full
-/// store) cannot drift from the reference.
+/// store) cannot drift from the reference. `filter` is a node of
+/// `query`, which must outlive the operator.
 class FilterOp : public Operator {
  public:
-  FilterOp(LayoutPtr layout, OperatorPtr child, sparql::FilterPtr filter,
-           const sparql::Evaluator& eval);
+  FilterOp(LayoutPtr layout, OperatorPtr child, const sparql::Query& query,
+           const sparql::FilterExpr& filter, const sparql::Evaluator& eval);
 
   Status Open() override;
   Result<bool> Next(SymbolId* row) override;
@@ -312,7 +313,8 @@ class FilterOp : public Operator {
 
  private:
   OperatorPtr child_;
-  sparql::FilterPtr filter_;
+  const sparql::Query& query_;
+  const sparql::FilterExpr& filter_;
   const sparql::Evaluator& eval_;
 };
 

@@ -19,10 +19,12 @@ constexpr uint64_t kUnknownEstimate =
 
 /// Conjunction flattening: nested ANDs join the same bag regardless of
 /// association, so the planner works on the flat conjunct list.
-void FlattenConjuncts(const sparql::Pattern& p,
+void FlattenConjuncts(const sparql::Query& q, const sparql::Pattern& p,
                       std::vector<const sparql::Pattern*>* out) {
   if (p.op == sparql::Pattern::Op::kAnd) {
-    for (const auto& c : p.children) FlattenConjuncts(*c, out);
+    for (const sparql::NodeIndex c : q.children(p)) {
+      FlattenConjuncts(q, q.node(c), out);
+    }
     return;
   }
   out->push_back(&p);
@@ -157,10 +159,11 @@ Executor::Built Executor::MakeJoin(const LayoutPtr& layout, Built left,
   return out;
 }
 
-Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p,
+Result<Executor::Built> Executor::BuildAnd(const sparql::Query& q,
+                                           const sparql::Pattern& p,
                                            const LayoutPtr& layout) const {
   std::vector<const sparql::Pattern*> conjuncts;
-  FlattenConjuncts(p, &conjuncts);
+  FlattenConjuncts(q, p, &conjuncts);
   if (conjuncts.empty()) {
     // Empty AND: the evaluator's join identity, one empty binding.
     return MakeLeaf(std::make_unique<YannakakisOp>(
@@ -206,7 +209,7 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p,
   std::vector<Built> built;
   built.reserve(conjuncts.size());
   for (const sparql::Pattern* c : conjuncts) {
-    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(*c, layout));
+    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(q, *c, layout));
     built.push_back(std::move(b));
   }
 
@@ -247,7 +250,8 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Pattern& p,
 }
 
 Result<Executor::Built> Executor::BuildPattern(
-    const sparql::Pattern& p, const LayoutPtr& layout) const {
+    const sparql::Query& q, const sparql::Pattern& p,
+    const LayoutPtr& layout) const {
   using Op = sparql::Pattern::Op;
   switch (p.op) {
     case Op::kTriple: {
@@ -265,30 +269,33 @@ Result<Executor::Built> Executor::BuildPattern(
           std::move(vars), estimate);
     }
     case Op::kPath: {
+      const sparql::PathTriple& path = q.path(p);
       std::set<SymbolId> vars;
-      TermVars(p.path.s, &vars);
-      TermVars(p.path.o, &vars);
+      TermVars(path.s, &vars);
+      TermVars(path.o, &vars);
       OperatorPtr op;
-      if (paths::IsSimpleTransitiveExpression(*p.path.path)) {
+      if (paths::IsSimpleTransitiveExpression(*path.path)) {
         op = std::make_unique<AutomatonPathScanOp>(layout, store_, eval_,
-                                                   *dict_, p.path);
+                                                   *dict_, path);
       } else {
-        op = std::make_unique<PathScanOp>(layout, eval_, *dict_, p.path);
+        op = std::make_unique<PathScanOp>(layout, eval_, *dict_, path);
       }
       return MakeLeaf(std::move(op), std::move(vars), store_.size());
     }
     case Op::kAnd:
-      return BuildAnd(p, layout);
+      return BuildAnd(q, p, layout);
     case Op::kFilter: {
-      RWDT_ASSIGN_OR_RETURN(Built child, BuildPattern(*p.children[0], layout));
-      child.op = std::make_unique<FilterOp>(layout, std::move(child.op),
-                                            p.filter, eval_);
+      RWDT_ASSIGN_OR_RETURN(Built child,
+                            BuildPattern(q, q.child(p, 0), layout));
+      child.op = std::make_unique<FilterOp>(layout, std::move(child.op), q,
+                                            q.filter(p.filter), eval_);
       return child;
     }
     case Op::kOptional: {
-      RWDT_ASSIGN_OR_RETURN(Built left, BuildPattern(*p.children[0], layout));
+      RWDT_ASSIGN_OR_RETURN(Built left,
+                            BuildPattern(q, q.child(p, 0), layout));
       RWDT_ASSIGN_OR_RETURN(Built right,
-                            BuildPattern(*p.children[1], layout));
+                            BuildPattern(q, q.child(p, 1), layout));
       std::vector<SymbolId> join_vars;
       std::set_intersection(left.possible.begin(), left.possible.end(),
                             right.possible.begin(), right.possible.end(),
@@ -329,7 +336,8 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
                                 const core::QueryVerdict& verdict) const {
   Plan plan;
   plan.verdict = verdict;
-  plan.query = q;
+  plan.query = std::make_unique<const sparql::Query>(q);
+  const sparql::Query& query = *plan.query;
 
   auto fallback = [&](std::string reason) {
     plan.strategy = Strategy::kFallback;
@@ -366,11 +374,14 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
                     verdict.FragmentName() + ")");
   }
 
-  // One slot per variable of the pattern, shared by every operator.
+  // One slot per variable of the pattern, shared by every operator. The
+  // operators are built from the plan's own copy of the query, which
+  // they may keep referring to.
   std::set<SymbolId> vars;
-  q.pattern->CollectVars(&vars);
+  query.CollectVars(query.pattern, &vars);
   Result<Built> built =
-      BuildPattern(*q.pattern, std::make_shared<const SlotLayout>(vars));
+      BuildPattern(query, query.node(query.pattern),
+                   std::make_shared<const SlotLayout>(vars));
   if (!built.ok()) {
     return fallback("planner fallback: " + built.status().message());
   }
@@ -385,12 +396,12 @@ Result<std::vector<Binding>> Executor::Execute(Plan& plan) const {
   const auto start = std::chrono::steady_clock::now();
   Result<std::vector<Binding>> rows = [&]() -> Result<std::vector<Binding>> {
     if (plan.root == nullptr) {
-      return eval_.EvalQuery(plan.query);
+      return eval_.EvalQuery(*plan.query);
     }
     eval_.ResetSteps();  // per-query budget for EvalFilter / modifiers
     RWDT_ASSIGN_OR_RETURN(std::vector<Binding> pattern_rows,
                           plan.root->Drain());
-    return eval_.ApplyModifiers(plan.query, std::move(pattern_rows));
+    return eval_.ApplyModifiers(*plan.query, std::move(pattern_rows));
   }();
   exec_seconds_->Observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -2,6 +2,7 @@
 #define RWDT_EXEC_PLANNER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,11 +45,13 @@ const char* StrategyName(Strategy s);
 /// names the fragment so operators can see *why* a plan was chosen.
 ///
 /// A Plan borrows the Executor that built it (store, dictionary,
-/// evaluator); it must not outlive it.
+/// evaluator); it must not outlive it. It owns a copy of its query, on
+/// the heap so that its filter operators' references into it survive
+/// moves of the Plan.
 struct Plan {
   Strategy strategy = Strategy::kFallback;
   core::QueryVerdict verdict;
-  sparql::Query query;
+  std::unique_ptr<const sparql::Query> query;
   /// Why this strategy applies (or why the planner fell back).
   std::string reason;
   OperatorPtr root;  // null when strategy == kFallback
@@ -99,9 +102,9 @@ class Executor {
  private:
   struct Built;
 
-  Result<Built> BuildPattern(const sparql::Pattern& p,
+  Result<Built> BuildPattern(const sparql::Query& q, const sparql::Pattern& p,
                              const LayoutPtr& layout) const;
-  Result<Built> BuildAnd(const sparql::Pattern& p,
+  Result<Built> BuildAnd(const sparql::Query& q, const sparql::Pattern& p,
                          const LayoutPtr& layout) const;
   Built MakeJoin(const LayoutPtr& layout, Built left, Built right) const;
   Built MakeLeaf(OperatorPtr op, std::set<SymbolId> vars,

@@ -111,54 +111,71 @@ std::string Path::ToString(const Interner& dict) const {
   return out;
 }
 
+namespace {
+
+using NegatedSet = std::vector<std::pair<SymbolId, bool>>;
+
+/// The children of an n-ary `op` node over `parts`, with the parts that
+/// are `op` nodes themselves spliced in.
+std::vector<PathPtr> Flatten(PathOp op, std::vector<PathPtr> parts) {
+  std::vector<PathPtr> flat;
+  flat.reserve(parts.size());
+  for (auto& p : parts) {
+    if (p->op() == op) {
+      flat.insert(flat.end(), p->children().begin(), p->children().end());
+    } else {
+      flat.push_back(std::move(p));
+    }
+  }
+  return flat;
+}
+
+std::vector<PathPtr> One(PathPtr e) {
+  std::vector<PathPtr> children;
+  children.push_back(std::move(e));
+  return children;
+}
+
+}  // namespace
+
 PathPtr Path::Iri(SymbolId iri) {
-  return PathPtr(new Path(PathOp::kIri, iri, {}, {}));
+  return std::make_shared<const Path>(Key(), PathOp::kIri, iri,
+                                      std::vector<PathPtr>(), NegatedSet());
 }
 PathPtr Path::Inverse(PathPtr e) {
-  return PathPtr(new Path(PathOp::kInverse, kInvalidSymbol, {std::move(e)},
-                          {}));
+  return std::make_shared<const Path>(Key(), PathOp::kInverse,
+                                      kInvalidSymbol, One(std::move(e)),
+                                      NegatedSet());
 }
 PathPtr Path::Seq(std::vector<PathPtr> parts) {
   if (parts.size() == 1) return parts[0];
-  std::vector<PathPtr> flat;
-  for (auto& p : parts) {
-    if (p->op() == PathOp::kSeq) {
-      for (const auto& c : p->children()) flat.push_back(c);
-    } else {
-      flat.push_back(std::move(p));
-    }
-  }
-  return PathPtr(new Path(PathOp::kSeq, kInvalidSymbol, std::move(flat),
-                          {}));
+  return std::make_shared<const Path>(Key(), PathOp::kSeq, kInvalidSymbol,
+                                      Flatten(PathOp::kSeq, std::move(parts)),
+                                      NegatedSet());
 }
 PathPtr Path::Alt(std::vector<PathPtr> parts) {
   if (parts.size() == 1) return parts[0];
-  std::vector<PathPtr> flat;
-  for (auto& p : parts) {
-    if (p->op() == PathOp::kAlt) {
-      for (const auto& c : p->children()) flat.push_back(c);
-    } else {
-      flat.push_back(std::move(p));
-    }
-  }
-  return PathPtr(new Path(PathOp::kAlt, kInvalidSymbol, std::move(flat),
-                          {}));
+  return std::make_shared<const Path>(Key(), PathOp::kAlt, kInvalidSymbol,
+                                      Flatten(PathOp::kAlt, std::move(parts)),
+                                      NegatedSet());
 }
 PathPtr Path::Star(PathPtr e) {
-  return PathPtr(new Path(PathOp::kStar, kInvalidSymbol, {std::move(e)},
-                          {}));
+  return std::make_shared<const Path>(Key(), PathOp::kStar, kInvalidSymbol,
+                                      One(std::move(e)), NegatedSet());
 }
 PathPtr Path::Plus(PathPtr e) {
-  return PathPtr(new Path(PathOp::kPlus, kInvalidSymbol, {std::move(e)},
-                          {}));
+  return std::make_shared<const Path>(Key(), PathOp::kPlus, kInvalidSymbol,
+                                      One(std::move(e)), NegatedSet());
 }
 PathPtr Path::Optional(PathPtr e) {
-  return PathPtr(new Path(PathOp::kOptional, kInvalidSymbol,
-                          {std::move(e)}, {}));
+  return std::make_shared<const Path>(Key(), PathOp::kOptional,
+                                      kInvalidSymbol, One(std::move(e)),
+                                      NegatedSet());
 }
 PathPtr Path::Negated(std::vector<std::pair<SymbolId, bool>> forbidden) {
-  return PathPtr(new Path(PathOp::kNegated, kInvalidSymbol, {},
-                          std::move(forbidden)));
+  return std::make_shared<const Path>(Key(), PathOp::kNegated,
+                                      kInvalidSymbol, std::vector<PathPtr>(),
+                                      std::move(forbidden));
 }
 
 namespace {
@@ -209,8 +226,11 @@ class PathParser {
     return p;
   }
 
+  // A lone operand is returned as it is, already bounded, without the
+  // parts vector an alternation or sequence needs.
   Result<PathPtr> ParseAlt() {
     RWDT_ASSIGN_OR_RETURN(PathPtr first, ParseSeq());
+    if (Peek() != '|') return first;
     std::vector<PathPtr> parts = {std::move(first)};
     while (Peek() == '|') {
       ++pos_;
@@ -222,6 +242,7 @@ class PathParser {
 
   Result<PathPtr> ParseSeq() {
     RWDT_ASSIGN_OR_RETURN(PathPtr first, ParsePostfix());
+    if (Peek() != '/') return first;
     std::vector<PathPtr> parts = {std::move(first)};
     while (Peek() == '/') {
       ++pos_;

@@ -66,7 +66,14 @@ class Path {
   static PathPtr Negated(std::vector<std::pair<SymbolId, bool>> forbidden);
 
  private:
-  Path(PathOp op, SymbolId iri, std::vector<PathPtr> children,
+  /// Only the factories above can make one, so only they construct a
+  /// Path, each with one allocation (std::make_shared).
+  struct Key {
+    explicit Key() = default;
+  };
+
+ public:
+  Path(Key, PathOp op, SymbolId iri, std::vector<PathPtr> children,
        std::vector<std::pair<SymbolId, bool>> negated)
       : op_(op),
         iri_(iri),
@@ -77,6 +84,7 @@ class Path {
     }
   }
 
+ private:
   PathOp op_;
   SymbolId iri_ = kInvalidSymbol;
   std::vector<PathPtr> children_;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sparql/algebra.h"
@@ -114,6 +115,21 @@ OperatorSet ExtractOperatorSet(const Query& q);
 /// UsesOnlyAndFilterOptional).
 bool UsesOnlyAndFilterOptional(const Query& q);
 bool IsWellDesigned(const Query& q);
+
+/// The arrays IsWellDesigned fills for one query. A caller that checks
+/// query after query (each engine shard) keeps one and passes it in, so
+/// they are allocated once, not per query.
+struct WellDesignedScratch {
+  struct Node {
+    const Pattern* pattern;
+    uint32_t end;       // one past the last number in the subtree
+    uint32_t mentions;  // index of the node's first own mention
+  };
+  std::vector<Node> nodes;                             // in pre-order
+  std::vector<SymbolId> mentions;                      // node by node
+  std::vector<std::pair<SymbolId, uint32_t>> by_var;  // (var, node)
+};
+bool IsWellDesigned(const Query& q, WellDesignedScratch* scratch);
 
 /// CQ+F queries "suitable for graph analysis" (Section 9.5): every
 /// triple pattern's predicate is an IRI or a variable not shared with

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <chrono>
 #include <functional>
@@ -284,27 +283,6 @@ std::string V(const char* prefix, int i) {
   return std::string("?") + prefix + std::to_string(i);
 }
 
-/// Runs `body` on a thread with a 256 MiB stack. The chains below nest
-/// up to ~50,000 AST levels, and the AST's walkers and destructors
-/// recurse once per level: that fits the default 8 MiB stack in an
-/// optimized build, but a sanitizer build spends several times the
-/// stack per level (ROADMAP item 1). This test bounds time, not depth.
-void OnLargeStack(const std::function<void()>& body) {
-  pthread_attr_t attr;
-  pthread_attr_init(&attr);
-  pthread_attr_setstacksize(&attr, size_t{256} << 20);
-  pthread_t thread;
-  auto run = [](void* arg) -> void* {
-    (*static_cast<const std::function<void()>*>(arg))();
-    return nullptr;
-  };
-  const int created = pthread_create(
-      &thread, &attr, run, const_cast<std::function<void()>*>(&body));
-  pthread_attr_destroy(&attr);
-  ASSERT_EQ(created, 0);
-  pthread_join(thread, nullptr);
-}
-
 /// Parses and classifies `text`, failing the test if either takes longer
 /// than a bound that is generous for a sanitizer build.
 QueryVerdict TimedClassify(const std::string& text) {
@@ -322,61 +300,61 @@ QueryVerdict TimedClassify(const std::string& text) {
   return verdict;
 }
 
+// The chains nest up to ~50,000 AST levels. They run on the default
+// stack: the AST is flat arrays, every walk the classifier makes is a
+// loop, and destroying a query frees a few vectors.
+
 TEST(ClassifyTimeTest, OptionalChainsUpToTheByteLimit) {
-  OnLargeStack([&] {
-    auto none = [](int) { return std::string(); };
-    auto optional = [](int i) {
-      return "OPTIONAL { ?x0 <q> " + V("y", i) + " } ";
-    };
-    auto optional_filter = [](int i) {
-      return "OPTIONAL { ?x0 <q> " + V("y", i) + " FILTER(" + V("y", i) +
-             " != ?x0) } ";
-    };
-    // A later triple reuses the first OPTIONAL's P2 variable ?y1, which
-    // its P1 does not bind: not well-designed.
-    auto reuse = [](int) { return std::string("?y1 <r> ?w "); };
-    const size_t max_bytes = sparql::ParseLimits{}.max_query_bytes;
-    for (size_t bytes = 16 << 10; bytes <= max_bytes; bytes *= 8) {
-      SCOPED_TRACE(bytes);
-      const QueryVerdict chain =
-          TimedClassify(ChainQuery(optional, none, bytes));
-      EXPECT_TRUE(chain.analysis.afo_only);
-      EXPECT_TRUE(chain.analysis.well_designed);
-      const QueryVerdict filtered =
-          TimedClassify(ChainQuery(optional_filter, none, bytes));
-      EXPECT_TRUE(filtered.analysis.well_designed);
-      const QueryVerdict reused =
-          TimedClassify(ChainQuery(optional, reuse, bytes));
-      EXPECT_TRUE(reused.analysis.afo_only);
-      EXPECT_FALSE(reused.analysis.well_designed);
-    }
-  });
+  auto none = [](int) { return std::string(); };
+  auto optional = [](int i) {
+    return "OPTIONAL { ?x0 <q> " + V("y", i) + " } ";
+  };
+  auto optional_filter = [](int i) {
+    return "OPTIONAL { ?x0 <q> " + V("y", i) + " FILTER(" + V("y", i) +
+           " != ?x0) } ";
+  };
+  // A later triple reuses the first OPTIONAL's P2 variable ?y1, which
+  // its P1 does not bind: not well-designed.
+  auto reuse = [](int) { return std::string("?y1 <r> ?w "); };
+  const size_t max_bytes = sparql::ParseLimits{}.max_query_bytes;
+  for (size_t bytes = 16 << 10; bytes <= max_bytes; bytes *= 8) {
+    SCOPED_TRACE(bytes);
+    const QueryVerdict chain =
+        TimedClassify(ChainQuery(optional, none, bytes));
+    EXPECT_TRUE(chain.analysis.afo_only);
+    EXPECT_TRUE(chain.analysis.well_designed);
+    const QueryVerdict filtered =
+        TimedClassify(ChainQuery(optional_filter, none, bytes));
+    EXPECT_TRUE(filtered.analysis.well_designed);
+    const QueryVerdict reused =
+        TimedClassify(ChainQuery(optional, reuse, bytes));
+    EXPECT_TRUE(reused.analysis.afo_only);
+    EXPECT_FALSE(reused.analysis.well_designed);
+  }
 }
 
 TEST(ClassifyTimeTest, FilterChainsUpToTheByteLimit) {
-  OnLargeStack([&] {
-    auto none = [](int) { return std::string(); };
-    auto unary = [](int i) { return "FILTER(bound(" + V("v", i) + ")) "; };
-    auto path = [](int i) {
-      return "FILTER(" + V("v", i) + " != " + V("v", i + 1) + ") ";
-    };
-    auto close_cycle = [](int n) {
-      return "FILTER(" + V("v", n + 1) + " != ?v1) ";
-    };
-    const size_t max_bytes = sparql::ParseLimits{}.max_query_bytes;
-    for (size_t bytes = 16 << 10; bytes <= max_bytes; bytes *= 8) {
-      SCOPED_TRACE(bytes);
-      // Acyclic: the canonical hypergraph reduces under GYO.
-      EXPECT_EQ(TimedClassify(ChainQuery(unary, none, bytes)).HtwLe(), 1u);
-      EXPECT_EQ(TimedClassify(ChainQuery(path, none, bytes)).HtwLe(), 1u);
-      // A cycle of filters: cyclic, and far too long for the htw search's
-      // budget, which then answers "unknown".
-      const QueryVerdict cycle =
-          TimedClassify(ChainQuery(path, close_cycle, bytes));
-      EXPECT_TRUE(cycle.analysis.ops.IsCqF());
-      EXPECT_FALSE(cycle.analysis.cqf_htw1);
-    }
-  });
+  auto none = [](int) { return std::string(); };
+  auto unary = [](int i) { return "FILTER(bound(" + V("v", i) + ")) "; };
+  auto path = [](int i) {
+    return "FILTER(" + V("v", i) + " != " + V("v", i + 1) + ") ";
+  };
+  auto close_cycle = [](int n) {
+    return "FILTER(" + V("v", n + 1) + " != ?v1) ";
+  };
+  const size_t max_bytes = sparql::ParseLimits{}.max_query_bytes;
+  for (size_t bytes = 16 << 10; bytes <= max_bytes; bytes *= 8) {
+    SCOPED_TRACE(bytes);
+    // Acyclic: the canonical hypergraph reduces under GYO.
+    EXPECT_EQ(TimedClassify(ChainQuery(unary, none, bytes)).HtwLe(), 1u);
+    EXPECT_EQ(TimedClassify(ChainQuery(path, none, bytes)).HtwLe(), 1u);
+    // A cycle of filters: cyclic, and far too long for the htw search's
+    // budget, which then answers "unknown".
+    const QueryVerdict cycle =
+        TimedClassify(ChainQuery(path, close_cycle, bytes));
+    EXPECT_TRUE(cycle.analysis.ops.IsCqF());
+    EXPECT_FALSE(cycle.analysis.cqf_htw1);
+  }
 }
 
 TEST(ClassifyTimeTest, CliquesStayWithinTheHtwBudget) {

@@ -27,6 +27,15 @@ Hypergraph RandomHypergraph(Rng& rng, size_t vertices, size_t edges) {
   return h;
 }
 
+/// The hyperedges as vertex lists, the form the reference below takes.
+std::vector<std::vector<uint32_t>> EdgeSets(const Hypergraph& h) {
+  std::vector<std::vector<uint32_t>> edges;
+  for (size_t e = 0; e < h.num_edges(); ++e) {
+    edges.emplace_back(h.edge(e).begin(), h.edge(e).end());
+  }
+  return edges;
+}
+
 /// The GYO reduction as its definition states it, for reference: drop a
 /// vertex that lies in one edge only, or an edge that is empty, inside
 /// another edge, or equal to an earlier one, until nothing changes.
@@ -67,13 +76,13 @@ TEST_P(HgPropertyTest, AcyclicMatchesGyoReduction) {
   for (int round = 0; round < 400; ++round) {
     const Hypergraph h = RandomHypergraph(rng, 2 + rng.NextBelow(10),
                                           1 + rng.NextBelow(14));
-    const bool acyclic = GyoReduces(h.edges);
+    const bool acyclic = GyoReduces(EdgeSets(h));
     EXPECT_EQ(IsAcyclic(h), acyclic);
     std::vector<uint32_t> free;
     for (uint32_t v = 0; v < h.num_vertices; ++v) {
       if (rng.NextBool(0.5)) free.push_back(v);
     }
-    std::vector<std::vector<uint32_t>> extended = h.edges;
+    std::vector<std::vector<uint32_t>> extended = EdgeSets(h);
     extended.push_back(free);
     const bool free_connex = acyclic && GyoReduces(extended);
     EXPECT_EQ(IsFreeConnexAcyclic(h, free), free_connex);
@@ -105,7 +114,7 @@ TEST_P(HgPropertyTest, WidthIsMonotone) {
       previous = *at_most;
     }
     // Every hypergraph with m edges has ghw <= m.
-    auto all = HypertreeWidthAtMost(h, h.edges.size());
+    auto all = HypertreeWidthAtMost(h, h.num_edges());
     ASSERT_TRUE(all.has_value());
     EXPECT_TRUE(*all);
   }

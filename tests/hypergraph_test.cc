@@ -100,7 +100,7 @@ TEST_F(QueryShapeTest, CanonicalHypergraphFromQuery) {
              "FILTER(?x != ?z) }");
   Hypergraph h = BuildCanonicalHypergraph(q);
   EXPECT_EQ(h.num_vertices, 3u);
-  EXPECT_EQ(h.edges.size(), 3u);
+  EXPECT_EQ(h.num_edges(), 3u);
   // The filter edge closes a cycle x-y-z-x.
   EXPECT_FALSE(IsAcyclic(h));
   // The same triples without the filter: the triple hypergraph.
