@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "rwdt.h"
 
@@ -105,8 +106,8 @@ int main(int argc, char** argv) {
   std::printf("\n%zu solutions:\n", rows.size());
   for (const auto& mu : rows) {
     for (const auto& [var, value] : mu) {
-      std::printf("  %s = %s", dict.Name(var).c_str(),
-                  dict.Name(value).c_str());
+      std::printf("  %s = %s", std::string(dict.Name(var)).c_str(),
+                  std::string(dict.Name(value)).c_str());
     }
     std::printf("\n");
   }

@@ -5,8 +5,8 @@
 #include <thread>
 #include <utility>
 
-#include "common/flat_interner.h"
 #include "common/hash.h"
+#include "common/interner.h"
 #include "core/verdict.h"
 #include "obs/engine_bridge.h"
 #include "obs/trace.h"
@@ -37,12 +37,8 @@ std::atomic<uint64_t> g_engine_ordinal{0};
 
 Status EngineOptions::Validate() const {
   constexpr unsigned kMaxThreads = 4096;
-  constexpr size_t kMaxShards = size_t{1} << 20;
   if (threads > kMaxThreads) {
     return Status::InvalidArgument("threads must be <= 4096");
-  }
-  if (num_shards > kMaxShards) {
-    return Status::InvalidArgument("num_shards must be <= 2^20");
   }
   RWDT_RETURN_IF_ERROR(progress.Validate());
   return Status::Ok();
@@ -62,11 +58,11 @@ Status EngineOptions::Validate() const {
 struct alignas(64) Engine::ShardState {
   /// Dedup dictionary: text -> dense first-seen id, looked up with the
   /// hash precomputed during routing.
-  FlatInterner seen;
+  Interner seen;
   /// Per-parse symbol dictionary, Clear()ed before every parse so the
   /// analysis stays a pure function of the query text while the arena
   /// and slot table are reused allocation-free across queries.
-  FlatInterner dict;
+  Interner dict;
   /// The query each first sight parses into and the buffers its
   /// classification fills, both emptied and refilled per distinct text,
   /// so a first sight allocates nothing once they have grown.
@@ -108,9 +104,7 @@ struct EngineStream::Impl {
 };
 
 Engine::Engine(const EngineOptions& options)
-    : options_(options),
-      threads_(ResolveThreads(options.threads)),
-      num_shards_(options.num_shards > 0 ? options.num_shards : threads_) {
+    : options_(options), threads_(ResolveThreads(options.threads)) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
   const uint64_t ordinal =
       g_engine_ordinal.fetch_add(1, std::memory_order_relaxed);
@@ -150,13 +144,11 @@ EngineStream Engine::OpenStream(std::string name, bool wikidata_like) {
   impl->engine = this;
   impl->study.name = std::move(name);
   impl->study.wikidata_like = wikidata_like;
-  impl->shards = std::vector<ShardState>(num_shards_);
-  impl->parts.resize(num_shards_);
+  impl->shards = std::vector<ShardState>(threads_);
+  impl->parts.resize(threads_);
   if (options_.progress.enabled()) {
-    obs::ProgressOptions popts = options_.progress;
-    if (popts.label == "run") popts.label = impl->study.name;
     impl->reporter = std::make_unique<obs::ProgressReporter>(
-        [this] { return Snapshot(); }, std::move(popts));
+        [this] { return Snapshot(); }, impl->study.name, options_.progress);
   }
   return EngineStream(std::move(impl));
 }
@@ -191,23 +183,23 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   // per-shard dedup. Every duplicate of a query lands in the same shard,
   // making per-shard dedup globally exact. The partition buffers live in
   // Impl and are recycled across Feed calls.
-  const size_t num_shards = eng.num_shards_;
+  const size_t shard_count = eng.threads_;  // one shard per thread
   auto& parts = im.parts;
   for (auto& part : parts) part.clear();
-  if (num_shards == 1) {
+  if (shard_count == 1) {
     parts[0].reserve(count);
     for_each_text([&parts](std::string_view text) {
       parts[0].push_back({text, Hash64(text)});
     });
   } else {
-    for_each_text([&parts, num_shards](std::string_view text) {
+    for_each_text([&parts, shard_count](std::string_view text) {
       const uint64_t h = Hash64(text);
-      parts[h % num_shards].push_back({text, h});
+      parts[h % shard_count].push_back({text, h});
     });
   }
 
   if (eng.pool_ == nullptr) {
-    for (size_t s = 0; s < num_shards; ++s) {
+    for (size_t s = 0; s < shard_count; ++s) {
       eng.ProcessShard(parts[s], &im.shards[s]);
     }
   } else {
@@ -216,7 +208,7 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
     // shard/stage spans recorded on pool threads nest under this Feed,
     // and a serve worker's request trace crosses the pool handoff.
     const obs::TraceContext ctx = obs::CurrentTraceContext();
-    for (size_t s = 0; s < num_shards; ++s) {
+    for (size_t s = 0; s < shard_count; ++s) {
       eng.pool_->Submit([&eng, &im, ctx, s] {
         obs::ScopedTraceContext scoped(ctx);
         eng.ProcessShard(im.parts[s], &im.shards[s]);

@@ -20,14 +20,10 @@
 namespace rwdt::engine {
 
 struct EngineOptions {
-  /// Worker threads. 0 = one per hardware thread. 1 = run inline on the
-  /// calling thread (the historical single-threaded path).
+  /// Worker threads, each running one work shard. 0 = one per hardware
+  /// thread. 1 = run inline on the calling thread (the historical
+  /// single-threaded path).
   unsigned threads = 0;
-
-  /// Work shards. Entries are routed to shards by query-text hash, so
-  /// all duplicates of a text land in one shard and per-shard dedup is
-  /// exact. 0 = one shard per thread.
-  size_t num_shards = 0;
 
   /// Live run reporting for every stream (AnalyzeLog, AnalyzeEntries,
   /// OpenStream..Finish, and so every ingest): while the stream is open
@@ -40,8 +36,8 @@ struct EngineOptions {
   /// Per-query analysis knobs, forwarded to core::Classify.
   core::LogStudyOptions study;
 
-  /// Rejects nonsensical configurations (degenerate shard/thread
-  /// counts, an hour-long progress interval) before any work is
+  /// Rejects nonsensical configurations (a degenerate thread count, an
+  /// hour-long progress interval) before any work is
   /// scheduled. The ingest layer calls this up front so
   /// misconfiguration fails fast, not mid-stream.
   Status Validate() const;
@@ -116,10 +112,11 @@ class EngineStream {
 /// plain `core::AnalyzeLog` loop lacked:
 ///
 ///  1. **Sharded parallelism.** Entries are partitioned by query-text
-///     hash across `num_shards` shards executed on a fixed thread pool.
-///     Aggregates are pure uint64 sums reduced through `core::Merge` in
-///     shard order, so results are bit-identical for a given seed
-///     regardless of thread or shard count.
+///     hash across one shard per thread, executed on a fixed thread
+///     pool, so all duplicates of a text land in one shard and per-shard
+///     dedup is exact. Aggregates are pure uint64 sums reduced through
+///     `core::Merge` in shard order, so results are bit-identical for a
+///     given seed regardless of thread count.
 ///  2. **Exact dedup.** Every duplicate of a text lands in one shard,
 ///     which parses and classifies the text once per stream and keeps
 ///     its verdict by value; later occurrences only count. The
@@ -164,7 +161,6 @@ class Engine {
   void ResetMetrics();
 
   unsigned threads() const { return threads_; }
-  size_t num_shards() const { return num_shards_; }
   const EngineOptions& options() const { return options_; }
 
   /// Shard tasks queued or running on the pool (0 when single-threaded).
@@ -179,8 +175,7 @@ class Engine {
   void PublishOccupancy(const std::vector<ShardState>& shards);
 
   EngineOptions options_;
-  unsigned threads_;
-  size_t num_shards_;
+  unsigned threads_;                  // and shards, one per thread
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
   Metrics metrics_;
 

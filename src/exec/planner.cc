@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/json.h"
+#include "common/max_depth.h"
 #include "paths/analysis.h"
 
 namespace rwdt::exec {
@@ -161,7 +162,8 @@ Executor::Built Executor::MakeJoin(const LayoutPtr& layout, Built left,
 
 Result<Executor::Built> Executor::BuildAnd(const sparql::Query& q,
                                            const sparql::Pattern& p,
-                                           const LayoutPtr& layout) const {
+                                           const LayoutPtr& layout,
+                                           size_t depth) const {
   std::vector<const sparql::Pattern*> conjuncts;
   FlattenConjuncts(q, p, &conjuncts);
   if (conjuncts.empty()) {
@@ -209,7 +211,7 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Query& q,
   std::vector<Built> built;
   built.reserve(conjuncts.size());
   for (const sparql::Pattern* c : conjuncts) {
-    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(q, *c, layout));
+    RWDT_ASSIGN_OR_RETURN(Built b, BuildPattern(q, *c, layout, depth + 1));
     built.push_back(std::move(b));
   }
 
@@ -251,8 +253,13 @@ Result<Executor::Built> Executor::BuildAnd(const sparql::Query& q,
 
 Result<Executor::Built> Executor::BuildPattern(
     const sparql::Query& q, const sparql::Pattern& p,
-    const LayoutPtr& layout) const {
+    const LayoutPtr& layout, size_t depth) const {
   using Op = sparql::Pattern::Op;
+  if (depth > kDefaultMaxDepth) {
+    return Status::ResourceExhausted("pattern nests deeper than " +
+                                     std::to_string(kDefaultMaxDepth) +
+                                     " levels");
+  }
   switch (p.op) {
     case Op::kTriple: {
       std::set<SymbolId> vars;
@@ -283,19 +290,19 @@ Result<Executor::Built> Executor::BuildPattern(
       return MakeLeaf(std::move(op), std::move(vars), store_.size());
     }
     case Op::kAnd:
-      return BuildAnd(q, p, layout);
+      return BuildAnd(q, p, layout, depth);
     case Op::kFilter: {
       RWDT_ASSIGN_OR_RETURN(Built child,
-                            BuildPattern(q, q.child(p, 0), layout));
+                            BuildPattern(q, q.child(p, 0), layout, depth + 1));
       child.op = std::make_unique<FilterOp>(layout, std::move(child.op), q,
                                             q.filter(p.filter), eval_);
       return child;
     }
     case Op::kOptional: {
       RWDT_ASSIGN_OR_RETURN(Built left,
-                            BuildPattern(q, q.child(p, 0), layout));
+                            BuildPattern(q, q.child(p, 0), layout, depth + 1));
       RWDT_ASSIGN_OR_RETURN(Built right,
-                            BuildPattern(q, q.child(p, 1), layout));
+                            BuildPattern(q, q.child(p, 1), layout, depth + 1));
       std::vector<SymbolId> join_vars;
       std::set_intersection(left.possible.begin(), left.possible.end(),
                             right.possible.begin(), right.possible.end(),
@@ -381,7 +388,7 @@ Result<Plan> Executor::MakePlan(const sparql::Query& q,
   query.CollectVars(query.pattern, &vars);
   Result<Built> built =
       BuildPattern(query, query.node(query.pattern),
-                   std::make_shared<const SlotLayout>(vars));
+                   std::make_shared<const SlotLayout>(vars), /*depth=*/1);
   if (!built.ok()) {
     return fallback("planner fallback: " + built.status().message());
   }

@@ -102,10 +102,15 @@ class Executor {
  private:
   struct Built;
 
+  /// Builds the operator tree of `p`, which sits `depth` pattern levels
+  /// down (the root is level 1). It recurses once per level, so, like the
+  /// parsers, it refuses a pattern deeper than kDefaultMaxDepth levels
+  /// with kResourceExhausted, and MakePlan falls back: a long OPTIONAL or
+  /// FILTER chain nests one level per link within a single group.
   Result<Built> BuildPattern(const sparql::Query& q, const sparql::Pattern& p,
-                             const LayoutPtr& layout) const;
+                             const LayoutPtr& layout, size_t depth) const;
   Result<Built> BuildAnd(const sparql::Query& q, const sparql::Pattern& p,
-                         const LayoutPtr& layout) const;
+                         const LayoutPtr& layout, size_t depth) const;
   Built MakeJoin(const LayoutPtr& layout, Built left, Built right) const;
   Built MakeLeaf(OperatorPtr op, std::set<SymbolId> vars,
                  uint64_t estimate) const;

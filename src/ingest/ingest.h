@@ -45,8 +45,9 @@ struct IngestOptions {
   std::string source_name = "ingest";
   bool wikidata_like = false;
 
-  /// Engine configuration: threads, shards, live progress reporting
-  /// (`engine.progress` reports this ingest, labeled `source_name`).
+  /// Engine configuration: threads (one shard each), live progress
+  /// reporting (`engine.progress` reports this ingest, labeled
+  /// `source_name`).
   engine::EngineOptions engine;
 
   /// Rejects nonsensical configurations (zero block or line budget,

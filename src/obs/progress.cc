@@ -21,9 +21,10 @@ Status ProgressOptions::Validate() const {
   return Status::Ok();
 }
 
-ProgressReporter::ProgressReporter(SnapshotFn snapshot,
+ProgressReporter::ProgressReporter(SnapshotFn snapshot, std::string label,
                                    ProgressOptions options)
     : snapshot_(std::move(snapshot)),
+      label_(std::move(label)),
       options_(std::move(options)),
       start_ns_(TraceNowNs()) {
   if (options_.interval_ms > 0) {
@@ -42,7 +43,7 @@ void ProgressReporter::Loop() {
     lock.unlock();
     const engine::MetricsSnapshot snap = snapshot_();
     ticks_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.log_progress) EmitProgressLine(snap);
+    EmitProgressLine(snap);
     lock.lock();
   }
 }
@@ -54,7 +55,7 @@ void ProgressReporter::EmitProgressLine(const engine::MetricsSnapshot& snap) {
   const EngineTick tick = ComputeEngineTick(
       snap, last_entries_, options_.interval_ms / 1000.0);
   last_entries_ = tick.entries;
-  RWDT_LOG(INFO) << options_.label << ": " << tick.entries << " entries (+"
+  RWDT_LOG(INFO) << label_ << ": " << tick.entries << " entries (+"
                  << static_cast<uint64_t>(tick.entries_per_sec) << "/s), "
                  << tick.analyzed << " analyzed, " << tick.rejects
                  << " rejects";
@@ -73,7 +74,7 @@ void ProgressReporter::Stop() {
   const engine::MetricsSnapshot snap = snapshot_();
   const double elapsed_ms = (TraceNowNs() - start_ns_) / 1e6;
   std::string report = "{";
-  AppendJsonStringField("label", options_.label, &report);
+  AppendJsonStringField("label", label_, &report);
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"elapsed_ms\":%.3f,\"ticks\":%llu,",
                 elapsed_ms,
@@ -85,12 +86,10 @@ void ProgressReporter::Stop() {
   report += "}";
   report_json_ = std::move(report);
 
-  if (options_.log_progress) {
-    RWDT_LOG(INFO) << options_.label << ": done — " << snap.entries_processed
-                   << " entries in " << Fixed(elapsed_ms, 1) << " ms ("
-                   << static_cast<uint64_t>(snap.QueriesPerSec())
-                   << " entries/s inside the engine)";
-  }
+  RWDT_LOG(INFO) << label_ << ": done — " << snap.entries_processed
+                 << " entries in " << Fixed(elapsed_ms, 1) << " ms ("
+                 << static_cast<uint64_t>(snap.QueriesPerSec())
+                 << " entries/s inside the engine)";
 
   if (!options_.report_path.empty()) {
     FILE* f = std::fopen(options_.report_path.c_str(), "w");
@@ -101,8 +100,8 @@ void ProgressReporter::Stop() {
     std::fwrite(report_json_.data(), 1, report_json_.size(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    RWDT_LOG(INFO) << options_.label
-                   << ": run report written to " << options_.report_path;
+    RWDT_LOG(INFO) << label_ << ": run report written to "
+                   << options_.report_path;
   }
 }
 

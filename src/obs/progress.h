@@ -18,20 +18,15 @@ namespace rwdt::obs {
 /// a long run can be watched without touching the calling code.
 struct ProgressOptions {
   /// Snapshot-and-report period in milliseconds. 0 disables the
-  /// background thread (a final report can still be written).
+  /// background thread (a final report can still be written). Each tick
+  /// logs one RWDT_LOG(INFO) line: entries/sec since the previous tick,
+  /// analyzed count, error count.
   uint32_t interval_ms = 0;
-
-  /// Emit a one-line RWDT_LOG(INFO) per tick: entries/sec since the
-  /// previous tick, analyzed count, error count.
-  bool log_progress = true;
 
   /// Non-empty: on Stop, write a JSON run report here — elapsed wall
   /// time, tick count, and the final MetricsSnapshot (its counters are
   /// exactly the engine's totals at stop time).
   std::string report_path;
-
-  /// Prefix for progress lines and the report's "label" field.
-  std::string label = "run";
 
   /// True when either periodic reporting or a final report is wanted.
   bool enabled() const { return interval_ms > 0 || !report_path.empty(); }
@@ -41,14 +36,16 @@ struct ProgressOptions {
 
 /// Snapshots engine metrics on a background thread every `interval_ms`,
 /// logging one progress line per tick, and renders a final JSON run
-/// report on Stop. The snapshot callback must be safe to call from
-/// another thread for the reporter's whole lifetime
-/// (engine::Engine::Snapshot is).
+/// report on Stop. `label` prefixes the log lines and fills the report's
+/// "label" field; the engine passes the stream's source name. The
+/// snapshot callback must be safe to call from another thread for the
+/// reporter's whole lifetime (engine::Engine::Snapshot is).
 class ProgressReporter {
  public:
   using SnapshotFn = std::function<engine::MetricsSnapshot()>;
 
-  ProgressReporter(SnapshotFn snapshot, ProgressOptions options);
+  ProgressReporter(SnapshotFn snapshot, std::string label,
+                   ProgressOptions options);
   ~ProgressReporter();  // implies Stop()
 
   ProgressReporter(const ProgressReporter&) = delete;
@@ -70,6 +67,7 @@ class ProgressReporter {
   void EmitProgressLine(const engine::MetricsSnapshot& snap);
 
   SnapshotFn snapshot_;
+  std::string label_;
   ProgressOptions options_;
   uint64_t start_ns_;
 

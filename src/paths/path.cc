@@ -185,13 +185,9 @@ bool IsIriChar(char c) {
          c == '#';
 }
 
-/// Templated over the dictionary so the engine's hot path can supply an
-/// arena-backed FlatInterner while every other caller keeps Interner;
-/// both instantiations live in ParsePath below.
-template <class Dict>
 class PathParser {
  public:
-  PathParser(std::string_view input, Dict* dict, size_t max_depth)
+  PathParser(std::string_view input, Interner* dict, size_t max_depth)
       : input_(input), dict_(dict), max_depth_(max_depth) {}
 
   Result<PathPtr> Parse() {
@@ -350,7 +346,7 @@ class PathParser {
   }
 
   std::string_view input_;
-  Dict* dict_;
+  Interner* dict_;
   size_t max_depth_;
   // Open parentheses and `^`. A failed parse is abandoned, so only the
   // success paths close a level again.
@@ -362,12 +358,7 @@ class PathParser {
 
 Result<PathPtr> ParsePath(std::string_view input, Interner* dict,
                           size_t max_depth) {
-  return PathParser<Interner>(input, dict, max_depth).Parse();
-}
-
-Result<PathPtr> ParsePath(std::string_view input, FlatInterner* dict,
-                          size_t max_depth) {
-  return PathParser<FlatInterner>(input, dict, max_depth).Parse();
+  return PathParser(input, dict, max_depth).Parse();
 }
 
 }  // namespace rwdt::paths

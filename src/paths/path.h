@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_interner.h"
 #include "common/interner.h"
 #include "common/max_depth.h"
 #include "common/status.h"
@@ -94,17 +93,12 @@ class Path {
 
 /// Parses SPARQL property path syntax over IRIs written either as
 /// prefixed names (wdt:P31), <angle-bracket> IRIs, or bare identifiers.
-/// The FlatInterner overload is the engine's allocation-free hot path;
-/// both produce identical ASTs for identical inputs (same SymbolId
-/// contract).
 ///
 /// A path whose parentheses and `^` nest, or whose operator tree
 /// (Path::Height) grows, deeper than `max_depth` levels is refused with
 /// kResourceExhausted before it can exhaust the stack; the SPARQL parser
 /// passes the levels its query has left.
 Result<PathPtr> ParsePath(std::string_view input, Interner* dict,
-                          size_t max_depth = kDefaultMaxDepth);
-Result<PathPtr> ParsePath(std::string_view input, FlatInterner* dict,
                           size_t max_depth = kDefaultMaxDepth);
 
 }  // namespace rwdt::paths

@@ -100,11 +100,9 @@ void Render(const Regex& e, const Interner& dict, int parent_prec,
     case Op::kEpsilon:
       *out += "<eps>";
       break;
-    case Op::kSymbol: {
-      const std::string& name = dict.Name(e.symbol());
-      *out += name;
+    case Op::kSymbol:
+      *out += dict.Name(e.symbol());
       break;
-    }
     case Op::kConcat: {
       bool first = true;
       for (const auto& c : e.children()) {

@@ -9,7 +9,8 @@
 //   * Fallible operations return Status or Result<T> (common/status.h);
 //     errors map onto the five-class taxonomy in ErrorClass.
 //   * Every parser entry point is Parse*(std::string_view, Interner*)
-//     -> Result<T>; the interner owns all symbol names.
+//     -> Result<T>; the interner, the library's one symbol table, owns
+//     all symbol names (Name() views stay valid until its Clear()).
 //   * Streaming analysis goes through engine::Engine::OpenStream or the
 //     ingest::IngestStream / IngestFile wrappers, which keep memory
 //     bounded regardless of log size.
@@ -17,8 +18,9 @@
 //     obs::TraceCollector for a Perfetto-loadable per-worker timeline,
 //     use RWDT_LOG for leveled structured logging, and set
 //     EngineOptions::progress (also IngestOptions::engine.progress) for
-//     live run reporting. The engine only analyzes; a process that runs
-//     it hosts the admin endpoints (obs::MaybeStartEnvAdmin) and the
+//     live run reporting, labeled with the stream's source name. The
+//     engine runs one shard per thread and only analyzes; a process that
+//     runs it hosts the admin endpoints (obs::MaybeStartEnvAdmin) and the
 //     profiler (obs::MaybeStartEnvProfile) itself.
 #ifndef RWDT_RWDT_H_
 #define RWDT_RWDT_H_

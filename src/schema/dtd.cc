@@ -429,7 +429,7 @@ void RenderContent(const regex::Regex& e, const Interner& dict,
 std::string DtdToString(const Dtd& dtd, const Interner& dict) {
   std::string out;
   for (const auto& [label, content] : dtd.rules) {
-    out += "<!ELEMENT " + dict.Name(label) + " ";
+    out.append("<!ELEMENT ").append(dict.Name(label)).append(" ");
     if (content->op() == regex::Op::kEpsilon) {
       out += "EMPTY";
     } else {
@@ -440,7 +440,7 @@ std::string DtdToString(const Dtd& dtd, const Interner& dict) {
     out += ">\n";
   }
   for (SymbolId label : dtd.any) {
-    out += "<!ELEMENT " + dict.Name(label) + " ANY>\n";
+    out.append("<!ELEMENT ").append(dict.Name(label)).append(" ANY>\n");
   }
   return out;
 }

@@ -169,7 +169,6 @@ struct QueryHead {
 enum class Subqueries { kEnter, kSkip };
 
 namespace internal {
-template <class Dict>
 class SparqlParser;
 }  // namespace internal
 
@@ -256,7 +255,6 @@ struct Query : QueryHead {
   size_t NumTriplePatterns() const;
 
  private:
-  template <class Dict>
   friend class internal::SparqlParser;
 
   /// The parser's working stacks: the operands of its open conjunctions

@@ -69,13 +69,13 @@ Status Evaluator::Charge(uint64_t n) const {
 namespace {
 
 /// True when the string names a literal (interned with quotes).
-bool IsLiteralName(const std::string& name) {
+bool IsLiteralName(std::string_view name) {
   return !name.empty() && name[0] == '"';
 }
 
 /// Numeric value of a literal, if it parses.
-bool NumericValue(const std::string& name, double* out) {
-  std::string body = name;
+bool NumericValue(std::string_view name, double* out) {
+  std::string body(name);
   if (IsLiteralName(body) && body.size() >= 2) {
     body = body.substr(1, body.size() - 2);
   }
@@ -332,17 +332,17 @@ Result<bool> Evaluator::EvalFilter(const Query& q, const FilterExpr& f,
         return value != kInvalidSymbol;
       }
       if (value == kInvalidSymbol) return false;  // error -> not selected
-      const std::string& name = dict_->Name(value);
+      const std::string_view name = dict_->Name(value);
       if (function == "isIRI" || function == "isURI") {
         return !IsLiteralName(name) && name.substr(0, 2) != "_:";
       }
       if (function == "isLiteral") return IsLiteralName(name);
       if (function == "isBlank") return name.substr(0, 2) == "_:";
       if (function == "lang") {
-        return name.find("@" + argument) != std::string::npos ||
+        return name.find("@" + argument) != std::string_view::npos ||
                (argument.size() >= 2 &&
                 name.find("@" + argument.substr(1, argument.size() - 2)) !=
-                    std::string::npos);
+                    std::string_view::npos);
       }
       if (function == "regex" || function == "contains" ||
           function == "strstarts" || function == "STRSTARTS" ||
@@ -351,7 +351,7 @@ Result<bool> Evaluator::EvalFilter(const Query& q, const FilterExpr& f,
         if (needle.size() >= 2 && needle.front() == '"') {
           needle = needle.substr(1, needle.size() - 2);
         }
-        return name.find(needle) != std::string::npos;
+        return name.find(needle) != std::string_view::npos;
       }
       // Unknown unary tests pass when the variable is bound.
       return true;
@@ -370,8 +370,8 @@ Result<bool> Evaluator::EvalFilter(const Query& q, const FilterExpr& f,
       if (!value(f.lhs, &l) || !value(f.rhs, &r)) return false;
       if (f.cmp == FilterExpr::CmpOp::kEq) return l == r;
       if (f.cmp == FilterExpr::CmpOp::kNe) return l != r;
-      const std::string& ln = dict_->Name(l);
-      const std::string& rn = dict_->Name(r);
+      const std::string_view ln = dict_->Name(l);
+      const std::string_view rn = dict_->Name(r);
       double lv, rv;
       int c;
       if (NumericValue(ln, &lv) && NumericValue(rn, &rv)) {
@@ -592,8 +592,7 @@ Result<std::vector<Binding>> Evaluator::ApplyModifiers(
           value = it->second;
           ++count;
           double v = 0;
-          const std::string& name = dict_->Name(value);
-          std::string body = name;
+          std::string body(dict_->Name(value));
           if (!body.empty() && body[0] == '"' && body.size() >= 2) {
             body = body.substr(1, body.size() - 2);
           }
@@ -672,10 +671,10 @@ Result<std::vector<Binding>> Evaluator::ApplyModifiers(
             const SymbolId var = q.modifiers.order_by[i].id;
             auto ita = a.find(var);
             auto itb = b.find(var);
-            const std::string na =
-                ita == a.end() ? "" : dict_->Name(ita->second);
-            const std::string nb =
-                itb == b.end() ? "" : dict_->Name(itb->second);
+            const std::string_view na =
+                ita == a.end() ? std::string_view() : dict_->Name(ita->second);
+            const std::string_view nb =
+                itb == b.end() ? std::string_view() : dict_->Name(itb->second);
             double va, vb;
             int c;
             if (NumericValue(na, &va) && NumericValue(nb, &vb)) {

@@ -53,24 +53,17 @@ class Spelling {
 
 namespace internal {
 
-/// Templated over the dictionary type: the engine's hot path parses into
-/// a reusable arena-backed FlatInterner (allocation-free steady state),
-/// everything else keeps Interner. Both instantiations are emitted via
-/// the ParseSparql overloads at the bottom of this file and produce
-/// identical ASTs (the two dictionaries share the SymbolId contract).
-///
 /// Every node goes into the flat arrays of one Query, shared with the
 /// parsers of its subqueries. A node is appended once its operands are:
 /// the operands of an open conjunction and the FILTERs of an open group
 /// wait on the query's private `open_nodes_` / `open_filters_` stacks and
 /// move into `links` when their node is made.
-template <class Dict>
 class SparqlParser {
  public:
   /// Clears `out` and parses `input` into it as a whole query. The open
   /// stacks are empty again when this returns, whether `input` was
   /// accepted or not.
-  static Status ParseInto(std::string_view input, Dict* dict,
+  static Status ParseInto(std::string_view input, Interner* dict,
                           const ParseLimits& limits, Query* out) {
     out->Clear();
     size_t steps = limits.max_parser_steps;
@@ -84,7 +77,7 @@ class SparqlParser {
   /// `steps` is the shared step budget, decremented across subquery
   /// parsers so nesting cannot multiply the budget; `depth` is the
   /// nesting a subquery parser starts at.
-  SparqlParser(std::string_view input, Dict* dict,
+  SparqlParser(std::string_view input, Interner* dict,
                const ParseLimits& limits, size_t* steps, size_t depth,
                Query* query)
       : input_(input),
@@ -1150,7 +1143,7 @@ class SparqlParser {
   }
 
   std::string_view input_;
-  Dict* dict_;
+  Interner* dict_;
   ParseLimits limits_;
   size_t* steps_;  // shared budget, owned by the root ParseSparql call
   size_t depth_;   // open nesting levels, counting enclosing queries
@@ -1160,19 +1153,6 @@ class SparqlParser {
 };
 
 }  // namespace internal
-
-namespace {
-
-template <class Dict>
-Result<Query> ParseFresh(std::string_view input, Dict* dict,
-                         const ParseLimits& limits) {
-  Query query;
-  RWDT_RETURN_IF_ERROR(
-      internal::SparqlParser<Dict>::ParseInto(input, dict, limits, &query));
-  return query;
-}
-
-}  // namespace
 
 Status ParseLimits::Validate() const {
   if (max_query_bytes == 0) {
@@ -1186,33 +1166,19 @@ Status ParseLimits::Validate() const {
 }
 
 Result<Query> ParseSparql(std::string_view input, Interner* dict) {
-  return ParseFresh(input, dict, ParseLimits{});
-}
-
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict) {
-  return ParseFresh(input, dict, ParseLimits{});
+  return ParseSparql(input, dict, ParseLimits{});
 }
 
 Result<Query> ParseSparql(std::string_view input, Interner* dict,
                           const ParseLimits& limits) {
-  return ParseFresh(input, dict, limits);
-}
-
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict,
-                          const ParseLimits& limits) {
-  return ParseFresh(input, dict, limits);
+  Query query;
+  RWDT_RETURN_IF_ERROR(ParseSparql(input, dict, limits, &query));
+  return query;
 }
 
 Status ParseSparql(std::string_view input, Interner* dict,
                    const ParseLimits& limits, Query* out) {
-  return internal::SparqlParser<Interner>::ParseInto(input, dict, limits,
-                                                      out);
-}
-
-Status ParseSparql(std::string_view input, FlatInterner* dict,
-                   const ParseLimits& limits, Query* out) {
-  return internal::SparqlParser<FlatInterner>::ParseInto(input, dict,
-                                                          limits, out);
+  return internal::SparqlParser::ParseInto(input, dict, limits, out);
 }
 
 }  // namespace rwdt::sparql

@@ -3,7 +3,6 @@
 
 #include <string_view>
 
-#include "common/flat_interner.h"
 #include "common/interner.h"
 #include "common/status.h"
 #include "sparql/algebra.h"
@@ -55,25 +54,16 @@ struct ParseLimits {
 /// each level inside a property path (see paths::ParsePath). Generated
 /// logs nest at most 4 braces and 3 parentheses.
 ///
-/// The FlatInterner overloads are the engine's allocation-free hot path:
-/// the caller keeps one arena-backed dictionary per worker and Clear()s
-/// it between queries instead of rebuilding a hash map per parse. Both
-/// dictionary types yield identical ASTs for identical inputs.
-///
-/// The overloads that take `out` clear it and parse into it, reusing its
-/// arrays: a caller that parses query after query into one Query (each
-/// engine shard does) allocates nothing once they have grown. On error
+/// The overload that takes `out` clears it and parses into it, reusing
+/// its arrays and `dict`'s arena: a caller that keeps one dictionary and
+/// one Query per worker, and Clear()s the dictionary between texts (each
+/// engine shard does), allocates nothing once they have grown. On error
 /// `out` holds an unspecified partial parse. The overloads that return a
 /// Query parse into a fresh one through the same code.
 Result<Query> ParseSparql(std::string_view input, Interner* dict);
 Result<Query> ParseSparql(std::string_view input, Interner* dict,
                           const ParseLimits& limits);
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict);
-Result<Query> ParseSparql(std::string_view input, FlatInterner* dict,
-                          const ParseLimits& limits);
 Status ParseSparql(std::string_view input, Interner* dict,
-                   const ParseLimits& limits, Query* out);
-Status ParseSparql(std::string_view input, FlatInterner* dict,
                    const ParseLimits& limits, Query* out);
 
 }  // namespace rwdt::sparql

@@ -2,11 +2,12 @@
 
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/flat_interner.h"
 #include "common/hash.h"
 #include "common/interner.h"
 #include "common/rng.h"
@@ -132,17 +133,6 @@ TEST(ErrorClassTest, NamesAreStableSnakeCase) {
                "resource_exhausted");
   EXPECT_STREQ(ErrorClassName(ErrorClass::kEncodingError),
                "encoding_error");
-}
-
-TEST(InternerTest, AssignsDenseIdsInOrder) {
-  Interner dict;
-  EXPECT_EQ(dict.Intern("a"), 0u);
-  EXPECT_EQ(dict.Intern("b"), 1u);
-  EXPECT_EQ(dict.Intern("a"), 0u);
-  EXPECT_EQ(dict.size(), 2u);
-  EXPECT_EQ(dict.Name(1), "b");
-  EXPECT_EQ(dict.Lookup("b"), 1u);
-  EXPECT_EQ(dict.Lookup("zzz"), kInvalidSymbol);
 }
 
 TEST(RngTest, DeterministicForFixedSeed) {
@@ -303,8 +293,8 @@ TEST(ArenaTest, CopyRoundTripsAndClearReuses) {
   EXPECT_EQ(arena.bytes_reserved(), reserved);
 }
 
-TEST(FlatInternerTest, AssignsDenseIdsInOrder) {
-  FlatInterner in;
+TEST(InternerTest, AssignsDenseIdsInOrder) {
+  Interner in;
   EXPECT_EQ(in.Intern("a"), 0u);
   EXPECT_EQ(in.Intern("b"), 1u);
   EXPECT_EQ(in.Intern("a"), 0u);
@@ -315,8 +305,8 @@ TEST(FlatInternerTest, AssignsDenseIdsInOrder) {
   EXPECT_EQ(in.Lookup("c"), kInvalidSymbol);
 }
 
-TEST(FlatInternerTest, EdgeCaseKeys) {
-  FlatInterner in;
+TEST(InternerTest, EdgeCaseKeys) {
+  Interner in;
   const std::string long_key(100000, 'q');
   EXPECT_EQ(in.Intern(""), 0u);  // empty string is a valid symbol
   EXPECT_EQ(in.Intern(long_key), 1u);
@@ -328,23 +318,36 @@ TEST(FlatInternerTest, EdgeCaseKeys) {
   EXPECT_EQ(in.Intern(long_key), 0u);  // ids restart after Clear
 }
 
-/// The engine's correctness hinges on FlatInterner honoring the exact
-/// SymbolId contract of Interner: dense ids in first-seen order. Drive
-/// both with random string multisets (duplicates, empty strings, long
-/// strings, keys straddling the 8-byte hash word boundary) and demand
-/// identical ids — including across Clear() cycles, where the flat
-/// table keeps its grown capacity (resize-across-clear).
-TEST(FlatInternerTest, PropertyMatchesInternerOnRandomMultisets) {
+/// Every parse and the engine's dedup rely on the SymbolId contract:
+/// dense ids in first-seen order. Drive the interner with random string
+/// multisets (duplicates, empty strings, long strings, keys straddling
+/// the 8-byte hash word boundary) against a map-and-vector reference and
+/// demand identical ids, including across Clear() cycles, where the
+/// table keeps its grown capacity (resize-across-clear). A Name() view
+/// taken early in a round must still read the same bytes at its end; in
+/// the first round the slot table grows and the arena takes a new block
+/// in between.
+TEST(InternerTest, PropertyMatchesReferenceOnRandomMultisets) {
   Rng rng(2022);
-  FlatInterner flat;  // reused across rounds via Clear()
+  Interner dict;  // reused across rounds via Clear()
   for (int round = 0; round < 8; ++round) {
-    Interner reference;
-    flat.Clear();
+    std::unordered_map<std::string, SymbolId> ids;
+    std::vector<std::string> names;
+    auto reference_intern = [&](const std::string& key) {
+      const auto [it, inserted] =
+          ids.emplace(key, static_cast<SymbolId>(names.size()));
+      if (inserted) names.push_back(key);
+      return it->second;
+    };
+    std::vector<std::string_view> early_views;  // of ids 0..7
+    dict.Clear();
     const int n = 200 + static_cast<int>(rng.NextBelow(800));
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i <= n; ++i) {
       std::string key;
       const uint64_t kind = rng.NextBelow(10);
-      if (kind == 0) {
+      if (i == n) {
+        key = std::string(size_t{1} << 17, 'L');  // longer than a block
+      } else if (kind == 0) {
         key = "";  // empty-string edge case
       } else if (kind == 1) {
         key = std::string(1 + rng.NextBelow(200),
@@ -353,14 +356,22 @@ TEST(FlatInternerTest, PropertyMatchesInternerOnRandomMultisets) {
         // Small key space => plenty of duplicates per round.
         key = "sym:" + std::to_string(rng.NextBelow(64));
       }
-      const SymbolId want = reference.Intern(key);
-      const SymbolId got = flat.InternWithHash(Hash64(key), key);
+      const SymbolId want = reference_intern(key);
+      const SymbolId got = dict.InternWithHash(Hash64(key), key);
       ASSERT_EQ(got, want) << "round " << round << " key " << key;
-      ASSERT_EQ(flat.Lookup(key), want);
+      ASSERT_EQ(dict.Lookup(key), want);
+      if (got == early_views.size() && got < 8) {
+        early_views.push_back(dict.Name(got));
+      }
     }
-    ASSERT_EQ(flat.size(), reference.size());
-    for (SymbolId id = 0; id < flat.size(); ++id) {
-      ASSERT_EQ(flat.Name(id), reference.Name(id));
+    ASSERT_EQ(dict.size(), names.size());
+    for (SymbolId id = 0; id < dict.size(); ++id) {
+      ASSERT_EQ(dict.Name(id), names[id]);
+    }
+    ASSERT_EQ(early_views.size(), 8u);
+    for (SymbolId id = 0; id < early_views.size(); ++id) {
+      EXPECT_EQ(early_views[id], names[id]) << "round " << round;
+      EXPECT_EQ(early_views[id].data(), dict.Name(id).data());
     }
   }
 }

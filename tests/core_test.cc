@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_interner.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "core/log_study.h"
@@ -288,7 +287,7 @@ std::string V(const char* prefix, int i) {
 QueryVerdict TimedClassify(const std::string& text) {
   constexpr double kBoundSeconds = 10;
   const auto start = std::chrono::steady_clock::now();
-  FlatInterner dict;
+  Interner dict;
   auto parsed = sparql::ParseSparql(text, &dict);
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   if (!parsed.ok()) return QueryVerdict{};

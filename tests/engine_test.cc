@@ -16,71 +16,67 @@
 namespace rwdt::engine {
 namespace {
 
-core::SourceStudy RunWith(unsigned threads, size_t shards, uint64_t seed) {
+core::SourceStudy RunWith(unsigned threads, uint64_t seed) {
   EngineOptions opts;
   opts.threads = threads;
-  opts.num_shards = shards;
   Engine engine(opts);
   return engine.AnalyzeLog(loggen::ExampleProfile(1500), seed);
 }
 
 TEST(EngineTest, DeterministicAcrossThreadCounts) {
   // The headline guarantee: aggregates are bit-identical for a fixed
-  // seed regardless of thread count (shards default to one per thread).
-  const core::SourceStudy t1 = RunWith(1, 0, 42);
-  const core::SourceStudy t2 = RunWith(2, 0, 42);
-  const core::SourceStudy t8 = RunWith(8, 0, 42);
+  // seed regardless of thread count (one shard per thread).
+  const core::SourceStudy t1 = RunWith(1, 42);
+  const core::SourceStudy t2 = RunWith(2, 42);
+  const core::SourceStudy t8 = RunWith(8, 42);
   EXPECT_EQ(t1, t2);
   EXPECT_EQ(t1, t8);
   EXPECT_GT(t1.valid_agg.queries, 0u);
 }
 
-TEST(EngineTest, DeterministicAcrossShardCounts) {
-  const core::SourceStudy s1 = RunWith(2, 1, 7);
-  const core::SourceStudy s7 = RunWith(2, 7, 7);
-  const core::SourceStudy s64 = RunWith(2, 64, 7);
+TEST(EngineTest, DeterministicAcrossOddThreadCounts) {
+  // One shard per thread: odd counts route by a modulus that is not a
+  // power of two.
+  const core::SourceStudy s1 = RunWith(1, 7);
+  const core::SourceStudy s3 = RunWith(3, 7);
+  const core::SourceStudy s7 = RunWith(7, 7);
+  EXPECT_EQ(s1, s3);
   EXPECT_EQ(s1, s7);
-  EXPECT_EQ(s1, s64);
 }
 
-TEST(EngineTest, DeterministicAcrossThreadsShardsAndChunking) {
+TEST(EngineTest, DeterministicAcrossThreadsAndChunking) {
   // The full grid the hash-once pipeline must keep bit-identical:
-  // {1,2,4} threads x {1,4,16} shards x chunked/unchunked feeds all
+  // {1,2,4,7} threads (one shard each) x chunked/unchunked feeds all
   // reduce to the same SourceStudy.
   const auto entries = loggen::GenerateLog(loggen::ExampleProfile(1200), 31);
   core::SourceStudy reference;
   bool have_reference = false;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
-      for (bool chunked : {false, true}) {
-        EngineOptions opts;
-        opts.threads = threads;
-        opts.num_shards = shards;
-        Engine engine(opts);
-        core::SourceStudy study;
-        if (!chunked) {
-          study = engine.AnalyzeEntries("grid", false, entries);
-        } else {
-          EngineStream stream = engine.OpenStream("grid", false);
-          constexpr size_t kChunk = 97;  // deliberately ragged boundary
-          for (size_t i = 0; i < entries.size(); i += kChunk) {
-            std::vector<loggen::LogEntry> chunk(
-                entries.begin() + i,
-                entries.begin() +
-                    std::min(entries.size(), i + kChunk));
-            stream.Feed(chunk);
-          }
-          study = stream.Finish();
+  for (unsigned threads : {1u, 2u, 4u, 7u}) {
+    for (bool chunked : {false, true}) {
+      EngineOptions opts;
+      opts.threads = threads;
+      Engine engine(opts);
+      core::SourceStudy study;
+      if (!chunked) {
+        study = engine.AnalyzeEntries("grid", false, entries);
+      } else {
+        EngineStream stream = engine.OpenStream("grid", false);
+        constexpr size_t kChunk = 97;  // deliberately ragged boundary
+        for (size_t i = 0; i < entries.size(); i += kChunk) {
+          std::vector<loggen::LogEntry> chunk(
+              entries.begin() + i,
+              entries.begin() + std::min(entries.size(), i + kChunk));
+          stream.Feed(chunk);
         }
-        if (!have_reference) {
-          reference = study;
-          have_reference = true;
-          EXPECT_GT(reference.valid_agg.queries, 0u);
-        } else {
-          ASSERT_EQ(study, reference)
-              << "threads=" << threads << " shards=" << shards
-              << " chunked=" << chunked;
-        }
+        study = stream.Finish();
+      }
+      if (!have_reference) {
+        reference = study;
+        have_reference = true;
+        EXPECT_GT(reference.valid_agg.queries, 0u);
+      } else {
+        ASSERT_EQ(study, reference)
+            << "threads=" << threads << " chunked=" << chunked;
       }
     }
   }

@@ -598,7 +598,6 @@ TEST(IngestTest, ProgressReportPathWritesOneRunReportMatchingTheIngest) {
   IngestOptions opts;
   opts.source_name = "progress-src";
   opts.engine.threads = 1;
-  opts.engine.progress.log_progress = false;
   opts.engine.progress.report_path = path;
   auto r = IngestStream(in, opts);
   obs::Logger::Global().ResetToDefault();

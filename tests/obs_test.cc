@@ -575,18 +575,20 @@ TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
   const std::string path = "obs_test_report.json";
   ProgressOptions popts;
   popts.interval_ms = 10;
-  popts.log_progress = false;  // keep test output quiet
   popts.report_path = path;
-  popts.label = "obs-test";
   ASSERT_TRUE(popts.Validate().ok());
   ASSERT_TRUE(popts.enabled());
 
+  // Progress lines are INFO logs: the logger's level keeps them out of
+  // the test output.
+  Logger::Global().set_min_level(LogLevel::kWarn);
   ProgressReporter reporter([&metrics] { return metrics.Snapshot(); },
-                            popts);
+                            "obs-test", popts);
   // Let a few ticks elapse, then bump a counter the report must see.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   metrics.AddEntries(1);
   reporter.Stop();
+  Logger::Global().ResetToDefault();
   EXPECT_GE(reporter.ticks(), 1u);
 
   // The run report's counters are exactly the final snapshot's.
@@ -626,7 +628,7 @@ TEST(ProgressTest, StopIsIdempotentWithoutThread) {
   engine::Metrics metrics;
   ProgressOptions popts;  // interval 0: no background thread
   ProgressReporter reporter([&metrics] { return metrics.Snapshot(); },
-                            popts);
+                            "obs-test", popts);
   reporter.Stop();
   reporter.Stop();
   EXPECT_EQ(reporter.ticks(), 0u);

@@ -213,7 +213,6 @@ TEST(ClassifyServerTest, BatchAggregatesMatchDirectEngineRunExactly) {
   // Direct run, mirroring the serve worker's engine configuration.
   engine::EngineOptions eopts;
   eopts.threads = 1;
-  eopts.num_shards = 1;
   engine::Engine engine(eopts);
   ingest::IngestOptions iopts;
   iopts.format = ingest::LogFormat::kPlain;
@@ -561,6 +560,45 @@ TEST(ClassifyServerTest, SlowzServesEntriesWithVerdictPlanAndTraceId) {
   ASSERT_TRUE(server_off.Start().ok());
   EXPECT_EQ(Fetch(server_off.port(), "GET", "/slowz").status, 404);
   EXPECT_EQ(server_off.slow_log(), nullptr);
+}
+
+// A chain of OPTIONALs or FILTERs in one group nests one pattern level
+// per link, though the parser sees two braces. The slow log admits such
+// a request and explains its plan; the planner, which recurses once per
+// level, must refuse the depth and fall back instead of overflowing the
+// worker's stack (or taking seconds per request).
+TEST(ClassifyServerTest, LongOptionalAndFilterChainsGetFallbackPlans) {
+  ClassifyServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  // A well-designed OPTIONAL chain of 16,000 links: about 453 KB.
+  std::string optionals = "SELECT * WHERE { ?x0 <p> ?y0";
+  for (int i = 1; i <= 16000; ++i) {
+    optionals += " OPTIONAL { ?x0 <q> ?y" + std::to_string(i) + " }";
+  }
+  optionals += " }";
+  // One triple and 10,000 FILTERs: about 170 KB.
+  std::string filters = "SELECT * WHERE { ?x <p> ?y";
+  for (int i = 0; i < 10000; ++i) filters += " FILTER(?x != ?y)";
+  filters += " }";
+  for (const std::string* body : {&optionals, &filters}) {
+    const HttpResult r = Fetch(server.port(), "POST",
+                               "/v1/classify?lang=sparql", *body);
+    EXPECT_EQ(r.status, 200) << r.body.substr(0, 200);
+    EXPECT_TRUE(Contains(r.body, "\"valid\":true")) << r.body.substr(0, 200);
+  }
+  EXPECT_EQ(Fetch(server.port(), "GET", "/healthz").status, 200);
+  const HttpResult slowz = Fetch(server.port(), "GET", "/slowz");
+  ASSERT_EQ(slowz.status, 200) << slowz.body;
+  // One fallback plan per body.
+  size_t fallbacks = 0;
+  const std::string reason = "planner fallback: pattern nests deeper than 256";
+  for (size_t at = slowz.body.find(reason); at != std::string::npos;
+       at = slowz.body.find(reason, at + 1)) {
+    ++fallbacks;
+  }
+  EXPECT_EQ(fallbacks, 2u) << slowz.body;
+  EXPECT_TRUE(Contains(slowz.body, "\"strategy\":\"fallback\""))
+      << slowz.body;
 }
 
 TEST(ClassifyServerTest, JobHistogramCarriesExemplarForSampledTrace) {

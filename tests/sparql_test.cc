@@ -8,7 +8,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/flat_interner.h"
 #include "common/interner.h"
 #include "common/rng.h"
 #include "exec/planner.h"
@@ -224,12 +223,11 @@ TEST_F(SparqlTest, ParserRejectsGarbage) {
                            &dict_).ok());
 }
 
-// Each term is interned under one spelling, whichever dictionary the
-// parser fills: variables with '?', literals quoted with their escapes
-// resolved and their tag or datatype inside the quotes.
-template <class Dict>
+// Each term is interned under one spelling: variables with '?',
+// literals quoted with their escapes resolved and their tag or datatype
+// inside the quotes.
 std::vector<std::string> TermNames(std::string_view text) {
-  Dict dict;
+  Interner dict;
   auto q = ParseSparql(text, &dict);
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   std::vector<std::string> names;
@@ -255,8 +253,7 @@ TEST(SparqlLexerTest, TermsInternAsWritten) {
       "?x",      "r",        "\"d^^xsd:int\"",  //
       "_:anon0", "s",        "\"true\"",        //
       "?x",      "t",        "\"false\""};
-  EXPECT_EQ(TermNames<Interner>(text), expected);
-  EXPECT_EQ(TermNames<FlatInterner>(text), expected);
+  EXPECT_EQ(TermNames(text), expected);
 }
 
 TEST_F(SparqlTest, WikidataExampleQueryParses) {
@@ -479,7 +476,7 @@ std::vector<Nesting> Nestings() {
 
 // The parser's step budget: every term, pattern node, filter node and
 // path expression costs one step, and a query over budget is refused
-// with kResourceExhausted, on both dictionaries.
+// with kResourceExhausted.
 TEST_F(SparqlTest, StepBudgetIsResourceExhausted) {
   const ParseLimits tight{.max_parser_steps = 4};
   ASSERT_TRUE(tight.Validate().ok());
@@ -491,11 +488,6 @@ TEST_F(SparqlTest, StepBudgetIsResourceExhausted) {
   ASSERT_FALSE(q.ok());
   EXPECT_EQ(q.status().code(), Code::kResourceExhausted)
       << q.status().ToString();
-  FlatInterner flat;
-  const auto fq = ParseSparql(over, &flat, tight);
-  ASSERT_FALSE(fq.ok());
-  EXPECT_EQ(fq.status().code(), Code::kResourceExhausted)
-      << fq.status().ToString();
   // The default budget takes it.
   EXPECT_TRUE(ParseSparql(over, &dict_).ok());
   EXPECT_FALSE((ParseLimits{.max_parser_steps = 0}).Validate().ok());

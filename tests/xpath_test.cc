@@ -44,7 +44,7 @@ class XPathTest : public ::testing::Test {
 
   std::vector<std::string> Labels(const std::vector<tree::NodeId>& nodes) {
     std::vector<std::string> out;
-    for (auto n : nodes) out.push_back(dict_.Name(tree_.node(n).label));
+    for (auto n : nodes) out.emplace_back(dict_.Name(tree_.node(n).label));
     return out;
   }
 
