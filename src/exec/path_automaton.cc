@@ -356,8 +356,6 @@ std::vector<std::pair<SymbolId, SymbolId>> EvalPathNfa(
   } else {
     for (SymbolId start : all_terms) forward_from(start);
   }
-
-  std::sort(out.begin(), out.end());
   return out;
 }
 

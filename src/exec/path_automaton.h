@@ -48,9 +48,10 @@ struct PathNfa {
 /// size; always succeeds.
 PathNfa CompilePathNfa(const paths::Path& path);
 
-/// All (start, end) pairs of the path over the store, via BFS on the
-/// (graph term x NFA state) product. Fixing `s`/`o` restricts the search
-/// (bound `s`: one forward sweep; bound `o` alone: one backward sweep).
+/// All (start, end) pairs of the path over the store, each once and in
+/// no specified order, via BFS on the (graph term x NFA state) product.
+/// Fixing `s`/`o` restricts the search (bound `s`: one forward sweep;
+/// bound `o` alone: one backward sweep).
 /// Each call first turns every distinct labeled step into successor
 /// lists over term ids, read from `RangeP`, so a product step is an
 /// array slice rather than an index search; negated steps scan ranges.

@@ -28,6 +28,18 @@ const std::vector<Triple>& TripleStore::EnsureSorted() const {
       if (a.s != b.s) return a.s < b.s;
       return a.p < b.p;
     });
+    // spo_ lists subjects and osp_ lists objects in ascending order, so
+    // merging the two streams yields every term in order; equal
+    // neighbours are the only duplicates.
+    terms_.clear();
+    const size_t n = spo_.size();
+    size_t i = 0, j = 0;
+    while (i < n || j < n) {
+      const SymbolId next =
+          j == n || (i < n && spo_[i].s <= osp_[j].o) ? spo_[i++].s
+                                                      : osp_[j++].o;
+      if (terms_.empty() || terms_.back() != next) terms_.push_back(next);
+    }
     dirty_ = false;
   }
   return spo_;
@@ -184,21 +196,9 @@ bool TripleStore::Contains(SymbolId s, SymbolId p, SymbolId o) const {
   return std::binary_search(spo_.begin(), spo_.end(), Triple{s, p, o});
 }
 
-std::vector<SymbolId> TripleStore::Terms() const {
+const std::vector<SymbolId>& TripleStore::Terms() const {
   EnsureSorted();
-  // spo_ lists subjects and osp_ lists objects in ascending order, so
-  // merging the two streams yields every term in order; equal neighbours
-  // are the only duplicates.
-  std::vector<SymbolId> out;
-  const size_t n = spo_.size();
-  size_t i = 0, j = 0;
-  while (i < n || j < n) {
-    const SymbolId next =
-        j == n || (i < n && spo_[i].s <= osp_[j].o) ? spo_[i++].s
-                                                    : osp_[j++].o;
-    if (out.empty() || out.back() != next) out.push_back(next);
-  }
-  return out;
+  return terms_;
 }
 
 std::set<SymbolId> TripleStore::SubjectSet() const {

@@ -76,9 +76,10 @@ class TripleStore {
 
   /// Every term in subject or object position, sorted and distinct: the
   /// distinct subjects of the SPO index merged with the distinct objects
-  /// of the OSP index, O(size()). Path evaluation seeds its unbound
-  /// sweeps and zero-length matches from it.
-  std::vector<SymbolId> Terms() const;
+  /// of the OSP index. Built once with the indexes and, like them, valid
+  /// until the next Add. Path evaluation seeds its unbound sweeps and
+  /// zero-length matches from it.
+  const std::vector<SymbolId>& Terms() const;
 
   std::set<SymbolId> SubjectSet() const;
   std::set<SymbolId> PredicateSet() const;
@@ -90,6 +91,7 @@ class TripleStore {
   mutable std::vector<Triple> spo_;   // sorted (s,p,o)
   mutable std::vector<Triple> pos_;   // sorted by (p,o,s)
   mutable std::vector<Triple> osp_;   // sorted by (o,s,p)
+  mutable std::vector<SymbolId> terms_;  // see Terms()
   mutable bool dirty_ = false;
 };
 

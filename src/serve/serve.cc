@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -72,6 +73,8 @@ struct ClassifyServer::Job {
   ingest::LogFormat format = ingest::LogFormat::kPlain;  // kIngest
   std::string source_name;                      // kIngest
   bool full_report = false;                     // kIngest: /v1/log
+  /// kClassify: the verdict a 200 SPARQL response renders.
+  std::optional<core::QueryVerdict> verdict;
   std::chrono::steady_clock::time_point enqueued;
 
   /// Request trace identity, carried across the handler -> queue ->
@@ -590,8 +593,8 @@ void ClassifyServer::MaybeRecordSlow(const Job& job, double queue_wait_s,
     entry.lang = QueryLangName(job.lang);
     entry.query = job.body;
     entry.verdict_json = job.response.body;
-    if (job.lang == QueryLang::kSparql && job.response.status == 200) {
-      entry.plan_json = ExplainPlanJson(job.body);
+    if (job.verdict.has_value()) {
+      entry.plan_json = ExplainPlanJson(job.body, *job.verdict);
     }
   } else {
     // Ingest jobs stream their body into the engine (it is gone by
@@ -601,7 +604,8 @@ void ClassifyServer::MaybeRecordSlow(const Job& job, double queue_wait_s,
   slow_log_->Add(std::move(entry));
 }
 
-std::string ClassifyServer::ExplainPlanJson(const std::string& text) const {
+std::string ClassifyServer::ExplainPlanJson(
+    const std::string& text, const core::QueryVerdict& verdict) const {
   Interner dict;
   const Result<sparql::Query> query = sparql::ParseSparql(text, &dict);
   if (!query.ok()) return "";
@@ -612,7 +616,7 @@ std::string ClassifyServer::ExplainPlanJson(const std::string& text) const {
   // real data.
   const graph::TripleStore store;
   const exec::Executor executor(store, &dict);
-  const Result<exec::Plan> plan = executor.MakePlan(query.value());
+  const Result<exec::Plan> plan = executor.MakePlan(query.value(), verdict);
   if (!plan.ok()) return "";
   return plan.value().ToJson();
 }
@@ -620,12 +624,16 @@ std::string ClassifyServer::ExplainPlanJson(const std::string& text) const {
 void ClassifyServer::ProcessJob(Worker* worker, Job* job) {
   switch (job->kind) {
     case Job::Kind::kClassify: {
+      core::QueryVerdict sparql_verdict;
       Result<std::string> verdict =
           ClassifyToJson(job->body, job->lang, core::LogStudyOptions{},
-                         sparql::ParseLimits{});
+                         sparql::ParseLimits{}, &sparql_verdict);
       job->response.content_type = kJsonType;
       if (verdict.ok()) {
         job->response.body = std::move(verdict).value();
+        if (job->lang == QueryLang::kSparql) {
+          job->verdict = std::move(sparql_verdict);
+        }
       } else {
         job->response.status = 422;  // well-formed HTTP, unparseable query
         job->response.body = ErrorBody(verdict.status());

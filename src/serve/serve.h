@@ -201,10 +201,12 @@ class ClassifyServer {
   /// entry — paying for the explained plan only then — and admit it.
   void MaybeRecordSlow(const Job& job, double queue_wait_s, double process_s);
   /// The executor's Plan::ToJson for one SPARQL query text, planned
-  /// against an empty store ("" on parse/plan failure). Plan dispatch
-  /// depends only on the classifier verdict, so the fragment/strategy
-  /// match what /v1/classify says about the same text.
-  std::string ExplainPlanJson(const std::string& text) const;
+  /// against an empty store from the `verdict` the worker rendered for
+  /// it ("" on parse/plan failure). Plan dispatch depends only on that
+  /// verdict, so the fragment/strategy match what /v1/classify said
+  /// about the same text, and the text is not classified a second time.
+  std::string ExplainPlanJson(const std::string& text,
+                              const core::QueryVerdict& verdict) const;
 
   HttpResponse ShedResponse(int status, const char* reason,
                             const std::string& tenant, const char* route,

@@ -145,6 +145,14 @@ Result<QueryLang> ParseQueryLang(std::string_view name) {
 Result<std::string> ClassifyToJson(std::string_view text, QueryLang lang,
                                    const core::LogStudyOptions& study_options,
                                    const sparql::ParseLimits& limits) {
+  core::QueryVerdict unused;
+  return ClassifyToJson(text, lang, study_options, limits, &unused);
+}
+
+Result<std::string> ClassifyToJson(std::string_view text, QueryLang lang,
+                                   const core::LogStudyOptions& study_options,
+                                   const sparql::ParseLimits& limits,
+                                   core::QueryVerdict* sparql_verdict) {
   Interner dict;
   std::string out;
   JsonWriter w(&out);
@@ -155,7 +163,8 @@ Result<std::string> ClassifyToJson(std::string_view text, QueryLang lang,
     case QueryLang::kSparql: {
       RWDT_ASSIGN_OR_RETURN(const sparql::Query query,
                             sparql::ParseSparql(text, &dict, limits));
-      AppendSparqlVerdict(core::Classify(query, study_options), &w);
+      *sparql_verdict = core::Classify(query, study_options);
+      AppendSparqlVerdict(*sparql_verdict, &w);
       break;
     }
     case QueryLang::kPath: {

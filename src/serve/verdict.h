@@ -7,6 +7,7 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "core/log_study.h"
+#include "core/verdict.h"
 #include "sparql/parser.h"
 
 namespace rwdt::serve {
@@ -39,6 +40,13 @@ Result<QueryLang> ParseQueryLang(std::string_view name);
 Result<std::string> ClassifyToJson(std::string_view text, QueryLang lang,
                                    const core::LogStudyOptions& study_options,
                                    const sparql::ParseLimits& limits);
+/// The same, also handing back the verdict a SPARQL body renders in
+/// `*sparql_verdict`, which is left as it is for the other languages
+/// and for a text that does not parse.
+Result<std::string> ClassifyToJson(std::string_view text, QueryLang lang,
+                                   const core::LogStudyOptions& study_options,
+                                   const sparql::ParseLimits& limits,
+                                   core::QueryVerdict* sparql_verdict);
 
 /// Appends the full SourceStudy — counts, error taxonomy, and both
 /// aggregate sides (valid multiset / unique set) — as one JSON object.

@@ -193,7 +193,7 @@ Result<std::vector<std::pair<SymbolId, SymbolId>>> Evaluator::EvalPathPairs(
       } else if (o != kInvalidSymbol) {
         out.emplace(o, o);
       } else {
-        const std::vector<SymbolId> terms = store_.Terms();
+        const std::vector<SymbolId>& terms = store_.Terms();
         RWDT_RETURN_IF_ERROR(Charge(terms.size()));
         for (SymbolId t : terms) out.emplace(t, t);
       }
