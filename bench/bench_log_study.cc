@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   struct Run {
     unsigned threads;
     double wall_ms;
-    engine::MetricsSnapshot snap;
+    engine::Metrics snap;
   };
   std::vector<Run> runs;
   core::SourceStudy reference;
@@ -105,8 +105,8 @@ int main(int argc, char** argv) {
   const engine::Engine* sweeping = nullptr;
   auto admin = obs::MaybeStartEnvAdmin([&] {
     std::lock_guard<std::mutex> lock(sweeping_mu);
-    return sweeping != nullptr ? sweeping->Snapshot()
-                               : engine::MetricsSnapshot{};
+    return sweeping != nullptr ? sweeping->Snapshot().ToJson()
+                               : engine::Metrics{}.ToJson();
   });
   auto set_sweeping = [&](const engine::Engine* eng) {
     std::lock_guard<std::mutex> lock(sweeping_mu);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const auto entries = loggen::GenerateLog(profile, 7);
 
   auto run = [&](unsigned t, core::SourceStudy* study,
-                 engine::MetricsSnapshot* snap) -> double {
+                 engine::Metrics* snap) -> double {
     engine::EngineOptions opts;
     opts.threads = t;
     engine::Engine eng(opts);
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   };
 
   core::SourceStudy single, study;
-  engine::MetricsSnapshot snap;
+  engine::Metrics snap;
   run(1, &single, nullptr);  // untimed warmup (allocator, page cache)
   const double ms1 = run(1, &single, nullptr);
   const double msN = run(threads, &study, &snap);
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
   eng_opts.progress.interval_ms = progress_ms;  // live one-line snapshots
   engine::Engine ingest_engine(eng_opts);
   auto admin = obs::MaybeStartEnvAdmin(
-      [&ingest_engine] { return ingest_engine.Snapshot(); });
+      [&ingest_engine] { return ingest_engine.Snapshot().ToJson(); });
   auto ingested = ingest::IngestStream(log_text, &ingest_engine, iopts);
   if (!ingested.ok()) {
     RWDT_LOG(ERROR) << "ingest failed: " << ingested.error_message();

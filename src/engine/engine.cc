@@ -1,14 +1,15 @@
 #include "engine/engine.h"
 
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/hash.h"
 #include "common/interner.h"
 #include "core/verdict.h"
-#include "obs/engine_bridge.h"
 #include "obs/trace.h"
 #include "sparql/parser.h"
 
@@ -88,6 +89,9 @@ struct alignas(64) Engine::ShardState {
   /// Each distinct valid text once. Finish adds it to both the study's
   /// unique_agg and, with the duplicate weight on top, its valid_agg.
   core::LogAggregates unique_agg;
+  /// This shard's counts and stage timings since the last merge into
+  /// the engine's total: the per-query path touches nothing shared.
+  Metrics metrics;
 };
 
 /// Stream state: the per-shard states plus the study skeleton that
@@ -99,35 +103,48 @@ struct EngineStream::Impl {
   /// Shard routing buffers, cleared and refilled per Feed call instead
   /// of reallocated per chunk (steady-state feeds allocate nothing).
   std::vector<std::vector<RoutedEntry>> parts;
+  /// Entries, rejects and wall time not yet merged into the engine's
+  /// total.
+  Metrics metrics;
   /// Live reporting for the stream's lifetime (null unless enabled).
-  std::unique_ptr<obs::ProgressReporter> reporter;
+  std::unique_ptr<ProgressReporter> reporter;
+
+  /// Merges the shard slabs and the stream's own slab into the engine's
+  /// total under its lock, sets the occupancy gauges, and empties the
+  /// slabs.
+  void CommitMetrics();
 };
 
 Engine::Engine(const EngineOptions& options)
     : options_(options), threads_(ResolveThreads(options.threads)) {
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_);
+  metrics_.threads = threads_;
   const uint64_t ordinal =
       g_engine_ordinal.fetch_add(1, std::memory_order_relaxed);
-  registry_collector_ = obs::RegisterEngineMetrics(
-      &obs::MetricRegistry::Global(), this,
-      {{"engine", std::to_string(ordinal)}});
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  const uint64_t id = registry.AddCollector(
+      [this, labels = obs::Labels{{"engine", std::to_string(ordinal)}}](
+          std::vector<obs::FamilySnapshot>* out) {
+        Snapshot().AppendFamilies(labels, out);
+      });
+  registry_collector_ = obs::ScopedCollector(&registry, id);
 }
 
 Engine::~Engine() {
-  // The registry bridge reads engine state at scrape time, so unhook it
+  // The collector reads engine state at scrape time, so unhook it
   // before the members it touches are destroyed.
   registry_collector_.Reset();
-}
-
-size_t Engine::queue_depth() const {
-  return pool_ != nullptr ? pool_->QueueDepth() : 0;
 }
 
 core::SourceStudy Engine::AnalyzeLog(const loggen::SourceProfile& profile,
                                      uint64_t seed) {
   const uint64_t t0 = NowNs();
   const auto entries = loggen::GenerateLog(profile, seed);
-  metrics_.Record(Stage::kGenerate, NowNs() - t0);
+  const uint64_t generate_ns = NowNs() - t0;
+  {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    metrics_.Record(Stage::kGenerate, generate_ns);
+  }
   return AnalyzeEntries(profile.name, profile.wikidata_like, entries);
 }
 
@@ -147,7 +164,7 @@ EngineStream Engine::OpenStream(std::string name, bool wikidata_like) {
   impl->shards = std::vector<ShardState>(threads_);
   impl->parts.resize(threads_);
   if (options_.progress.enabled()) {
-    impl->reporter = std::make_unique<obs::ProgressReporter>(
+    impl->reporter = std::make_unique<ProgressReporter>(
         [this] { return Snapshot(); }, impl->study.name, options_.progress);
   }
   return EngineStream(std::move(impl));
@@ -218,31 +235,38 @@ void EngineStream::FeedImpl(size_t count, ForEachText&& for_each_text) {
   }
 
   im.study.total += count;
-  eng.metrics_.AddEntries(count);
-  eng.metrics_.AddWallNs(NowNs() - t_start);
-
-  // Occupancy telemetry at chunk granularity, after the workers
-  // quiesced, never on the per-query path.
-  eng.PublishOccupancy(im.shards);
+  im.metrics.entries_processed += count;
+  im.metrics.wall_ns += NowNs() - t_start;
+  // After the workers quiesced: the chunk's entries, its rejects and its
+  // stage timings reach the total together.
+  im.CommitMetrics();
 }
 
-void Engine::PublishOccupancy(const std::vector<ShardState>& shards) {
+void EngineStream::Impl::CommitMetrics() {
   uint64_t interner_bytes = 0;
   uint64_t dedup_entries = 0;
-  for (const ShardState& s : shards) {
+  for (const Engine::ShardState& s : shards) {
     interner_bytes += s.seen.bytes_reserved() + s.dict.bytes_reserved();
     dedup_entries += s.seen.size();
   }
-  interner_bytes_.store(interner_bytes, std::memory_order_relaxed);
-  dedup_entries_.store(dedup_entries, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(engine->metrics_mu_);
+    Metrics& total = engine->metrics_;
+    for (const Engine::ShardState& s : shards) total.Merge(s.metrics);
+    total.Merge(metrics);
+    total.interner_bytes = interner_bytes;
+    total.dedup_entries = dedup_entries;
+  }
+  for (Engine::ShardState& s : shards) s.metrics = Metrics{};
+  metrics = Metrics{};
 }
 
 void EngineStream::Reject(ErrorClass c, uint64_t n) {
   Impl& im = *impl_;
   im.study.total += n;
   im.study.errors[static_cast<size_t>(c)] += n;
-  im.engine->metrics_.AddEntries(n);
-  im.engine->metrics_.AddError(c, n);
+  im.metrics.entries_processed += n;
+  im.metrics.AddError(c, n);
 }
 
 core::SourceStudy EngineStream::Finish() {
@@ -271,8 +295,9 @@ core::SourceStudy EngineStream::Finish() {
                               &study.valid_agg);
       }
     }
-    // The gauges keep this stream's final occupancy until the next one.
-    im.engine->PublishOccupancy(im.shards);
+    // Rejects since the last Feed; the gauges keep this stream's final
+    // occupancy until the next one.
+    im.CommitMetrics();
     im.shards.clear();
   }
   // Stop after the reduce so the final report's counters are the run's
@@ -287,11 +312,9 @@ core::SourceStudy EngineStream::Finish() {
 void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
                           ShardState* state) {
   obs::Span shard_span("shard");
-  // Worker-private metric slab (stack-resident, cache-hot): the per-query
-  // path below touches no shared counter; everything folds into the
-  // shared Metrics in one Merge when this task ends, i.e. before the
-  // enclosing Feed returns.
-  LocalMetrics local;
+  // The shard's own slab: the enclosing Feed merges it into the engine's
+  // total once this task and its siblings are done.
+  Metrics& local = state->metrics;
 
   // Every rejected entry is attributed to exactly one taxonomy class,
   // duplicates included, so total == valid + sum(errors) holds per shard.
@@ -343,7 +366,7 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     fresh.parse_ok = true;
     fresh.verdict =
         core::Classify(state->query, options_.study, &state->scratch, &st);
-    local.analyzed++;
+    local.queries_analyzed++;
     state->valid++;
     state->unique++;
     const uint64_t t2 = NowNs();
@@ -362,18 +385,16 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
                   st.path_ns);
     obs::EmitSpan("aggregate", t2, t3 - t2);
   }
-
-  metrics_.Merge(local);
 }
 
-MetricsSnapshot Engine::Snapshot() const {
-  MetricsSnapshot snap = metrics_.Snapshot();
-  snap.threads = threads_;
-  snap.interner_bytes = interner_bytes_.load(std::memory_order_relaxed);
-  snap.dedup_entries = dedup_entries_.load(std::memory_order_relaxed);
+Metrics Engine::Snapshot() const {
+  Metrics snap;
+  {
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    snap = metrics_;
+  }
+  snap.queue_depth = pool_ != nullptr ? pool_->QueueDepth() : 0;
   return snap;
 }
-
-void Engine::ResetMetrics() { metrics_.Reset(); }
 
 }  // namespace rwdt::engine

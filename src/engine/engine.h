@@ -1,9 +1,9 @@
 #ifndef RWDT_ENGINE_ENGINE_H_
 #define RWDT_ENGINE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -12,9 +12,9 @@
 #include "common/status.h"
 #include "core/log_study.h"
 #include "engine/metrics.h"
+#include "engine/progress.h"
 #include "engine/thread_pool.h"
 #include "loggen/sparql_gen.h"
-#include "obs/progress.h"
 #include "obs/registry.h"
 
 namespace rwdt::engine {
@@ -27,11 +27,12 @@ struct EngineOptions {
 
   /// Live run reporting for every stream (AnalyzeLog, AnalyzeEntries,
   /// OpenStream..Finish, and so every ingest): while the stream is open
-  /// a background thread snapshots Metrics every `progress.interval_ms`
-  /// and logs a one-line summary labeled with the stream's source name;
-  /// on Finish a JSON run report goes to `progress.report_path` if set.
-  /// Disabled by default (interval 0, empty path).
-  obs::ProgressOptions progress;
+  /// a background thread snapshots the engine every
+  /// `progress.interval_ms` and logs a one-line summary labeled with the
+  /// stream's source name; on Finish a JSON run report goes to
+  /// `progress.report_path` if set. Disabled by default (interval 0,
+  /// empty path).
+  ProgressOptions progress;
 
   /// Per-query analysis knobs, forwarded to core::Classify.
   core::LogStudyOptions study;
@@ -86,7 +87,8 @@ class EngineStream {
 
   /// Counts `n` entries rejected before parsing (oversized lines,
   /// invalid UTF-8, ...). Rejects appear in `total` and in the per-class
-  /// error counters, never in valid/unique.
+  /// error counters, never in valid/unique. They reach the engine's
+  /// metrics with the next Feed, or at Finish.
   void Reject(ErrorClass c, uint64_t n = 1);
 
   /// Reduces shard state into the final study. Invariant on the result:
@@ -123,11 +125,13 @@ class EngineStream {
 ///     Valid/Unique gap of the paper's Table 2 (duplication factors of
 ///     2-10x) thus costs a hash lookup per duplicate. Nothing is kept
 ///     across streams: a second log on the same engine parses again.
-///  3. **Observability.** Atomic counters and per-stage latency
-///     histograms, exported as a `MetricsSnapshot` (text or JSON) and
-///     bridged into the process-wide obs::MetricRegistry. The engine
-///     only analyzes: the tools that run it host the admin endpoints
-///     (obs::MaybeStartEnvAdmin) and the profiler
+///  3. **Observability.** Counters and per-stage latency histograms in
+///     one `Metrics` value: workers count into per-shard slabs, and each
+///     Feed merges them into the engine's total under one lock.
+///     `Snapshot` copies the total, and a scrape-time collector renders
+///     it into the process-wide obs::MetricRegistry (`rwdt_engine_*`).
+///     The engine only analyzes: the tools that run it host the admin
+///     endpoints (obs::MaybeStartEnvAdmin) and the profiler
 ///     (obs::MaybeStartEnvProfile).
 ///
 /// Thread-safe for metrics reads; `AnalyzeLog`/`AnalyzeEntries` must not
@@ -155,37 +159,32 @@ class Engine {
   /// See EngineStream for the contract.
   EngineStream OpenStream(std::string name, bool wikidata_like);
 
-  /// Cumulative counters since construction (or the last ResetMetrics),
-  /// plus the dedup-occupancy gauges.
-  MetricsSnapshot Snapshot() const;
-  void ResetMetrics();
+  /// The totals since construction, with the gauges: thread count,
+  /// dedup occupancy and the pool's queue depth. Every Feed's counts
+  /// arrive at once, so a snapshot never holds a chunk's rejects without
+  /// its entries.
+  Metrics Snapshot() const;
 
   unsigned threads() const { return threads_; }
-  const EngineOptions& options() const { return options_; }
-
-  /// Shard tasks queued or running on the pool (0 when single-threaded).
-  size_t queue_depth() const;
 
  private:
   friend class EngineStream;
   struct ShardState;
   void ProcessShard(const std::vector<RoutedEntry>& entries,
                     ShardState* state);
-  /// Stores the dedup-occupancy gauges of `shards`.
-  void PublishOccupancy(const std::vector<ShardState>& shards);
 
   EngineOptions options_;
   unsigned threads_;                  // and shards, one per thread
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
-  Metrics metrics_;
 
-  /// Occupancy of the open stream's dedup state, updated by FeedImpl
-  /// (chunk granularity, off the per-query hot path) and by Finish, which
-  /// leaves the finished stream's final values; read by Snapshot — the
-  /// arena/interner gauges on /metrics.
-  std::atomic<uint64_t> interner_bytes_{0};
-  std::atomic<uint64_t> dedup_entries_{0};
-  obs::ScopedCollector registry_collector_;  // global-registry bridge
+  /// The running total. The registry collector takes this lock under the
+  /// registry's, so the engine never calls the registry while holding
+  /// it.
+  mutable std::mutex metrics_mu_;
+  Metrics metrics_;
+  /// Renders Snapshot() as rwdt_engine_*{engine="<ordinal>"} at scrape
+  /// time.
+  obs::ScopedCollector registry_collector_;
 };
 
 }  // namespace rwdt::engine

@@ -1,10 +1,13 @@
 #include "engine/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <utility>
 
 #include "common/json.h"
 #include "common/table.h"
+#include "obs/openmetrics.h"
 
 namespace rwdt::engine {
 namespace {
@@ -14,19 +17,6 @@ uint64_t BucketMid(size_t b) {
   if (b == 0) return 0;
   const double lo = static_cast<double>(uint64_t{1} << (b - 1));
   return static_cast<uint64_t>(lo * 1.41421356237);
-}
-
-/// Value at quantile q in [0,1] of a bucketed histogram with n samples.
-uint64_t Quantile(const std::array<uint64_t, 64>& buckets, uint64_t n,
-                  double q) {
-  if (n == 0) return 0;
-  const uint64_t rank = static_cast<uint64_t>(q * (n - 1));
-  uint64_t seen = 0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    seen += buckets[b];
-    if (seen > rank) return BucketMid(b);
-  }
-  return BucketMid(buckets.size() - 1);
 }
 
 std::string NsHuman(double ns) {
@@ -51,6 +41,34 @@ void AppendJsonField(std::string* out, const char* key, double v,
   if (trailing_comma) *out += ',';
 }
 
+obs::FamilySnapshot CounterFamily(const char* name, const char* help,
+                                  const obs::Labels& labels, double value) {
+  obs::FamilySnapshot f;
+  f.name = name;
+  f.help = help;
+  f.type = obs::MetricType::kCounter;
+  f.samples.push_back({"_total", labels, value});
+  return f;
+}
+
+obs::FamilySnapshot GaugeFamily(const char* name, const char* help,
+                                const obs::Labels& labels, double value) {
+  obs::FamilySnapshot f;
+  f.name = name;
+  f.help = help;
+  f.type = obs::MetricType::kGauge;
+  f.samples.push_back({"", labels, value});
+  return f;
+}
+
+obs::Labels WithLabel(const obs::Labels& labels, const char* key,
+                      const char* value) {
+  obs::Labels out = labels;
+  out.emplace_back(key, value);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 const char* StageName(Stage s) {
@@ -71,99 +89,61 @@ const char* StageName(Stage s) {
   return "?";
 }
 
-Metrics::Metrics() { Reset(); }
-
-void LocalMetrics::Record(Stage stage, uint64_t ns) {
-  const size_t s = static_cast<size_t>(stage);
-  const size_t b = std::bit_width(ns);  // 0 -> bucket 0, else floor(log2)+1
-  histogram[s][b < kLatencyBuckets ? b : kLatencyBuckets - 1]++;
-  stage_total_ns[s] += ns;
-  if (ns > stage_max_ns[s]) stage_max_ns[s] = ns;
-}
-
-void Metrics::Merge(const LocalMetrics& local) {
-  if (local.analyzed != 0) analyzed_.fetch_add(local.analyzed, kRelaxed);
-  if (local.parse_failures != 0) {
-    parse_failures_.fetch_add(local.parse_failures, kRelaxed);
-  }
-  for (size_t c = 0; c < kNumErrorClasses; ++c) {
-    if (local.errors[c] != 0) errors_[c].fetch_add(local.errors[c], kRelaxed);
-  }
-  for (size_t s = 0; s < kNumStages; ++s) {
-    if (local.stage_total_ns[s] != 0) {
-      stage_total_ns_[s].fetch_add(local.stage_total_ns[s], kRelaxed);
-    }
-    const uint64_t local_max = local.stage_max_ns[s];
-    if (local_max != 0) {
-      uint64_t cur = stage_max_ns_[s].load(kRelaxed);
-      while (local_max > cur && !stage_max_ns_[s].compare_exchange_weak(
-                                    cur, local_max, kRelaxed)) {
-      }
-    }
-    for (size_t b = 0; b < kBuckets; ++b) {
-      if (local.histogram[s][b] != 0) {
-        histogram_[s][b].fetch_add(local.histogram[s][b], kRelaxed);
-      }
-    }
-  }
-}
-
 void Metrics::Record(Stage stage, uint64_t ns) {
   const size_t s = static_cast<size_t>(stage);
-  const size_t b = std::bit_width(ns);  // 0 -> bucket 0, else floor(log2)+1
-  histogram_[s][b < kBuckets ? b : kBuckets - 1].fetch_add(1, kRelaxed);
-  stage_total_ns_[s].fetch_add(ns, kRelaxed);
-  // CAS-max: the snapshot's max_ns is the exact observed maximum, not
-  // the upper edge of a histogram bucket.
-  uint64_t cur = stage_max_ns_[s].load(kRelaxed);
-  while (ns > cur &&
-         !stage_max_ns_[s].compare_exchange_weak(cur, ns, kRelaxed)) {
-  }
+  // Bucket b counts samples with bit_width(ns) == b, i.e. ns in
+  // [2^(b-1), 2^b); the last bucket also takes everything above.
+  const size_t b = std::bit_width(ns);
+  histogram[s][b < kLatencyBuckets ? b : kLatencyBuckets - 1]++;
+  stage_total_ns[s] += ns;
+  stage_max_ns[s] = std::max(stage_max_ns[s], ns);
 }
 
-MetricsSnapshot Metrics::Snapshot() const {
-  MetricsSnapshot snap;
-  snap.entries_processed = entries_.load(kRelaxed);
-  snap.queries_analyzed = analyzed_.load(kRelaxed);
-  snap.parse_failures = parse_failures_.load(kRelaxed);
-  for (size_t c = 0; c < kNumErrorClasses; ++c) {
-    snap.errors[c] = errors_[c].load(kRelaxed);
-  }
-  snap.wall_ns = wall_ns_.load(kRelaxed);
+void Metrics::Merge(const Metrics& other) {
+  entries_processed += other.entries_processed;
+  queries_analyzed += other.queries_analyzed;
+  parse_failures += other.parse_failures;
+  for (size_t c = 0; c < kNumErrorClasses; ++c) errors[c] += other.errors[c];
+  wall_ns += other.wall_ns;
   for (size_t s = 0; s < kNumStages; ++s) {
-    std::array<uint64_t, kBuckets> buckets{};
-    uint64_t count = 0;
-    for (size_t b = 0; b < kBuckets; ++b) {
-      buckets[b] = histogram_[s][b].load(kRelaxed);
-      count += buckets[b];
+    stage_total_ns[s] += other.stage_total_ns[s];
+    stage_max_ns[s] = std::max(stage_max_ns[s], other.stage_max_ns[s]);
+    for (size_t b = 0; b < kLatencyBuckets; ++b) {
+      histogram[s][b] += other.histogram[s][b];
     }
-    StageStats& st = snap.stages[s];
-    st.count = count;
-    st.total_ns = stage_total_ns_[s].load(kRelaxed);
-    st.mean_ns = count == 0 ? 0.0 : static_cast<double>(st.total_ns) / count;
-    st.p50_ns = Quantile(buckets, count, 0.50);
-    st.p90_ns = Quantile(buckets, count, 0.90);
-    st.p99_ns = Quantile(buckets, count, 0.99);
-    st.max_ns = stage_max_ns_[s].load(kRelaxed);
-    st.buckets = buckets;
   }
-  return snap;
 }
 
-void Metrics::Reset() {
-  entries_.store(0, kRelaxed);
-  analyzed_.store(0, kRelaxed);
-  parse_failures_.store(0, kRelaxed);
-  for (auto& e : errors_) e.store(0, kRelaxed);
-  wall_ns_.store(0, kRelaxed);
-  for (auto& stage : histogram_) {
-    for (auto& bucket : stage) bucket.store(0, kRelaxed);
-  }
-  for (auto& total : stage_total_ns_) total.store(0, kRelaxed);
-  for (auto& mx : stage_max_ns_) mx.store(0, kRelaxed);
+uint64_t Metrics::TotalErrors() const {
+  uint64_t sum = 0;
+  for (const uint64_t e : errors) sum += e;
+  return sum;
 }
 
-std::string MetricsSnapshot::ToText() const {
+double Metrics::QueriesPerSec() const {
+  return wall_ns == 0 ? 0.0 : entries_processed * 1e9 / wall_ns;
+}
+
+uint64_t Metrics::StageCount(Stage stage) const {
+  uint64_t count = 0;
+  for (const uint64_t n : histogram[static_cast<size_t>(stage)]) count += n;
+  return count;
+}
+
+uint64_t Metrics::QuantileNs(Stage stage, double q) const {
+  const uint64_t n = StageCount(stage);
+  if (n == 0) return 0;
+  const auto& buckets = histogram[static_cast<size_t>(stage)];
+  const uint64_t rank = static_cast<uint64_t>(q * (n - 1));
+  uint64_t seen = 0;
+  for (size_t b = 0; b < kLatencyBuckets; ++b) {
+    seen += buckets[b];
+    if (seen > rank) return BucketMid(b);
+  }
+  return BucketMid(kLatencyBuckets - 1);
+}
+
+std::string Metrics::ToText() const {
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line),
@@ -198,21 +178,22 @@ std::string MetricsSnapshot::ToText() const {
   AsciiTable table(
       {"Stage", "Count", "Total", "Mean", "p50", "p90", "p99", "Max"});
   for (size_t s = 0; s < kNumStages; ++s) {
-    const StageStats& st = stages[s];
-    if (st.count == 0) continue;
-    table.AddRow({StageName(static_cast<Stage>(s)), WithThousands(st.count),
-                  NsHuman(static_cast<double>(st.total_ns)),
-                  NsHuman(st.mean_ns),
-                  NsHuman(static_cast<double>(st.p50_ns)),
-                  NsHuman(static_cast<double>(st.p90_ns)),
-                  NsHuman(static_cast<double>(st.p99_ns)),
-                  NsHuman(static_cast<double>(st.max_ns))});
+    const Stage stage = static_cast<Stage>(s);
+    const uint64_t count = StageCount(stage);
+    if (count == 0) continue;
+    table.AddRow({StageName(stage), WithThousands(count),
+                  NsHuman(static_cast<double>(stage_total_ns[s])),
+                  NsHuman(static_cast<double>(stage_total_ns[s]) / count),
+                  NsHuman(static_cast<double>(QuantileNs(stage, 0.50))),
+                  NsHuman(static_cast<double>(QuantileNs(stage, 0.90))),
+                  NsHuman(static_cast<double>(QuantileNs(stage, 0.99))),
+                  NsHuman(static_cast<double>(stage_max_ns[s]))});
   }
   out += table.Render();
   return out;
 }
 
-std::string MetricsSnapshot::ToJson() const {
+std::string Metrics::ToJson() const {
   std::string out = "{";
   AppendJsonField(&out, "entries_processed",
                   static_cast<double>(entries_processed));
@@ -240,24 +221,104 @@ std::string MetricsSnapshot::ToJson() const {
   out += "\"stages\":{";
   bool first = true;
   for (size_t s = 0; s < kNumStages; ++s) {
-    const StageStats& st = stages[s];
-    if (st.count == 0) continue;
+    const Stage stage = static_cast<Stage>(s);
+    const uint64_t count = StageCount(stage);
+    if (count == 0) continue;
     if (!first) out += ',';
     first = false;
     out += '"';
-    AppendJsonEscaped(StageName(static_cast<Stage>(s)), &out);
+    AppendJsonEscaped(StageName(stage), &out);
     out += "\":{";
-    AppendJsonField(&out, "count", static_cast<double>(st.count));
-    AppendJsonField(&out, "total_ms", st.total_ns / 1e6);
-    AppendJsonField(&out, "mean_us", st.mean_ns / 1e3);
-    AppendJsonField(&out, "p50_us", st.p50_ns / 1e3);
-    AppendJsonField(&out, "p90_us", st.p90_ns / 1e3);
-    AppendJsonField(&out, "p99_us", st.p99_ns / 1e3);
-    AppendJsonField(&out, "max_us", st.max_ns / 1e3, false);
+    AppendJsonField(&out, "count", static_cast<double>(count));
+    AppendJsonField(&out, "total_ms", stage_total_ns[s] / 1e6);
+    AppendJsonField(&out, "mean_us",
+                    static_cast<double>(stage_total_ns[s]) / count / 1e3);
+    AppendJsonField(&out, "p50_us", QuantileNs(stage, 0.50) / 1e3);
+    AppendJsonField(&out, "p90_us", QuantileNs(stage, 0.90) / 1e3);
+    AppendJsonField(&out, "p99_us", QuantileNs(stage, 0.99) / 1e3);
+    AppendJsonField(&out, "max_us", stage_max_ns[s] / 1e3, false);
     out += '}';
   }
   out += "}}";
   return out;
+}
+
+void Metrics::AppendFamilies(const obs::Labels& labels,
+                             std::vector<obs::FamilySnapshot>* out) const {
+  out->push_back(CounterFamily("rwdt_engine_entries",
+                               "Log entries streamed through the engine.",
+                               labels, static_cast<double>(entries_processed)));
+  out->push_back(CounterFamily(
+      "rwdt_engine_queries_analyzed",
+      "Distinct query texts parsed and classified (once per stream).",
+      labels, static_cast<double>(queries_analyzed)));
+  out->push_back(CounterFamily("rwdt_engine_parse_failures",
+                               "Distinct query texts that failed to parse.",
+                               labels, static_cast<double>(parse_failures)));
+  out->push_back(CounterFamily(
+      "rwdt_engine_wall_seconds",
+      "Cumulative wall time inside AnalyzeEntries/Feed.", labels,
+      static_cast<double>(wall_ns) / 1e9));
+
+  obs::FamilySnapshot error_family;
+  error_family.name = "rwdt_engine_errors";
+  error_family.help = "Rejected entries by taxonomy class.";
+  error_family.type = obs::MetricType::kCounter;
+  for (size_t c = 0; c < kNumErrorClasses; ++c) {
+    error_family.samples.push_back(
+        {"_total",
+         WithLabel(labels, "class",
+                   ErrorClassName(static_cast<ErrorClass>(c))),
+         static_cast<double>(errors[c])});
+  }
+  out->push_back(std::move(error_family));
+
+  out->push_back(GaugeFamily("rwdt_engine_threads", "Engine worker threads.",
+                             labels, static_cast<double>(threads)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_interner_bytes",
+      "Bytes reserved by the open (else the last finished) stream's dedup "
+      "interners and parse dictionaries.",
+      labels, static_cast<double>(interner_bytes)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_dedup_entries",
+      "Distinct query texts pinned by the open (else the last finished) "
+      "stream's dedup state.",
+      labels, static_cast<double>(dedup_entries)));
+  out->push_back(GaugeFamily(
+      "rwdt_engine_queue_depth",
+      "Shard tasks queued or running on the engine's thread pool.", labels,
+      static_cast<double>(queue_depth)));
+
+  // Bucket b holds ns in [2^(b-1), 2^b - 1], so its inclusive `le` bound
+  // is 2^b - 1 (bucket 0 holds ns == 0: le = 0). Buckets past the highest
+  // non-empty one of any stage are empty and collapse into +Inf.
+  size_t max_bucket = 0;
+  for (size_t s = 0; s < kNumStages; ++s) {
+    for (size_t b = 0; b < kLatencyBuckets; ++b) {
+      if (histogram[s][b] != 0) max_bucket = std::max(max_bucket, b);
+    }
+  }
+  std::vector<double> bounds;
+  bounds.reserve(max_bucket + 1);
+  for (size_t b = 0; b <= max_bucket; ++b) {
+    bounds.push_back(b == 0 ? 0.0
+                            : static_cast<double>((uint64_t{1} << b) - 1));
+  }
+  obs::FamilySnapshot latency;
+  latency.name = "rwdt_engine_stage_latency_ns";
+  latency.help = "Per-stage pipeline latency in nanoseconds.";
+  latency.type = obs::MetricType::kHistogram;
+  for (size_t s = 0; s < kNumStages; ++s) {
+    const Stage stage = static_cast<Stage>(s);
+    if (StageCount(stage) == 0) continue;
+    obs::AppendHistogramSamples(
+        bounds,
+        [&](size_t i) { return i < bounds.size() ? histogram[s][i] : 0; },
+        static_cast<double>(stage_total_ns[s]),
+        WithLabel(labels, "stage", StageName(stage)), &latency.samples);
+  }
+  out->push_back(std::move(latency));
 }
 
 }  // namespace rwdt::engine

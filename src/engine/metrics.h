@@ -2,12 +2,13 @@
 #define RWDT_ENGINE_METRICS_H_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
+#include "obs/registry.h"
 
 namespace rwdt::engine {
 
@@ -24,61 +25,26 @@ enum class Stage : size_t {
 };
 inline constexpr size_t kNumStages = 6;
 
-/// Latency histogram buckets: bucket b counts samples in [2^(b-1), 2^b) ns.
+/// Latency histogram buckets per stage; metrics.cc maps nanoseconds to
+/// buckets and buckets to percentiles and exposition bounds.
 inline constexpr size_t kLatencyBuckets = 64;
 
 const char* StageName(Stage s);
 
-/// Per-worker metric slab for the engine's contention-free hot path.
-///
-/// Plain (non-atomic) counters owned by exactly one worker at a time and
-/// folded into the shared `Metrics` via `Metrics::Merge` when the worker
-/// finishes its shard task — i.e. before `EngineStream::Feed` returns.
-/// On the per-query path workers therefore touch no shared cache line at
-/// all; the ~20 shared atomic RMWs per analyzed query this replaces were
-/// the single largest scaling bottleneck in the engine (parse stage
-/// totals inflated 4x at 4 threads purely from counter ping-pong).
-///
-/// Layout constraint: alignas(64) so a slab never shares a cache line
-/// with a neighbor when slabs are stored contiguously (false sharing
-/// would silently reintroduce the contention this type exists to kill).
-struct alignas(64) LocalMetrics {
-  uint64_t analyzed = 0;
-  uint64_t parse_failures = 0;
-  std::array<uint64_t, kNumErrorClasses> errors{};
-  std::array<uint64_t, kNumStages> stage_total_ns{};
-  std::array<uint64_t, kNumStages> stage_max_ns{};
-  std::array<std::array<uint64_t, kLatencyBuckets>, kNumStages> histogram{};
-
-  /// Records one latency sample for a stage (same bucketing as Metrics).
-  void Record(Stage stage, uint64_t ns);
-  void AddError(ErrorClass c, uint64_t n = 1) {
-    errors[static_cast<size_t>(c)] += n;
-  }
-};
-
-/// Summary of one stage's latency histogram. Percentiles are
-/// reconstructed from power-of-two buckets (geometric bucket midpoint),
-/// so they are exact to within a factor of sqrt(2).
-struct StageStats {
-  uint64_t count = 0;
-  uint64_t total_ns = 0;
-  double mean_ns = 0;
-  uint64_t p50_ns = 0;
-  uint64_t p90_ns = 0;
-  uint64_t p99_ns = 0;
-  /// Exact observed maximum (tracked by an atomic CAS-max per sample,
-  /// not reconstructed from the histogram buckets).
-  uint64_t max_ns = 0;
-  /// Raw (non-cumulative) bucket counts: bucket b holds samples with
-  /// ns in [2^(b-1), 2^b). Carried so the OpenMetrics bridge can expose
-  /// real histogram series; ToText/ToJson ignore it (formats unchanged).
-  std::array<uint64_t, kLatencyBuckets> buckets{};
-};
-
-/// A point-in-time copy of all engine counters, safe to read, print, and
-/// serialize with no further synchronization.
-struct MetricsSnapshot {
+/// The engine's one metrics value: the paper's Table 2 accounting
+/// (Total = Valid + rejects per taxonomy class) plus per-stage latency
+/// histograms, in plain fields. The same type is
+///  - the slab one shard task or one stream counts into, owned by one
+///    thread, so the per-entry path touches no shared cache line;
+///  - the engine's running total, guarded by one mutex, into which each
+///    `EngineStream::Feed` merges its slabs, its entry count and its
+///    wall time at once;
+///  - what `Engine::Snapshot` returns.
+/// Percentiles are computed from the buckets when the value is rendered:
+/// as text (`ToText`), as JSON (`ToJson`: run reports, bench JSON,
+/// /statusz) and as `rwdt_engine_*` families (`AppendFamilies`:
+/// /metrics).
+struct Metrics {
   uint64_t entries_processed = 0;  // log entries streamed through
   /// Each stream parses every distinct text once and counts it in one
   /// of these two, so their sum is the distinct texts fed per stream,
@@ -89,77 +55,61 @@ struct MetricsSnapshot {
   /// rejects included) — the Total-vs-Valid gap of the paper's Table 2,
   /// broken down by cause.
   std::array<uint64_t, kNumErrorClasses> errors{};
-  uint64_t wall_ns = 0;  // cumulative wall time inside AnalyzeEntries
+  uint64_t wall_ns = 0;  // cumulative wall time inside Feed
+
+  /// Per-stage latency: the sum, the exact observed maximum (not a
+  /// bucket edge) and the bucketed counts.
+  std::array<uint64_t, kNumStages> stage_total_ns{};
+  std::array<uint64_t, kNumStages> stage_max_ns{};
+  std::array<std::array<uint64_t, kLatencyBuckets>, kNumStages> histogram{};
+
+  /// Gauges the engine sets on its total; `Merge` leaves them alone.
   unsigned threads = 1;
   /// Occupancy of the open stream's per-shard dedup state (interner +
-  /// parse-dictionary bytes reserved, distinct texts pinned). Updated
-  /// once per Feed chunk; after Finish it holds the finished stream's
-  /// final values until the next stream feeds — a gauge, not a counter.
+  /// parse-dictionary bytes reserved, distinct texts pinned), set at
+  /// each Feed; after Finish the finished stream's final values until
+  /// the next stream feeds.
   uint64_t interner_bytes = 0;
   uint64_t dedup_entries = 0;
+  /// Shard tasks queued or running on the engine's pool when the
+  /// snapshot was taken (0 when single-threaded).
+  uint64_t queue_depth = 0;
+
+  /// Records one latency sample for a stage.
+  void Record(Stage stage, uint64_t ns);
+  /// Counts `n` rejected entries under their taxonomy class.
+  void AddError(ErrorClass c, uint64_t n = 1) {
+    errors[static_cast<size_t>(c)] += n;
+  }
+  /// Adds `other`'s counters and histograms into this value; each stage
+  /// maximum keeps the larger.
+  void Merge(const Metrics& other);
 
   /// Total rejected entries across all error classes.
-  uint64_t TotalErrors() const {
-    uint64_t sum = 0;
-    for (const uint64_t e : errors) sum += e;
-    return sum;
-  }
-  double QueriesPerSec() const {
-    return wall_ns == 0 ? 0.0 : entries_processed * 1e9 / wall_ns;
-  }
-
-  std::array<StageStats, kNumStages> stages{};
+  uint64_t TotalErrors() const;
+  double QueriesPerSec() const;
+  /// Samples recorded for `stage`.
+  uint64_t StageCount(Stage stage) const;
+  /// The stage's latency at quantile `q` in [0,1], reconstructed from
+  /// the power-of-two buckets (geometric bucket midpoint), so exact to
+  /// within a factor of sqrt(2). Every rendering's percentiles come from
+  /// here.
+  uint64_t QuantileNs(Stage stage, double q) const;
 
   /// Human-readable multi-line report (ASCII table).
   std::string ToText() const;
   /// Machine-readable single JSON object.
   std::string ToJson() const;
-};
-
-/// Thread-safe metric registry: lock-free relaxed atomics throughout, so
-/// workers on the hot path pay one uncontended cache-line RMW per event.
-/// Latencies go into per-stage power-of-two bucket histograms.
-class Metrics {
- public:
-  Metrics();
-
-  void AddEntries(uint64_t n) { entries_.fetch_add(n, kRelaxed); }
-  void AddAnalyzed(uint64_t n) { analyzed_.fetch_add(n, kRelaxed); }
-  void AddParseFailures(uint64_t n) { parse_failures_.fetch_add(n, kRelaxed); }
-  /// Counts one rejected entry under its taxonomy class.
-  void AddError(ErrorClass c, uint64_t n = 1) {
-    errors_[static_cast<size_t>(c)].fetch_add(n, kRelaxed);
-  }
-  void AddWallNs(uint64_t ns) { wall_ns_.fetch_add(ns, kRelaxed); }
-
-  /// Records one latency sample for a stage.
-  void Record(Stage stage, uint64_t ns);
-
-  /// Folds one worker's LocalMetrics slab into the shared counters.
-  /// Called off the per-query path (once per shard task), so the atomic
-  /// cost is amortized over the whole chunk. Zero histogram buckets are
-  /// skipped — a merge is ~tens of RMWs, not kNumStages*kLatencyBuckets.
-  void Merge(const LocalMetrics& local);
-
-  /// Copies counters into a snapshot (the occupancy gauges and thread
-  /// count are left for the engine to fill).
-  MetricsSnapshot Snapshot() const;
-
-  void Reset();
-
- private:
-  static constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
-  static constexpr size_t kBuckets = kLatencyBuckets;
-
-  std::atomic<uint64_t> entries_;
-  std::atomic<uint64_t> analyzed_;
-  std::atomic<uint64_t> parse_failures_;
-  std::array<std::atomic<uint64_t>, kNumErrorClasses> errors_;
-  std::atomic<uint64_t> wall_ns_;
-  std::array<std::array<std::atomic<uint64_t>, kBuckets>, kNumStages>
-      histogram_;
-  std::array<std::atomic<uint64_t>, kNumStages> stage_total_ns_;
-  std::array<std::atomic<uint64_t>, kNumStages> stage_max_ns_;
+  /// Appends the `rwdt_engine_*` families, `labels` on every sample:
+  ///
+  ///   rwdt_engine_entries_total / queries_analyzed_total /
+  ///   parse_failures_total / wall_seconds_total        counters
+  ///   rwdt_engine_errors_total{class="parse_error"}    counter per class
+  ///   rwdt_engine_threads / interner_bytes /
+  ///   dedup_entries / queue_depth                      gauges
+  ///   rwdt_engine_stage_latency_ns{stage="parse"}      histograms
+  void AppendFamilies(const obs::Labels& labels,
+                      std::vector<obs::FamilySnapshot>* out) const;
 };
 
 }  // namespace rwdt::engine

@@ -62,7 +62,7 @@ struct IngestReport {
   core::SourceStudy study;
   /// Engine counters at the end of the run (includes error classes,
   /// dedup occupancy, stage latencies). Serialize with ToJson/ToText.
-  engine::MetricsSnapshot metrics;
+  engine::Metrics metrics;
 
   uint64_t lines_read = 0;     // physical lines consumed (incl. skipped)
   uint64_t blank_lines = 0;    // skipped, not counted in study.total

@@ -189,18 +189,19 @@ uint32_t AdminPortFromEnv(uint32_t fallback) {
 }
 
 std::unique_ptr<AdminServer> StartEngineAdmin(
-    uint16_t port, std::function<engine::MetricsSnapshot()> snapshot) {
+    uint16_t port, std::function<std::string()> metrics_json) {
   AdminServer::Options options;
   options.port = port;
   auto server = std::make_unique<AdminServer>(options);
   AdminHooks hooks;
-  hooks.statusz = [snapshot = std::move(snapshot), start_ns = TraceNowNs()] {
+  hooks.statusz = [metrics_json = std::move(metrics_json),
+                   start_ns = TraceNowNs()] {
     std::string out;
     JsonWriter w(&out);
     w.BeginObject();
     w.RawField("build", common::BuildInfo::Get().ToJson());
     w.DoubleField("uptime_seconds", (TraceNowNs() - start_ns) / 1e9);
-    w.RawField("metrics", snapshot().ToJson());
+    w.RawField("metrics", metrics_json());
     w.EndObject();
     return out;
   };
@@ -219,10 +220,11 @@ std::unique_ptr<AdminServer> StartEngineAdmin(
 }
 
 std::unique_ptr<AdminServer> MaybeStartEnvAdmin(
-    std::function<engine::MetricsSnapshot()> snapshot) {
+    std::function<std::string()> metrics_json) {
   const uint32_t port = AdminPortFromEnv();
   if (port == 0) return nullptr;
-  return StartEngineAdmin(static_cast<uint16_t>(port), std::move(snapshot));
+  return StartEngineAdmin(static_cast<uint16_t>(port),
+                          std::move(metrics_json));
 }
 
 }  // namespace rwdt::obs

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/metrics.h"
 #include "obs/proc_stats.h"
 #include "serve/http_server.h"
 
@@ -125,19 +124,20 @@ uint32_t AdminPortFromEnv(uint32_t fallback = 0);
 
 /// The admin host of a tool that runs engines: an AdminServer on
 /// loopback `port` (0 = kernel-assigned) serving AdminRoutes, always
-/// ready, whose /statusz renders build info, uptime and `snapshot()`.
-/// Returns null when the bind fails — logged, never fatal: a tool must
-/// not die because a port was taken. `snapshot` must stay callable until
-/// the server is destroyed, so the server is destroyed before the engine
-/// it reads.
+/// ready, whose /statusz renders build info, uptime and, under
+/// "metrics", the JSON object `metrics_json()` returns (an engine's
+/// `Snapshot().ToJson()`). Returns null when the bind fails — logged,
+/// never fatal: a tool must not die because a port was taken.
+/// `metrics_json` must stay callable until the server is destroyed, so
+/// the server is destroyed before the engine it reads.
 std::unique_ptr<AdminServer> StartEngineAdmin(
-    uint16_t port, std::function<engine::MetricsSnapshot()> snapshot);
+    uint16_t port, std::function<std::string()> metrics_json);
 
 /// The env-driven admin hook every engine tool shares, next to
 /// MaybeStartEnvProfile: StartEngineAdmin on RWDT_ADMIN_PORT when it
 /// names a port; null (no thread, no socket) otherwise.
 std::unique_ptr<AdminServer> MaybeStartEnvAdmin(
-    std::function<engine::MetricsSnapshot()> snapshot);
+    std::function<std::string()> metrics_json);
 
 }  // namespace rwdt::obs
 

@@ -4,14 +4,10 @@
 //                  exported as Chrome trace-event JSON (Perfetto).
 //   * log.h      — RWDT_LOG leveled structured logging with pluggable
 //                  sinks (stderr text, JSON-lines file).
-//   * progress.h — background-thread live run reporting over
-//                  engine::Metrics, plus the final JSON run report.
 //   * registry.h — process-wide MetricRegistry of named counters,
 //                  gauges, and histograms (relaxed-atomic hot path).
 //   * openmetrics.h — OpenMetrics/Prometheus text exposition of
 //                  registry family snapshots.
-//   * engine_bridge.h — pull-model adapter from engine::MetricsSnapshot
-//                  into registry families (rwdt_engine_*).
 //   * admin_server.h — the admin routes, each implemented once
 //                  (/metrics, /healthz, /readyz, /statusz, /tracez,
 //                  /profilez; AdminRoutes), and the blocking HTTP/1.1
@@ -28,18 +24,17 @@
 //
 // Everything here is zero-cost when idle: spans gate on one relaxed
 // atomic load, log statements on one relaxed load before the message is
-// composed, progress reporting only exists while explicitly enabled,
-// and the registry is pull-only — nothing runs until a scrape.
+// composed, and the registry is pull-only — nothing runs until a scrape.
+// Nothing here includes the engine: it registers its own rwdt_engine_*
+// collector, and its live run reporting is engine/progress.h.
 #ifndef RWDT_OBS_OBS_H_
 #define RWDT_OBS_OBS_H_
 
 #include "obs/admin_server.h"
-#include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/openmetrics.h"
 #include "obs/proc_stats.h"
 #include "obs/profiler.h"
-#include "obs/progress.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 

@@ -48,7 +48,7 @@ FamilySnapshot MakeGauge(const char* name, const char* help, double value) {
   return f;
 }
 
-/// Process-unique install guard: the engine's admin path and a serve
+/// Process-unique install guard: a tool's admin server and a serve
 /// front end may both construct a collector, but a scrape must never
 /// render the rwdt_proc_* families twice.
 std::atomic<bool> g_proc_stats_installed{false};

@@ -45,8 +45,8 @@ ProcStatsSample SampleProcStats();
 /// (kind=voluntary|involuntary), and storage I/O bytes (dir=read|write)
 /// counters. Values are sampled fresh on every scrape.
 ///
-/// At most one collector is active per process: the engine's admin
-/// server and a serve front end may both construct one, but only the
+/// At most one collector is active per process: a tool's admin server
+/// and a serve front end may both construct one, but only the
 /// first registers (`installed()` tells); a scrape must not expose
 /// duplicate series.
 class ProcStatsCollector {

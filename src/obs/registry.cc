@@ -80,8 +80,9 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 
 size_t Histogram::BucketIndex(double v) const {
   // Linear scan: bucket lists are short (the engine's 64-bucket latency
-  // families go through the bridge, not through Observe) and the scan is
-  // branch-predictable; a binary search would cost more in practice.
+  // families are rendered by its collector, not fed through Observe) and
+  // the scan is branch-predictable; a binary search would cost more in
+  // practice.
   size_t i = 0;
   while (i < bounds_.size() && v > bounds_[i]) ++i;
   return i;

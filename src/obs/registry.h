@@ -36,8 +36,7 @@ struct Exemplar {
 };
 
 /// Monotone counter. `Increment` is one relaxed atomic RMW on a
-/// registry-owned cache line — the same discipline as the engine's
-/// metric counters, no mutex anywhere near the hot path.
+/// registry-owned cache line, no mutex anywhere near the hot path.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
@@ -98,8 +97,8 @@ class Histogram {
     return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
   }
 
-  /// Power-of-two bounds {start, 2*start, ...}, `n` buckets — the shape
-  /// the engine's latency histograms use.
+  /// Geometric bounds {start, start*factor, start*factor^2, ...}, `n`
+  /// buckets — the serve and planner latency histograms use them.
   static std::vector<double> ExponentialBounds(double start, double factor,
                                                size_t n);
 
@@ -134,7 +133,7 @@ struct Sample {
 
 /// A point-in-time copy of one metric family, ready for the OpenMetrics
 /// writer. Produced by `MetricRegistry::Collect` and by scrape-time
-/// collector callbacks (e.g. the engine bridge).
+/// collector callbacks (e.g. each engine's rwdt_engine_* collector).
 struct FamilySnapshot {
   std::string name;  // base name without the _total/_bucket suffixes
   std::string help;
@@ -144,9 +143,8 @@ struct FamilySnapshot {
 
 /// A process-wide registry of named instruments with optional label
 /// sets, plus scrape-time collector callbacks for subsystems that keep
-/// their own counters (the engine's LocalMetrics slabs stay exactly as
-/// they are — the bridge converts a MetricsSnapshot into families on
-/// demand, so registration costs the hot path nothing).
+/// their own counters (an engine renders its own metrics value into
+/// families on demand, so registration costs its hot path nothing).
 ///
 /// Registration (`GetCounter`/...) takes a mutex and is expected to
 /// happen once per call site, with the returned pointer cached by the

@@ -35,8 +35,8 @@
 #include "common/status.h"
 #include "common/table.h"
 
-// Observability: tracing, structured logging, live run reporting, the
-// metric registry, the shared admin routes and the profiler.
+// Observability: tracing, structured logging, the metric registry, the
+// shared admin routes and the profiler.
 #include "obs/obs.h"
 
 // Parsers and per-formalism analyses.
@@ -77,13 +77,15 @@
 #include "loggen/rate_schedule.h"
 #include "loggen/sparql_gen.h"
 
-// Streaming engine, studies, and raw-text ingest.
+// Streaming engine (with its metrics value and live run reporting),
+// studies, and raw-text ingest.
 #include "core/log_study.h"
 #include "core/query_analysis.h"
 #include "core/studies.h"
 #include "core/verdict.h"
 #include "engine/engine.h"
 #include "engine/metrics.h"
+#include "engine/progress.h"
 #include "ingest/ingest.h"
 
 // Classifier-dispatched query executor: Volcano operators, the verdict-

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -145,16 +146,22 @@ TEST(AdminServerTest, PortFromEnv) {
   ::unsetenv("RWDT_ADMIN_PORT");
 }
 
+/// The /statusz hook a tool hands its admin host: the engine's metrics
+/// as JSON.
+std::function<std::string()> MetricsJson(const engine::Engine& eng) {
+  return [&eng] { return eng.Snapshot().ToJson(); };
+}
+
 /// End-to-end: the tool-side host of an engine (StartEngineAdmin on an
 /// ephemeral port) serves every shared route, and /metrics agrees with
-/// the engine's final MetricsSnapshot.
+/// the engine's final Metrics snapshot.
 TEST(AdminServerTest, EngineEndToEnd) {
   TraceCollector trace;  // makes /tracez live
 
   engine::EngineOptions opts;
   opts.threads = 2;
   engine::Engine eng(opts);
-  const auto admin = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  const auto admin = StartEngineAdmin(0, MetricsJson(eng));
   ASSERT_NE(admin, nullptr);
   const uint16_t port = admin->port();
   ASSERT_NE(port, 0);
@@ -162,7 +169,7 @@ TEST(AdminServerTest, EngineEndToEnd) {
   loggen::SourceProfile profile = loggen::ExampleProfile(3000);
   profile.name = "admin-e2e";
   eng.AnalyzeLog(profile, 7);
-  const engine::MetricsSnapshot snap = eng.Snapshot();
+  const engine::Metrics snap = eng.Snapshot();
 
   EXPECT_EQ(HttpGet(port, "/healthz").body, "ok\n");
   EXPECT_EQ(HttpGet(port, "/readyz").status, 200);
@@ -229,7 +236,7 @@ TEST(AdminServerTest, TracezWithoutCollectorIs503) {
   engine::EngineOptions opts;
   opts.threads = 1;
   engine::Engine eng(opts);
-  const auto admin = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  const auto admin = StartEngineAdmin(0, MetricsJson(eng));
   ASSERT_NE(admin, nullptr);
   EXPECT_EQ(HttpGet(admin->port(), "/tracez").status, 503);
 }
@@ -240,7 +247,7 @@ TEST(AdminServerTest, TracezRejectsLimitThatIsNotADecimalCount) {
   engine::EngineOptions opts;
   opts.threads = 1;
   engine::Engine eng(opts);
-  const auto admin = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  const auto admin = StartEngineAdmin(0, MetricsJson(eng));
   ASSERT_NE(admin, nullptr);
   loggen::SourceProfile profile = loggen::ExampleProfile(300);
   profile.name = "tracez-limit";
@@ -265,12 +272,11 @@ TEST(AdminServerTest, AdminOffByDefaultAndBindFailureIsNonFatal) {
   engine::EngineOptions opts;
   opts.threads = 1;
   engine::Engine eng(opts);
-  EXPECT_TRUE(MaybeStartEnvAdmin([&eng] { return eng.Snapshot(); }) ==
-              nullptr);
+  EXPECT_TRUE(MaybeStartEnvAdmin(MetricsJson(eng)) == nullptr);
 
   // A second admin server on a port that is taken fails Start(); the
   // engine beside it still analyzes.
-  const auto first = StartEngineAdmin(0, [&eng] { return eng.Snapshot(); });
+  const auto first = StartEngineAdmin(0, MetricsJson(eng));
   ASSERT_NE(first, nullptr);
   AdminServer::Options clash;
   clash.port = first->port();
@@ -280,8 +286,7 @@ TEST(AdminServerTest, AdminOffByDefaultAndBindFailureIsNonFatal) {
   }
   EXPECT_FALSE(second.Start().ok());
   EXPECT_FALSE(second.running());
-  EXPECT_TRUE(StartEngineAdmin(first->port(),
-                               [&eng] { return eng.Snapshot(); }) == nullptr);
+  EXPECT_TRUE(StartEngineAdmin(first->port(), MetricsJson(eng)) == nullptr);
   loggen::SourceProfile profile = loggen::ExampleProfile(200);
   profile.name = "clash";
   EXPECT_GT(eng.AnalyzeLog(profile, 3).total, 0u);

@@ -1,5 +1,5 @@
-// Tests for the obs metric registry, the OpenMetrics exposition writer,
-// and the engine -> registry bridge.
+// Tests for the obs metric registry and the OpenMetrics exposition
+// writer.
 
 #include <cstdint>
 #include <limits>
@@ -9,9 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/engine.h"
-#include "engine/metrics.h"
-#include "obs/engine_bridge.h"
 #include "obs/log.h"
 #include "obs/openmetrics.h"
 #include "obs/registry.h"
@@ -248,107 +245,6 @@ TEST(OpenMetricsTest, CollectorRunsAtScrapeAndScopedRemoval) {
   }
   registry.RenderOpenMetrics();
   EXPECT_EQ(calls, 1);  // removed with the handle
-}
-
-TEST(BridgeTest, FamiliesAgreeWithSnapshot) {
-  engine::MetricsSnapshot snap;
-  snap.entries_processed = 1000;
-  snap.queries_analyzed = 600;
-  snap.parse_failures = 40;
-  snap.errors[static_cast<size_t>(ErrorClass::kParseError)] = 40;
-  snap.wall_ns = 2'000'000'000;
-  snap.dedup_entries = 640;
-  snap.threads = 4;
-  auto& parse = snap.stages[static_cast<size_t>(engine::Stage::kParse)];
-  parse.count = 3;
-  parse.total_ns = 1 + 3 + 9;
-  parse.buckets[1] = 1;  // 1 ns
-  parse.buckets[2] = 1;  // 2-3 ns
-  parse.buckets[4] = 1;  // 8-15 ns
-
-  std::vector<FamilySnapshot> families;
-  AppendEngineFamilies(snap, /*queue_depth=*/5, {{"engine", "0"}}, &families);
-  const std::string text = WriteOpenMetrics(MergeFamilies(std::move(families)));
-
-  EXPECT_NE(text.find("rwdt_engine_entries_total{engine=\"0\"} 1000\n"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("rwdt_engine_queries_analyzed_total{engine=\"0\"} 600\n"),
-      std::string::npos);
-  EXPECT_NE(text.find(
-                "rwdt_engine_errors_total{class=\"parse_error\",engine=\"0\"}"
-                " 40\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rwdt_engine_dedup_entries{engine=\"0\"} 640\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rwdt_engine_queue_depth{engine=\"0\"} 5\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("rwdt_engine_wall_seconds_total{engine=\"0\"} 2\n"),
-            std::string::npos);
-
-  // Histogram: bucket b holds samples with bit_width(ns) == b, exposed
-  // with exact inclusive bounds 2^b - 1, cumulative in the exposition
-  // (`le` is always the last label on a bucket sample).
-  EXPECT_NE(
-      text.find(
-          "rwdt_engine_stage_latency_ns_bucket{engine=\"0\","
-          "stage=\"parse\",le=\"1\"} 1\n"),
-      std::string::npos);
-  EXPECT_NE(
-      text.find(
-          "rwdt_engine_stage_latency_ns_bucket{engine=\"0\","
-          "stage=\"parse\",le=\"3\"} 2\n"),
-      std::string::npos);
-  EXPECT_NE(
-      text.find(
-          "rwdt_engine_stage_latency_ns_bucket{engine=\"0\","
-          "stage=\"parse\",le=\"+Inf\"} 3\n"),
-      std::string::npos);
-  EXPECT_NE(text.find("rwdt_engine_stage_latency_ns_count{engine=\"0\","
-                      "stage=\"parse\"} 3\n"),
-            std::string::npos);
-}
-
-TEST(BridgeTest, ComputeEngineTickRates) {
-  engine::MetricsSnapshot snap;
-  snap.entries_processed = 1500;
-  const EngineTick tick = ComputeEngineTick(snap, /*prev_entries=*/500,
-                                            /*interval_s=*/2.0);
-  EXPECT_EQ(tick.entries, 1500u);
-  EXPECT_DOUBLE_EQ(tick.entries_per_sec, 500.0);
-  // Degenerate interval never divides by zero.
-  EXPECT_DOUBLE_EQ(ComputeEngineTick(snap, 0, 0).entries_per_sec, 0.0);
-}
-
-TEST(BridgeTest, LiveEngineScrapeAgreesWithSnapshot) {
-  engine::EngineOptions opts;
-  opts.threads = 2;
-  engine::Engine eng(opts);
-
-  MetricRegistry registry;
-  ScopedCollector handle =
-      RegisterEngineMetrics(&registry, &eng, {{"engine", "t"}});
-
-  loggen::SourceProfile profile = loggen::ExampleProfile(2000);
-  profile.name = "bridge-test";
-  eng.AnalyzeLog(profile, 7);
-
-  const engine::MetricsSnapshot snap = eng.Snapshot();
-  const std::string text = registry.RenderOpenMetrics();
-  auto expect_line = [&](const std::string& line) {
-    EXPECT_NE(text.find(line), std::string::npos)
-        << "missing: " << line << "\nin:\n"
-        << text;
-  };
-  expect_line("rwdt_engine_entries_total{engine=\"t\"} " +
-              std::to_string(snap.entries_processed) + "\n");
-  expect_line("rwdt_engine_queries_analyzed_total{engine=\"t\"} " +
-              std::to_string(snap.queries_analyzed) + "\n");
-  expect_line("rwdt_engine_parse_failures_total{engine=\"t\"} " +
-              std::to_string(snap.parse_failures) + "\n");
-  expect_line("rwdt_engine_dedup_entries{engine=\"t\"} " +
-              std::to_string(snap.dedup_entries) + "\n");
-  expect_line("rwdt_engine_threads{engine=\"t\"} 2\n");
 }
 
 }  // namespace

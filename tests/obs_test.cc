@@ -14,12 +14,10 @@
 #include "common/interner.h"
 #include "common/json.h"
 #include "engine/engine.h"
-#include "engine/metrics.h"
 #include "engine/thread_pool.h"
 #include "ingest/ingest.h"
 #include "loggen/sparql_gen.h"
 #include "obs/log.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "tree/json.h"
 
@@ -561,78 +559,6 @@ TEST(LogTest, JsonLinesSinkEmitsParseableRecords) {
   const auto second = tree::ParseJson(lines[1], &dict);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value()->Get("level")->string_value(), "debug");
-}
-
-// ---------------------------------------------------------------------
-// ProgressReporter
-
-TEST(ProgressTest, TicksAndRunReportMatchFinalSnapshot) {
-  engine::Metrics metrics;
-  metrics.AddEntries(123);
-  metrics.AddAnalyzed(45);
-  metrics.AddParseFailures(5);
-
-  const std::string path = "obs_test_report.json";
-  ProgressOptions popts;
-  popts.interval_ms = 10;
-  popts.report_path = path;
-  ASSERT_TRUE(popts.Validate().ok());
-  ASSERT_TRUE(popts.enabled());
-
-  // Progress lines are INFO logs: the logger's level keeps them out of
-  // the test output.
-  Logger::Global().set_min_level(LogLevel::kWarn);
-  ProgressReporter reporter([&metrics] { return metrics.Snapshot(); },
-                            "obs-test", popts);
-  // Let a few ticks elapse, then bump a counter the report must see.
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  metrics.AddEntries(1);
-  reporter.Stop();
-  Logger::Global().ResetToDefault();
-  EXPECT_GE(reporter.ticks(), 1u);
-
-  // The run report's counters are exactly the final snapshot's.
-  Interner dict;
-  const auto parsed = tree::ParseJson(reporter.report_json(), &dict);
-  ASSERT_TRUE(parsed.ok()) << parsed.error_message();
-  const tree::JsonPtr root = parsed.value();
-  EXPECT_EQ(root->Get("label")->string_value(), "obs-test");
-  EXPECT_GE(root->Get("elapsed_ms")->number_value(), 0.0);
-  EXPECT_EQ(root->Get("ticks")->number_value(),
-            static_cast<double>(reporter.ticks()));
-  const tree::JsonPtr m = root->Get("metrics");
-  ASSERT_NE(m, nullptr);
-  EXPECT_EQ(m->Get("entries_processed")->number_value(), 124.0);
-  EXPECT_EQ(m->Get("queries_analyzed")->number_value(), 45.0);
-  EXPECT_EQ(m->Get("parse_failures")->number_value(), 5.0);
-
-  // The report file holds the same JSON document.
-  std::ifstream in(path);
-  ASSERT_TRUE(in.is_open());
-  std::stringstream file_contents;
-  file_contents << in.rdbuf();
-  in.close();
-  std::remove(path.c_str());
-  EXPECT_EQ(file_contents.str(), reporter.report_json() + "\n");
-}
-
-TEST(ProgressTest, DisabledByDefault) {
-  ProgressOptions popts;
-  EXPECT_FALSE(popts.enabled());
-  EXPECT_TRUE(popts.Validate().ok());
-  popts.interval_ms = 3600 * 1000 + 1;
-  EXPECT_FALSE(popts.Validate().ok());
-}
-
-TEST(ProgressTest, StopIsIdempotentWithoutThread) {
-  engine::Metrics metrics;
-  ProgressOptions popts;  // interval 0: no background thread
-  ProgressReporter reporter([&metrics] { return metrics.Snapshot(); },
-                            "obs-test", popts);
-  reporter.Stop();
-  reporter.Stop();
-  EXPECT_EQ(reporter.ticks(), 0u);
-  EXPECT_FALSE(reporter.report_json().empty());  // still rendered
 }
 
 // ---------------------------------------------------------------------
