@@ -26,16 +26,6 @@ SymbolId ConstantOrWildcard(const sparql::Term& t) {
   return t.ActsAsVar() ? kInvalidSymbol : t.id;
 }
 
-/// Binds `value` into `slot` of a row under construction. A slot an
-/// earlier position of the same pattern already bound must agree: the
-/// repeated-variable rule of `?x p ?x`.
-bool BindSlot(SymbolId* row, uint32_t slot, SymbolId value) {
-  if (slot == kNoSlot) return true;
-  if (row[slot] != kInvalidSymbol) return row[slot] == value;
-  row[slot] = value;
-  return true;
-}
-
 /// The narrowest index range holding every match of (s, p, o), where
 /// kInvalidSymbol is a wildcard; callers still test each triple.
 graph::TripleStore::TripleRange MatchRange(const graph::TripleStore& store,
@@ -62,32 +52,50 @@ void ScanTriple(const graph::TripleStore& store, const SlotLayout& layout,
   const uint32_t s_slot = layout.SlotOf(t.s);
   const uint32_t p_slot = layout.SlotOf(t.p);
   const uint32_t o_slot = layout.SlotOf(t.o);
+  // A variable at two positions (`?x p ?x`) binds one slot, so a triple
+  // must hold one value at both. Decided once per scan: position i
+  // repeats position same[i] (itself when it repeats none), and
+  // `?x ?x ?x` chains o to p to s.
+  const uint32_t slots[3] = {s_slot, p_slot, o_slot};
+  size_t same[3] = {0, 1, 2};
+  for (size_t i = 1; i < 3; ++i) {
+    if (slots[i] == kNoSlot) continue;
+    if (slots[i - 1] == slots[i]) {
+      same[i] = i - 1;
+    } else if (slots[0] == slots[i]) {
+      same[i] = 0;
+    }
+  }
+  const bool repeats = same[1] != 1 || same[2] != 2;
   const auto [lo, hi] = MatchRange(store, s, p, o);
   for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-    if ((s != kInvalidSymbol && tr->s != s) ||
-        (p != kInvalidSymbol && tr->p != p) ||
-        (o != kInvalidSymbol && tr->o != o)) {
+    const SymbolId v[3] = {tr->s, tr->p, tr->o};
+    if ((s != kInvalidSymbol && v[0] != s) ||
+        (p != kInvalidSymbol && v[1] != p) ||
+        (o != kInvalidSymbol && v[2] != o) ||
+        (repeats && (v[same[1]] != v[1] || v[same[2]] != v[2]))) {
       continue;
     }
     SymbolId* row = out->Append();
-    if (!BindSlot(row, s_slot, tr->s) || !BindSlot(row, p_slot, tr->p) ||
-        !BindSlot(row, o_slot, tr->o)) {
-      out->Truncate(out->size() - 1);
+    for (size_t i = 0; i < 3; ++i) {
+      if (slots[i] != kNoSlot) row[slots[i]] = v[i];
     }
   }
 }
 
-/// Evaluator::EvalPath's bindings as rows, from a pair set.
+/// Evaluator::EvalPath's bindings as rows, from a pair set. `?x p* ?x`
+/// binds one slot, so only pairs that start where they end are kept.
 void BindPathPairs(const std::vector<std::pair<SymbolId, SymbolId>>& pairs,
                    const SlotLayout& layout, const sparql::PathTriple& p,
                    RowBuffer* out) {
   const uint32_t s_slot = layout.SlotOf(p.s);
   const uint32_t o_slot = layout.SlotOf(p.o);
+  const bool repeat = s_slot != kNoSlot && s_slot == o_slot;
   for (const auto& [x, y] : pairs) {
+    if (repeat && x != y) continue;
     SymbolId* row = out->Append();
-    if (!BindSlot(row, s_slot, x) || !BindSlot(row, o_slot, y)) {
-      out->Truncate(out->size() - 1);
-    }
+    if (s_slot != kNoSlot) row[s_slot] = x;
+    if (o_slot != kNoSlot) row[o_slot] = y;
   }
 }
 
@@ -100,16 +108,16 @@ std::vector<uint32_t> SlotsOf(const SlotLayout& layout,
 }
 
 /// Hash joins key on variables the planner guarantees are bound in
-/// every row; an unbound key slot is a planner bug, not a data
-/// condition.
-Status CheckKeyBound(const SymbolId* row, const std::vector<uint32_t>& slots) {
-  for (uint32_t slot : slots) {
-    if (slot == kNoSlot || row[slot] == kInvalidSymbol) {
-      return Status::Internal(
-          "hash join planned over a non-definite variable");
-    }
-  }
-  return Status::Ok();
+/// every row; a key slot the layout lacks or a row leaves unbound is a
+/// planner bug, not a data condition.
+Status NonDefiniteKey() {
+  return Status::Internal("hash join planned over a non-definite variable");
+}
+
+bool KeyBound(const SymbolId* row, const std::vector<uint32_t>& slots) {
+  return std::none_of(slots.begin(), slots.end(), [row](uint32_t slot) {
+    return row[slot] == kInvalidSymbol;
+  });
 }
 
 void ExplainJoinVars(const std::vector<SymbolId>& vars, const Interner& dict,
@@ -133,17 +141,18 @@ uint32_t SlotLayout::SlotOf(SymbolId var) const {
 }
 
 void SlotLayout::ToBinding(const SymbolId* row, Binding* mu) const {
-  // Slots ascend with variable ids, so each pair appends at the end with
-  // no search. A row binding more than the inline pairs takes one heap
-  // block.
+  // Slots ascend with variable ids, so the bound slots are the mapping's
+  // pairs in order, written once; more than the inline pairs take one
+  // heap block of exactly their number.
+  const size_t width = vars_.size();
   const size_t bound = static_cast<size_t>(
-      vars_.size() - std::count(row, row + vars_.size(), kInvalidSymbol));
-  mu->reserve(bound);
-  for (size_t i = 0; i < vars_.size(); ++i) {
-    if (row[i] != kInvalidSymbol) {
-      mu->emplace_hint(mu->end(), vars_[i], row[i]);
+      width - std::count(row, row + width, kInvalidSymbol));
+  mu->assign_sorted(bound, [&](Binding::value_type* out) {
+    for (size_t i = 0; i < width; ++i) {
+      if (row[i] != kInvalidSymbol) *out++ = {vars_[i], row[i]};
     }
-  }
+    return bound;
+  });
 }
 
 void RowBuffer::Grow() {
@@ -206,7 +215,9 @@ Status JoinIndex::Build(const RowBuffer& rows,
   next_.resize(rows.size());
   // Insert back to front so each chain lists its rows in input order.
   for (size_t i = rows.size(); i-- > 0;) {
-    uint32_t& head = heads_[KeyHash(rows[i], key_slots_) & mask_];
+    const SymbolId* row = rows[i];
+    if (!KeyBound(row, key_slots_)) return NonDefiniteKey();
+    uint32_t& head = heads_[KeyHash(row, key_slots_) & mask_];
     next_[i] = head;
     head = static_cast<uint32_t>(i);
   }
@@ -237,9 +248,10 @@ uint32_t JoinIndex::Next(uint32_t row, const SymbolId* probe) const {
 Result<std::vector<Binding>> Operator::Drain() {
   RowBuffer rows(width());
   RWDT_RETURN_IF_ERROR(Fill(&rows));
-  std::vector<Binding> out(rows.size());
+  std::vector<Binding> out;
+  out.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    layout_->ToBinding(rows[i], &out[i]);
+    layout_->ToBinding(rows[i], &out.emplace_back());
   }
   return out;
 }
@@ -351,20 +363,23 @@ HashJoinOp::HashJoinOp(LayoutPtr layout, OperatorPtr left, OperatorPtr right,
       probe_(width()) {}
 
 Status HashJoinOp::Fill(RowBuffer* out) {
+  if (std::find(join_slots_.begin(), join_slots_.end(), kNoSlot) !=
+      join_slots_.end()) {
+    return NonDefiniteKey();
+  }
   build_.Clear();
   RWDT_RETURN_IF_ERROR(right_->Fill(&build_));
-  for (size_t i = 0; i < build_.size(); ++i) {
-    RWDT_RETURN_IF_ERROR(CheckKeyBound(build_[i], join_slots_));
-  }
   RWDT_RETURN_IF_ERROR(index_.Build(build_, join_slots_));
   probe_.Clear();
   RWDT_RETURN_IF_ERROR(left_->Fill(&probe_));
   const size_t w = width();
   for (size_t i = 0; i < probe_.size(); ++i) {
     const SymbolId* row = probe_[i];
-    RWDT_RETURN_IF_ERROR(CheckKeyBound(row, join_slots_));
     uint32_t match = index_.First(row);
     if (match == JoinIndex::kEnd) {
+      // Every indexed key is bound, so only a probe that matched nothing
+      // can leave a key slot unbound.
+      if (!KeyBound(row, join_slots_)) return NonDefiniteKey();
       if (left_outer_) std::copy_n(row, w, out->Append());
       continue;
     }

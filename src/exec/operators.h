@@ -38,8 +38,8 @@ class SlotLayout {
   uint32_t SlotOf(const sparql::Term& t) const {
     return t.ActsAsVar() ? SlotOf(t.id) : kNoSlot;
   }
-  /// Writes the solution mapping of one row, in ascending slot order,
-  /// into the empty `mu`; unbound slots are left out.
+  /// Replaces `mu` with the solution mapping of one row: its bound
+  /// slots, which ascend with their variables, written in one pass.
   void ToBinding(const SymbolId* row, Binding* mu) const;
 
  private:
@@ -117,9 +117,12 @@ class JoinIndex {
  public:
   static constexpr uint32_t kEnd = 0xffffffffu;
 
-  /// Indexes `rows` on `key_slots`.
+  /// Indexes `rows` on `key_slots`. Equal keys are compatible bindings
+  /// only when bound, so the pass that hashes the keys returns kInternal
+  /// on a row that leaves a key slot unbound.
   Status Build(const RowBuffer& rows, const std::vector<uint32_t>& key_slots);
-  /// The first indexed row whose key equals `probe`'s, or kEnd.
+  /// The first indexed row whose key equals `probe`'s, or kEnd; a probe
+  /// that leaves a key slot unbound matches no row.
   uint32_t First(const SymbolId* probe) const;
   /// The next indexed row after `row` whose key equals `probe`'s, or kEnd.
   uint32_t Next(uint32_t row, const SymbolId* probe) const;

@@ -100,6 +100,9 @@ struct ClassifyServer::Job {
 struct ClassifyServer::Worker {
   std::unique_ptr<engine::Engine> engine;
   std::thread thread;
+  /// Held while the worker explains and adds a slow-log entry whose
+  /// client it has already answered.
+  std::mutex slow_mu;
 };
 
 Status ServeOptions::Validate() const {
@@ -410,6 +413,12 @@ HttpResponse ClassifyServer::HandleSlowz(const HttpRequest&) {
     resp.status = 404;
     resp.body = ReasonBody("slow-query log disabled");
   } else {
+    // A worker adds an entry after it answers the request, under its
+    // slow_mu: taking each in turn waits out the entries of requests
+    // already answered.
+    for (const auto& worker : workers_) {
+      const std::lock_guard<std::mutex> recorded(worker->slow_mu);
+    }
     resp.body = slow_log_->ToJson();
   }
   CountRequest("/slowz", resp.status);
@@ -563,36 +572,46 @@ void ClassifyServer::WorkerLoop(Worker* worker) {
       } else {
         job_s_->Observe(proc_s);
       }
-      MaybeRecordSlow(*job, wait_s, proc_s);
+      std::optional<SlowQueryEntry> slow = SlowEntry(*job, wait_s, proc_s);
+      // Held from before the client is woken until its entry is added,
+      // so that /slowz waits for the entries of answered requests.
+      std::unique_lock<std::mutex> recording(worker->slow_mu,
+                                             std::defer_lock);
+      if (slow.has_value()) recording.lock();
       {
         std::lock_guard<std::mutex> job_lock(job->mu);
         job->done = true;
       }
       job->cv.notify_one();
+      if (slow.has_value()) RecordSlow(*job, std::move(*slow));
     }
   }
 }
 
-void ClassifyServer::MaybeRecordSlow(const Job& job, double queue_wait_s,
-                                     double process_s) {
-  if (slow_log_ == nullptr) return;
+std::optional<SlowQueryEntry> ClassifyServer::SlowEntry(
+    const Job& job, double queue_wait_s, double process_s) const {
+  if (slow_log_ == nullptr) return std::nullopt;
   const double total_s = queue_wait_s + process_s;
   // WouldAdmit first: the explained plan is only generated for requests
   // that will actually be retained, so the common (fast) request pays
   // one mutexed scan of a <= capacity-sized vector and nothing else.
-  if (!slow_log_->WouldAdmit(total_s)) return;
+  if (!slow_log_->WouldAdmit(total_s)) return std::nullopt;
   SlowQueryEntry entry;
-  entry.trace_id = job.ctx.trace_id;
-  entry.route = job.route;
-  entry.tenant = job.tenant;
   entry.status = job.response.status;
+  if (job.kind == Job::Kind::kClassify) entry.verdict_json = job.response.body;
   entry.queue_wait_s = queue_wait_s;
   entry.process_s = process_s;
   entry.total_s = total_s;
+  return entry;
+}
+
+void ClassifyServer::RecordSlow(const Job& job, SlowQueryEntry entry) {
+  entry.trace_id = job.ctx.trace_id;
+  entry.route = job.route;
+  entry.tenant = job.tenant;
   if (job.kind == Job::Kind::kClassify) {
     entry.lang = QueryLangName(job.lang);
     entry.query = job.body;
-    entry.verdict_json = job.response.body;
     if (job.verdict.has_value()) {
       entry.plan_json = ExplainPlanJson(job.body, *job.verdict);
     }

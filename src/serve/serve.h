@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -196,10 +197,17 @@ class ClassifyServer {
   void WorkerLoop(Worker* worker);
   void ProcessJob(Worker* worker, Job* job);
 
-  /// Tail-sampling hook, run by the worker after a job completes: if
-  /// (queue wait + process time) beats the slow log's bar, build the
-  /// entry — paying for the explained plan only then — and admit it.
-  void MaybeRecordSlow(const Job& job, double queue_wait_s, double process_s);
+  /// Tail sampling, run by the worker after a job completes, in two
+  /// halves around waking its client. SlowEntry, before: when (queue
+  /// wait + process time) beats the slow log's bar, an entry with the
+  /// timing and what it takes from the response (status, verdict body),
+  /// which the client moves out once woken; nullopt otherwise.
+  std::optional<SlowQueryEntry> SlowEntry(const Job& job, double queue_wait_s,
+                                          double process_s) const;
+  /// RecordSlow, after: the rest of the entry from the job — paying for
+  /// the explained plan only here, off the client's latency — and its
+  /// admission.
+  void RecordSlow(const Job& job, SlowQueryEntry entry);
   /// The executor's Plan::ToJson for one SPARQL query text, planned
   /// against an empty store from the `verdict` the worker rendered for
   /// it ("" on parse/plan failure). Plan dispatch depends only on that

@@ -649,15 +649,34 @@ Result<std::vector<Binding>> Evaluator::ApplyModifiers(
     rows = std::move(kept);
   }
 
-  // Projection (Select with explicit variables).
+  // Projection (Select with explicit variables): the projected ids,
+  // sorted and de-duplicated once, against each mapping's ascending
+  // pairs in one merge walk.
   if (q.form == QueryForm::kSelect && !q.select_star &&
       !q.projection.empty()) {
+    std::vector<SymbolId> keep;
+    keep.reserve(q.projection.size());
+    for (const auto& item : q.projection) keep.push_back(item.var.id);
+    std::sort(keep.begin(), keep.end());
+    keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
     for (auto& mu : rows) {
       Binding projected;
-      for (const auto& item : q.projection) {
-        auto it = mu.find(item.var.id);
-        if (it != mu.end()) projected.emplace(it->first, it->second);
-      }
+      projected.assign_sorted(
+          std::min(mu.size(), keep.size()), [&](Binding::value_type* out) {
+            size_t n = 0;
+            auto k = keep.begin();
+            for (auto it = mu.begin(); it != mu.end() && k != keep.end();) {
+              if (it->first < *k) {
+                ++it;
+              } else if (*k < it->first) {
+                ++k;
+              } else {
+                out[n++] = *it++;
+                ++k;
+              }
+            }
+            return n;
+          });
       mu = std::move(projected);
     }
   }

@@ -398,6 +398,152 @@ TEST_F(SparqlTest, GraphPatternBindsDefault) {
   EXPECT_EQ(Value(rows[0], "g"), dict_.Intern("urn:rwdt:default"));
 }
 
+// --- Projection ----------------------------------------------------------
+//
+// exec and the reference evaluator both finish in ApplyModifiers, so the
+// differential test cannot see a projection bug; these pin its output.
+
+std::vector<Binding> SortedRows(std::vector<Binding> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST_F(SparqlTest, ProjectionOutOfVariableIdOrder) {
+  const SymbolId x = dict_.Intern("?x");
+  const SymbolId y = dict_.Intern("?y");
+  const SymbolId z = dict_.Intern("?z");
+  ASSERT_LT(x, y);
+  ASSERT_LT(y, z);
+  auto id = [&](const char* name) { return dict_.Intern(name); };
+  EXPECT_EQ(
+      SortedRows(Eval("SELECT ?z ?x WHERE { ?x knows ?y . ?y knows ?z }")),
+      SortedRows({{{x, id("alice")}, {z, id("carol")}},
+                  {{x, id("bob")}, {z, id("dave")}}}));
+}
+
+TEST_F(SparqlTest, ProjectionOfARepeatedVariable) {
+  const SymbolId a = dict_.Intern("?a");
+  const SymbolId b = dict_.Intern("?b");
+  auto id = [&](const char* name) { return dict_.Intern(name); };
+  EXPECT_EQ(SortedRows(Eval("SELECT ?b ?a ?b WHERE { ?a knows ?b }")),
+            SortedRows({{{a, id("alice")}, {b, id("bob")}},
+                        {{a, id("bob")}, {b, id("carol")}},
+                        {{a, id("carol")}, {b, id("dave")}}}));
+}
+
+TEST_F(SparqlTest, ProjectionOfAnAggregateUnderGroupBy) {
+  const SymbolId t = dict_.Intern("?t");
+  const SymbolId n = dict_.Intern("?n");
+  const SymbolId one = dict_.Intern("\"1\"");
+  const SymbolId two = dict_.Intern("\"2\"");
+  EXPECT_EQ(SortedRows(Eval("SELECT (COUNT(?x) AS ?n) ?t "
+                            "WHERE { ?x rdf:type ?t } GROUP BY ?t")),
+            SortedRows({{{t, dict_.Intern("Person")}, {n, two}},
+                        {{t, dict_.Intern("City")}, {n, one}}}));
+  // The group key is dropped when the SELECT list leaves it out.
+  EXPECT_EQ(SortedRows(Eval("SELECT (COUNT(?x) AS ?n) "
+                            "WHERE { ?x rdf:type ?t } GROUP BY ?t")),
+            SortedRows({{{n, two}}, {{n, one}}}));
+}
+
+TEST_F(SparqlTest, ProjectionLeavesAnUnboundOptionalVariableOut) {
+  const SymbolId x = dict_.Intern("?x");
+  const SymbolId c = dict_.Intern("?c");
+  auto id = [&](const char* name) { return dict_.Intern(name); };
+  EXPECT_EQ(SortedRows(Eval("SELECT ?c ?x WHERE { ?x rdf:type Person . "
+                            "OPTIONAL { ?x livesIn ?c } }")),
+            SortedRows({{{x, id("alice")}, {c, id("city1")}},
+                        {{x, id("bob")}}}));
+}
+
+// --- Binding::assign_sorted ---------------------------------------------
+
+/// Whether `mu`'s pairs live inside the object rather than on the heap.
+bool Inline(const Binding& mu) {
+  const auto* object = reinterpret_cast<const char*>(&mu);
+  const auto* pairs = reinterpret_cast<const char*>(mu.begin());
+  return pairs >= object && pairs < object + sizeof(Binding);
+}
+
+/// assign_sorted of the pairs (v, 100 + v) for v = 1..n.
+void Fill(Binding* mu, size_t n) {
+  mu->assign_sorted(n, [n](Binding::value_type* out) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = {static_cast<SymbolId>(i + 1), static_cast<SymbolId>(101 + i)};
+    }
+    return n;
+  });
+}
+
+std::vector<Binding::value_type> Pairs(const Binding& mu) {
+  return {mu.begin(), mu.end()};
+}
+
+TEST(BindingTest, AssignSortedOfNothingIsEmpty) {
+  Binding mu{{7, 8}};
+  mu.assign_sorted(0, [](Binding::value_type*) { return size_t{0}; });
+  EXPECT_TRUE(mu.empty());
+  EXPECT_EQ(mu, Binding{});
+}
+
+TEST(BindingTest, AssignSortedOfFourPairsStaysInline) {
+  Binding mu;
+  Fill(&mu, Binding::kInlineCapacity);
+  EXPECT_TRUE(Inline(mu));
+  EXPECT_EQ(Pairs(mu), (std::vector<Binding::value_type>{
+                           {1, 101}, {2, 102}, {3, 103}, {4, 104}}));
+  EXPECT_EQ(mu, (Binding{{4, 104}, {2, 102}, {3, 103}, {1, 101}}));
+}
+
+TEST(BindingTest, AssignSortedOfFiveOrMorePairsTakesTheHeap) {
+  for (size_t n : {size_t{5}, size_t{9}}) {
+    Binding mu;
+    Fill(&mu, n);
+    EXPECT_FALSE(Inline(mu)) << n;
+    ASSERT_EQ(mu.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(mu.find(static_cast<SymbolId>(i + 1))->second, 101 + i);
+    }
+    // The mapping behaves as any other: copies and further inserts.
+    Binding copy = mu;
+    EXPECT_EQ(copy, mu);
+    copy.emplace(0, 100);
+    EXPECT_EQ(copy.begin()->first, 0u);
+    EXPECT_EQ(copy.size(), n + 1);
+  }
+}
+
+TEST(BindingTest, AssignSortedRefillsAHeapMappingWithFewerPairs) {
+  Binding mu;
+  Fill(&mu, 8);
+  const Binding::value_type* block = mu.begin();
+  // The writer may also store fewer pairs than it was allowed.
+  mu.assign_sorted(3, [](Binding::value_type* out) {
+    out[0] = {2, 20};
+    out[1] = {5, 50};
+    return size_t{2};
+  });
+  EXPECT_EQ(mu.begin(), block);  // the block is kept, not reallocated
+  EXPECT_EQ(Pairs(mu), (std::vector<Binding::value_type>{{2, 20}, {5, 50}}));
+  EXPECT_EQ(mu, (Binding{{5, 50}, {2, 20}}));
+  EXPECT_TRUE(mu.emplace(3, 30).second);
+  EXPECT_EQ(Pairs(mu), (std::vector<Binding::value_type>{
+                           {2, 20}, {3, 30}, {5, 50}}));
+}
+
+#ifdef _GLIBCXX_ASSERTIONS
+TEST(BindingDeathTest, AssignSortedAbortsOnPairsOutOfOrder) {
+  Binding mu;
+  EXPECT_DEATH(mu.assign_sorted(2,
+                                [](Binding::value_type* out) {
+                                  out[0] = {3, 1};
+                                  out[1] = {2, 1};
+                                  return size_t{2};
+                                }),
+               "assign_sorted");
+}
+#endif
+
 // --- Nesting depth -----------------------------------------------------
 
 std::string Repeat(std::string_view s, size_t n) {
