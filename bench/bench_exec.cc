@@ -99,8 +99,9 @@ int main() {
       // set against the scan; the executor hash-joins them.
       {"ste_path", "SELECT * WHERE { ?x p3* ?y . ?y p1 ?z }",
        "nfa_path_product"},
-      // Bare path scan: both sides enumerate the same pair set, so this
-      // measures the NFA product against the recursive pair algebra.
+      // Bare path scan: both sides sweep the same path automaton for the
+      // same pair set, so this measures exec's planning and flat rows
+      // against the naive side's one Binding per pair.
       {"ste_path_scan", "SELECT * WHERE { ?x p0/p3* ?y }",
        "nfa_path_product"},
       {"wd_optional",

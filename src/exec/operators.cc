@@ -281,15 +281,17 @@ void TripleScanOp::Explain(JsonWriter* w) const {
 // --- PathScanOp ------------------------------------------------------
 
 PathScanOp::PathScanOp(LayoutPtr layout, const sparql::Evaluator& eval,
-                       const Interner& dict, sparql::PathTriple pattern)
+                       const Interner& dict, sparql::PathTriple pattern,
+                       paths::PathNfa nfa)
     : Operator(std::move(layout)),
       eval_(eval),
       dict_(dict),
-      pattern_(std::move(pattern)) {}
+      pattern_(std::move(pattern)),
+      nfa_(std::move(nfa)) {}
 
 Status PathScanOp::Fill(RowBuffer* out) {
   RWDT_ASSIGN_OR_RETURN(const auto pairs,
-                        eval_.EvalPathPairs(*pattern_.path,
+                        eval_.EvalPathPairs(nfa_,
                                             ConstantOrWildcard(pattern_.s),
                                             ConstantOrWildcard(pattern_.o)));
   BindPathPairs(pairs, layout(), pattern_, out);
@@ -297,47 +299,6 @@ Status PathScanOp::Fill(RowBuffer* out) {
 }
 
 void PathScanOp::Explain(JsonWriter* w) const {
-  w->BeginObject();
-  w->StringField("op", Name());
-  w->StringField("pattern", TermString(pattern_.s, dict_) + " " +
-                                pattern_.path->ToString(dict_) + " " +
-                                TermString(pattern_.o, dict_));
-  w->EndObject();
-}
-
-// --- AutomatonPathScanOp ---------------------------------------------
-
-AutomatonPathScanOp::AutomatonPathScanOp(LayoutPtr layout,
-                                         const graph::TripleStore& store,
-                                         const sparql::Evaluator& eval,
-                                         const Interner& dict,
-                                         sparql::PathTriple pattern)
-    : Operator(std::move(layout)),
-      store_(store),
-      eval_(eval),
-      dict_(dict),
-      pattern_(std::move(pattern)),
-      nfa_(CompilePathNfa(*pattern_.path)) {}
-
-Status AutomatonPathScanOp::Fill(RowBuffer* out) {
-  const SymbolId s = ConstantOrWildcard(pattern_.s);
-  const SymbolId o = ConstantOrWildcard(pattern_.o);
-  const std::vector<SymbolId>& all_terms = store_.Terms();
-  if (s == kInvalidSymbol && o != kInvalidSymbol &&
-      !std::binary_search(all_terms.begin(), all_terms.end(), o)) {
-    // Zero-length semantics for an object with no incident edges depend
-    // on the path's operator shape; defer to the reference algorithm.
-    RWDT_ASSIGN_OR_RETURN(const auto pairs,
-                          eval_.EvalPathPairs(*pattern_.path, s, o));
-    BindPathPairs(pairs, layout(), pattern_, out);
-    return Status::Ok();
-  }
-  BindPathPairs(EvalPathNfa(store_, nfa_, all_terms, s, o), layout(),
-                pattern_, out);
-  return Status::Ok();
-}
-
-void AutomatonPathScanOp::Explain(JsonWriter* w) const {
   w->BeginObject();
   w->StringField("op", Name());
   w->StringField("pattern", TermString(pattern_.s, dict_) + " " +

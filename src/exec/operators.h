@@ -11,8 +11,8 @@
 #include "common/interner.h"
 #include "common/json.h"
 #include "common/status.h"
-#include "exec/path_automaton.h"
 #include "graph/rdf.h"
+#include "paths/automaton.h"
 #include "sparql/algebra.h"
 #include "sparql/eval.h"
 
@@ -194,47 +194,25 @@ class TripleScanOp : public Operator {
   sparql::TriplePattern pattern_;
 };
 
-/// Leaf scan over one property-path pattern via the reference
-/// evaluator's recursive pair-set algorithm. The slow-but-exact leaf;
-/// the planner prefers AutomatonPathScanOp for simple transitive
-/// expressions.
+/// Leaf scan over one property-path pattern: the path's automaton
+/// (paths::PathNfa), compiled once when the plan is built, swept through
+/// the evaluator's EvalPathPairs, so the scan charges the evaluator's
+/// step budget and binds exactly the pairs the evaluator does.
 class PathScanOp : public Operator {
  public:
   PathScanOp(LayoutPtr layout, const sparql::Evaluator& eval,
-             const Interner& dict, sparql::PathTriple pattern);
-
-  Status Fill(RowBuffer* out) override;
-  const char* Name() const override { return "path_scan"; }
-  void Explain(JsonWriter* w) const override;
-
- private:
-
-  const sparql::Evaluator& eval_;
-  const Interner& dict_;
-  sparql::PathTriple pattern_;
-};
-
-/// Leaf scan over one property-path pattern via NFA-product
-/// reachability (CompilePathNfa / EvalPathNfa). Falls back to the
-/// evaluator's pair-set algorithm for the one binding shape whose
-/// zero-length semantics the product cannot reproduce exactly (subject
-/// unbound, object bound to a term with no incident edges).
-class AutomatonPathScanOp : public Operator {
- public:
-  AutomatonPathScanOp(LayoutPtr layout, const graph::TripleStore& store,
-                      const sparql::Evaluator& eval, const Interner& dict,
-                      sparql::PathTriple pattern);
+             const Interner& dict, sparql::PathTriple pattern,
+             paths::PathNfa nfa);
 
   Status Fill(RowBuffer* out) override;
   const char* Name() const override { return "path_nfa_scan"; }
   void Explain(JsonWriter* w) const override;
 
  private:
-  const graph::TripleStore& store_;
   const sparql::Evaluator& eval_;
   const Interner& dict_;
   sparql::PathTriple pattern_;
-  PathNfa nfa_;
+  paths::PathNfa nfa_;
 };
 
 /// Hash join on an explicit variable list. Fill indexes the right

@@ -7,7 +7,7 @@
 
 #include "common/json.h"
 #include "common/max_depth.h"
-#include "paths/analysis.h"
+#include "paths/automaton.h"
 
 namespace rwdt::exec {
 namespace {
@@ -280,14 +280,11 @@ Result<Executor::Built> Executor::BuildPattern(
       std::set<SymbolId> vars;
       TermVars(path.s, &vars);
       TermVars(path.o, &vars);
-      OperatorPtr op;
-      if (paths::IsSimpleTransitiveExpression(*path.path)) {
-        op = std::make_unique<AutomatonPathScanOp>(layout, store_, eval_,
-                                                   *dict_, path);
-      } else {
-        op = std::make_unique<PathScanOp>(layout, eval_, *dict_, path);
-      }
-      return MakeLeaf(std::move(op), std::move(vars), store_.size());
+      RWDT_ASSIGN_OR_RETURN(paths::PathNfa nfa,
+                            paths::CompilePathNfa(*path.path));
+      return MakeLeaf(std::make_unique<PathScanOp>(layout, eval_, *dict_,
+                                                   path, std::move(nfa)),
+                      std::move(vars), store_.size());
     }
     case Op::kAnd:
       return BuildAnd(q, p, layout, depth);

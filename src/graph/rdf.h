@@ -57,7 +57,8 @@ class TripleStore {
   /// Non-materializing range lookups: a contiguous [first, last) view
   /// into the matching index, valid until the next Add. The zero-copy
   /// counterparts of Objects / Subjects / Match for tight loops
-  /// (exec::EvalPathNfa steps through these per product-BFS node).
+  /// (paths::ForEachStep walks a property-path automaton's edges
+  /// through these; paths::EvalPathNfa reads RangeP once per label).
   using TripleRange = std::pair<const Triple*, const Triple*>;
   /// (s, p, *) in SPO order.
   TripleRange RangeSP(SymbolId s, SymbolId p) const;

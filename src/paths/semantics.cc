@@ -1,175 +1,16 @@
 #include "paths/semantics.h"
 
-#include <deque>
-#include <map>
+#include <limits>
 #include <set>
-#include <vector>
+
+#include "paths/automaton.h"
 
 namespace rwdt::paths {
 namespace {
 
-/// A labeled move over the graph: follow predicate `iri` forward or
-/// backward, or any predicate outside a forbidden set.
-struct Atom {
-  enum class Kind { kForward, kBackward, kNegated };
-  Kind kind = Kind::kForward;
-  SymbolId iri = kInvalidSymbol;
-  std::vector<std::pair<SymbolId, bool>> forbidden;  // for kNegated
-};
-
-/// Thompson-style epsilon-NFA over atoms.
-struct PathNfa {
-  struct Edge {
-    uint32_t target;
-    int atom = -1;  // -1: epsilon
-  };
-  std::vector<std::vector<Edge>> states;
-  std::vector<Atom> atoms;
-  uint32_t start = 0, accept = 0;
-
-  uint32_t AddState() {
-    states.emplace_back();
-    return static_cast<uint32_t>(states.size() - 1);
-  }
-  void AddEps(uint32_t from, uint32_t to) {
-    states[from].push_back({to, -1});
-  }
-  void AddAtom(uint32_t from, uint32_t to, Atom atom) {
-    atoms.push_back(std::move(atom));
-    states[from].push_back({to, static_cast<int>(atoms.size() - 1)});
-  }
-};
-
-/// Builds (start, accept) fragment for `path`, inverting direction when
-/// `inverted` (pushing ^ down through the expression).
-std::pair<uint32_t, uint32_t> Build(const Path& path, bool inverted,
-                                    PathNfa* nfa) {
-  switch (path.op()) {
-    case PathOp::kIri: {
-      const uint32_t s = nfa->AddState();
-      const uint32_t t = nfa->AddState();
-      Atom atom;
-      atom.kind = inverted ? Atom::Kind::kBackward : Atom::Kind::kForward;
-      atom.iri = path.iri();
-      nfa->AddAtom(s, t, std::move(atom));
-      return {s, t};
-    }
-    case PathOp::kNegated: {
-      const uint32_t s = nfa->AddState();
-      const uint32_t t = nfa->AddState();
-      Atom atom;
-      atom.kind = Atom::Kind::kNegated;
-      atom.forbidden = path.negated_set();
-      if (inverted) {
-        for (auto& [iri, inv] : atom.forbidden) {
-          (void)iri;
-          inv = !inv;
-        }
-      }
-      nfa->AddAtom(s, t, std::move(atom));
-      return {s, t};
-    }
-    case PathOp::kInverse:
-      return Build(*path.child(), !inverted, nfa);
-    case PathOp::kSeq: {
-      // Inversion reverses the concatenation order.
-      std::vector<std::pair<uint32_t, uint32_t>> parts;
-      if (!inverted) {
-        for (const auto& c : path.children()) {
-          parts.push_back(Build(*c, false, nfa));
-        }
-      } else {
-        for (auto it = path.children().rbegin();
-             it != path.children().rend(); ++it) {
-          parts.push_back(Build(**it, true, nfa));
-        }
-      }
-      for (size_t i = 0; i + 1 < parts.size(); ++i) {
-        nfa->AddEps(parts[i].second, parts[i + 1].first);
-      }
-      return {parts.front().first, parts.back().second};
-    }
-    case PathOp::kAlt: {
-      const uint32_t s = nfa->AddState();
-      const uint32_t t = nfa->AddState();
-      for (const auto& c : path.children()) {
-        auto [cs, ct] = Build(*c, inverted, nfa);
-        nfa->AddEps(s, cs);
-        nfa->AddEps(ct, t);
-      }
-      return {s, t};
-    }
-    case PathOp::kStar:
-    case PathOp::kPlus:
-    case PathOp::kOptional: {
-      const uint32_t s = nfa->AddState();
-      const uint32_t t = nfa->AddState();
-      auto [cs, ct] = Build(*path.child(), inverted, nfa);
-      nfa->AddEps(s, cs);
-      nfa->AddEps(ct, t);
-      if (path.op() != PathOp::kPlus) nfa->AddEps(s, t);     // skip
-      if (path.op() != PathOp::kOptional) nfa->AddEps(ct, cs);  // repeat
-      return {s, t};
-    }
-  }
-  return {nfa->AddState(), nfa->AddState()};
-}
-
-PathNfa Compile(const Path& path) {
-  PathNfa nfa;
-  auto [s, t] = Build(path, false, &nfa);
-  nfa.start = s;
-  nfa.accept = t;
-  return nfa;
-}
-
-/// Moves available from a graph node under an atom.
-void Moves(const graph::TripleStore& store, const Atom& atom, SymbolId node,
-           std::vector<std::pair<SymbolId, graph::Triple>>* out) {
-  switch (atom.kind) {
-    case Atom::Kind::kForward:
-      for (const auto& t : store.Match(node, atom.iri, kInvalidSymbol)) {
-        out->emplace_back(t.o, t);
-      }
-      break;
-    case Atom::Kind::kBackward:
-      for (const auto& t : store.Match(kInvalidSymbol, atom.iri, node)) {
-        out->emplace_back(t.s, t);
-      }
-      break;
-    case Atom::Kind::kNegated: {
-      std::set<SymbolId> fwd, bwd;
-      bool any_fwd = true, any_bwd = false;
-      for (const auto& [iri, inv] : atom.forbidden) {
-        (inv ? bwd : fwd).insert(iri);
-        if (inv) any_bwd = true;
-      }
-      if (any_fwd) {
-        for (const auto& t :
-             store.Match(node, kInvalidSymbol, kInvalidSymbol)) {
-          if (fwd.count(t.p) == 0) out->emplace_back(t.o, t);
-        }
-      }
-      if (any_bwd) {
-        for (const auto& t :
-             store.Match(kInvalidSymbol, kInvalidSymbol, node)) {
-          if (bwd.count(t.p) == 0) out->emplace_back(t.s, t);
-        }
-      }
-      break;
-    }
-  }
-}
-
-struct EdgeKey {
-  graph::Triple triple;
-  bool backward;
-  bool operator<(const EdgeKey& o) const {
-    if (!(triple == o.triple)) return triple < o.triple;
-    return backward < o.backward;
-  }
-};
-
+/// Depth-first backtracking over the (term x state) product for the
+/// simple-path and trail semantics: a simple path may not revisit a
+/// term, a trail may not cross a triple twice (in either direction).
 class Searcher {
  public:
   Searcher(const graph::TripleStore& store, const PathNfa& nfa,
@@ -178,113 +19,37 @@ class Searcher {
 
   PathMatch Run(SymbolId source, SymbolId target) {
     PathMatch result;
-    if (semantics_ == PathSemantics::kWalk) {
-      result.matched = Bfs(source, target, &result.steps);
-      result.decided = true;
-      return result;
-    }
-    std::set<SymbolId> visited_nodes = {source};
-    std::set<EdgeKey> visited_edges;
-    exhausted_ = false;
-    const bool matched =
-        Dfs(source, nfa_.start, target, &visited_nodes, &visited_edges,
-            &result.steps);
+    visited_nodes_ = {source};
+    const bool matched = Dfs(source, nfa_.start, target, &result.steps);
     result.matched = matched;
     result.decided = matched || !exhausted_;
     return result;
   }
 
  private:
-  void EpsClosure(std::set<uint32_t>* states) const {
-    std::deque<uint32_t> queue(states->begin(), states->end());
-    while (!queue.empty()) {
-      const uint32_t q = queue.front();
-      queue.pop_front();
-      for (const auto& e : nfa_.states[q]) {
-        if (e.atom == -1 && states->insert(e.target).second) {
-          queue.push_back(e.target);
-        }
-      }
-    }
-  }
-
-  bool Bfs(SymbolId source, SymbolId target, uint64_t* steps) const {
-    std::set<std::pair<SymbolId, uint32_t>> seen;
-    std::deque<std::pair<SymbolId, uint32_t>> queue;
-    std::set<uint32_t> init = {nfa_.start};
-    EpsClosure(&init);
-    for (uint32_t q : init) {
-      if (q == nfa_.accept && source == target) return true;
-      seen.emplace(source, q);
-      queue.emplace_back(source, q);
-    }
-    while (!queue.empty()) {
-      ++*steps;
-      auto [node, q] = queue.front();
-      queue.pop_front();
-      for (const auto& e : nfa_.states[q]) {
-        if (e.atom == -1) continue;  // closure handled below
-        std::vector<std::pair<SymbolId, graph::Triple>> moves;
-        Moves(store_, nfa_.atoms[e.atom], node, &moves);
-        for (const auto& [next, triple] : moves) {
-          (void)triple;
-          std::set<uint32_t> closure = {e.target};
-          EpsClosure(&closure);
-          for (uint32_t cq : closure) {
-            if (cq == nfa_.accept && next == target) return true;
-            if (seen.emplace(next, cq).second) {
-              queue.emplace_back(next, cq);
-            }
-          }
-        }
-      }
-      // Epsilon moves from q.
-      std::set<uint32_t> closure = {q};
-      EpsClosure(&closure);
-      for (uint32_t cq : closure) {
-        if (cq == nfa_.accept && node == target) return true;
-        if (seen.emplace(node, cq).second) queue.emplace_back(node, cq);
-      }
-    }
-    return false;
-  }
-
-  bool Dfs(SymbolId node, uint32_t state, SymbolId target,
-           std::set<SymbolId>* visited_nodes,
-           std::set<EdgeKey>* visited_edges, uint64_t* steps) {
+  bool Dfs(SymbolId node, uint32_t state, SymbolId target, uint64_t* steps) {
     if (++*steps > budget_) {
       exhausted_ = true;
       return false;
     }
-    std::set<uint32_t> closure = {state};
-    EpsClosure(&closure);
-    if (node == target && closure.count(nfa_.accept) > 0) return true;
-    for (uint32_t q : closure) {
-      for (const auto& e : nfa_.states[q]) {
-        if (e.atom == -1) continue;
-        std::vector<std::pair<SymbolId, graph::Triple>> moves;
-        Moves(store_, nfa_.atoms[e.atom], node, &moves);
-        for (const auto& [next, triple] : moves) {
-          if (semantics_ == PathSemantics::kSimplePath) {
-            if (!visited_nodes->insert(next).second) continue;
-            if (Dfs(next, e.target, target, visited_nodes, visited_edges,
-                    steps)) {
-              return true;
-            }
-            visited_nodes->erase(next);
-          } else {  // trail
-            // A trail may not reuse an edge in either direction.
-            const EdgeKey key{triple, false};
-            if (!visited_edges->insert(key).second) continue;
-            if (Dfs(next, e.target, target, visited_nodes, visited_edges,
-                    steps)) {
-              return true;
-            }
-            visited_edges->erase(key);
-          }
-          if (exhausted_) return false;
-        }
-      }
+    if (node == target && nfa_.accept[state]) return true;
+    for (const PathNfa::Edge& e : nfa_.adj[state]) {
+      bool found = false;
+      ForEachStep(store_, e, /*forward=*/true, node,
+                  [&](SymbolId next, const graph::Triple& triple) {
+                    if (found || exhausted_) return;
+                    if (semantics_ == PathSemantics::kSimplePath) {
+                      if (!visited_nodes_.insert(next).second) return;
+                      found = Dfs(next, e.to, target, steps);
+                      if (!found) visited_nodes_.erase(next);
+                    } else {  // trail
+                      if (!visited_edges_.insert(triple).second) return;
+                      found = Dfs(next, e.to, target, steps);
+                      if (!found) visited_edges_.erase(triple);
+                    }
+                  });
+      if (found) return true;
+      if (exhausted_) return false;
     }
     return false;
   }
@@ -293,6 +58,8 @@ class Searcher {
   const PathNfa& nfa_;
   PathSemantics semantics_;
   uint64_t budget_;
+  std::set<SymbolId> visited_nodes_;
+  std::set<graph::Triple> visited_edges_;
   bool exhausted_ = false;
 };
 
@@ -301,9 +68,18 @@ class Searcher {
 PathMatch MatchPath(const graph::TripleStore& store, const Path& path,
                     SymbolId source, SymbolId target,
                     PathSemantics semantics, uint64_t budget) {
-  const PathNfa nfa = Compile(path);
-  Searcher searcher(store, nfa, semantics, budget);
-  return searcher.Run(source, target);
+  const Result<PathNfa> nfa = CompilePathNfa(path);
+  if (!nfa.ok()) return {};  // too large to compile: undecided
+  if (semantics == PathSemantics::kWalk) {
+    PathMatch result;
+    const auto pairs =
+        EvalPathNfa(store, nfa.value(), source, target, &result.steps,
+                    std::numeric_limits<uint64_t>::max());
+    result.decided = true;
+    result.matched = !pairs.value().empty();
+    return result;
+  }
+  return Searcher(store, nfa.value(), semantics, budget).Run(source, target);
 }
 
 }  // namespace rwdt::paths

@@ -15,14 +15,17 @@ namespace rwdt::paths {
 enum class PathSemantics { kWalk, kSimplePath, kTrail };
 
 struct PathMatch {
-  bool decided = false;   // false: budget exhausted
+  bool decided = false;   // false: budget exhausted or path too large
   bool matched = false;
   uint64_t steps = 0;     // search steps expended
 };
 
 /// Does a path from `source` to `target` matching `path` exist under the
-/// given semantics? `budget` caps the number of search steps for the
-/// backtracking semantics (walk semantics always decides).
+/// given semantics? All three search the path's automaton
+/// (CompilePathNfa): walk semantics is one product sweep with both ends
+/// bound, and always decides; simple-path and trail semantics backtrack
+/// over the automaton's edges, and `budget` caps their search steps. A
+/// path whose automaton CompilePathNfa refuses is left undecided.
 PathMatch MatchPath(const graph::TripleStore& store, const Path& path,
                     SymbolId source, SymbolId target,
                     PathSemantics semantics, uint64_t budget = 1 << 22);

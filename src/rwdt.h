@@ -41,6 +41,7 @@
 
 // Parsers and per-formalism analyses.
 #include "paths/analysis.h"
+#include "paths/automaton.h"
 #include "paths/path.h"
 #include "paths/semantics.h"
 #include "regex/automaton.h"
@@ -88,10 +89,9 @@
 #include "engine/progress.h"
 #include "ingest/ingest.h"
 
-// Classifier-dispatched query executor: Volcano operators, the verdict-
-// dispatching planner, and the NFA-product property-path evaluator.
+// Classifier-dispatched query executor: set-at-a-time operators and the
+// verdict-dispatching planner.
 #include "exec/operators.h"
-#include "exec/path_automaton.h"
 #include "exec/planner.h"
 
 // HTTP serving: the hand-rolled HTTP/1.1 stack and the classification

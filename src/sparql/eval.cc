@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <map>
 #include <set>
 
@@ -113,133 +112,13 @@ Result<std::vector<Binding>> Evaluator::EvalTriple(
 
 Result<std::vector<std::pair<SymbolId, SymbolId>>> Evaluator::EvalPathPairs(
     const paths::Path& path, SymbolId s, SymbolId o) const {
-  using paths::PathOp;
-  using Pairs = std::vector<std::pair<SymbolId, SymbolId>>;
-  switch (path.op()) {
-    case PathOp::kIri: {
-      Pairs out;
-      for (const auto& t : store_.Match(s, path.iri(), o)) {
-        out.emplace_back(t.s, t.o);
-      }
-      RWDT_RETURN_IF_ERROR(Charge(out.size()));
-      return out;
-    }
-    case PathOp::kNegated: {
-      Pairs out;
-      // Forward-forbidden and inverse-forbidden sets.
-      std::set<SymbolId> fwd, inv;
-      for (const auto& [iri, inverted] : path.negated_set()) {
-        (inverted ? inv : fwd).insert(iri);
-      }
-      if (inv.empty() || !fwd.empty()) {
-        for (const auto& t : store_.Match(s, kInvalidSymbol, o)) {
-          if (fwd.count(t.p) == 0) out.emplace_back(t.s, t.o);
-        }
-      }
-      if (!inv.empty()) {
-        for (const auto& t : store_.Match(o, kInvalidSymbol, s)) {
-          if (inv.count(t.p) == 0) out.emplace_back(t.o, t.s);
-        }
-      }
-      RWDT_RETURN_IF_ERROR(Charge(out.size()));
-      std::sort(out.begin(), out.end());
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-      return out;
-    }
-    case PathOp::kInverse: {
-      RWDT_ASSIGN_OR_RETURN(const Pairs pairs,
-                            EvalPathPairs(*path.child(), o, s));
-      Pairs out;
-      out.reserve(pairs.size());
-      for (const auto& [x, y] : pairs) out.emplace_back(y, x);
-      return out;
-    }
-    case PathOp::kSeq: {
-      // Fold left; keep intermediate endpoints unrestricted.
-      RWDT_ASSIGN_OR_RETURN(
-          Pairs acc, EvalPathPairs(*path.children()[0], s, kInvalidSymbol));
-      for (size_t i = 1; i < path.children().size(); ++i) {
-        const bool last = i + 1 == path.children().size();
-        std::set<std::pair<SymbolId, SymbolId>> next;
-        for (const auto& [x, mid] : acc) {
-          RWDT_ASSIGN_OR_RETURN(
-              const Pairs step,
-              EvalPathPairs(*path.children()[i], mid,
-                            last ? o : kInvalidSymbol));
-          for (const auto& [m2, y] : step) {
-            (void)m2;
-            next.emplace(x, y);
-          }
-        }
-        acc.assign(next.begin(), next.end());
-      }
-      return acc;
-    }
-    case PathOp::kAlt: {
-      std::set<std::pair<SymbolId, SymbolId>> out;
-      for (const auto& c : path.children()) {
-        RWDT_ASSIGN_OR_RETURN(const Pairs pairs, EvalPathPairs(*c, s, o));
-        out.insert(pairs.begin(), pairs.end());
-      }
-      return Pairs(out.begin(), out.end());
-    }
-    case PathOp::kOptional: {
-      RWDT_ASSIGN_OR_RETURN(const Pairs pairs,
-                            EvalPathPairs(*path.child(), s, o));
-      std::set<std::pair<SymbolId, SymbolId>> out(pairs.begin(), pairs.end());
-      // Zero-length matches: every graph term (restricted by s/o).
-      if (s != kInvalidSymbol) {
-        if (o == kInvalidSymbol || o == s) out.emplace(s, s);
-      } else if (o != kInvalidSymbol) {
-        out.emplace(o, o);
-      } else {
-        const std::vector<SymbolId>& terms = store_.Terms();
-        RWDT_RETURN_IF_ERROR(Charge(terms.size()));
-        for (SymbolId t : terms) out.emplace(t, t);
-      }
-      return Pairs(out.begin(), out.end());
-    }
-    case PathOp::kStar:
-    case PathOp::kPlus: {
-      // BFS closure from each candidate start. Each expansion is charged
-      // one step as it happens, and the pairs it reaches are charged where
-      // they are made (at the leaves), so a closure that would outgrow the
-      // budget stops there instead of being built first.
-      std::vector<SymbolId> starts;
-      if (s != kInvalidSymbol) {
-        starts.push_back(s);
-      } else {
-        starts = store_.Terms();
-      }
-      std::set<std::pair<SymbolId, SymbolId>> out;
-      for (SymbolId start : starts) {
-        std::set<SymbolId> seen;
-        std::deque<SymbolId> queue;
-        if (path.op() == PathOp::kStar) {
-          if (o == kInvalidSymbol || o == start) out.emplace(start, start);
-        }
-        queue.push_back(start);
-        seen.insert(start);
-        while (!queue.empty()) {
-          const SymbolId cur = queue.front();
-          queue.pop_front();
-          RWDT_ASSIGN_OR_RETURN(
-              const Pairs step,
-              EvalPathPairs(*path.child(), cur, kInvalidSymbol));
-          RWDT_RETURN_IF_ERROR(Charge(1));
-          for (const auto& [x, y] : step) {
-            (void)x;
-            if (seen.insert(y).second) queue.push_back(y);
-            if (o == kInvalidSymbol || o == y) out.emplace(start, y);
-          }
-        }
-      }
-      // Deduplicate star self-pairs already handled; plus excludes them
-      // unless reachable in >= 1 step (handled by construction).
-      return Pairs(out.begin(), out.end());
-    }
-  }
-  return Pairs{};
+  RWDT_ASSIGN_OR_RETURN(const paths::PathNfa nfa, paths::CompilePathNfa(path));
+  return EvalPathPairs(nfa, s, o);
+}
+
+Result<std::vector<std::pair<SymbolId, SymbolId>>> Evaluator::EvalPathPairs(
+    const paths::PathNfa& nfa, SymbolId s, SymbolId o) const {
+  return paths::EvalPathNfa(store_, nfa, s, o, &steps_, limits_.max_steps);
 }
 
 Result<std::vector<Binding>> Evaluator::EvalPath(const PathTriple& p) const {

@@ -8,6 +8,7 @@
 #include "common/interner.h"
 #include "common/status.h"
 #include "graph/rdf.h"
+#include "paths/automaton.h"
 #include "sparql/algebra.h"
 #include "sparql/binding.h"
 
@@ -88,14 +89,19 @@ class Evaluator {
   void ResetSteps() const { steps_ = 0; }
 
   /// All (start, end) pairs connected by a property path; fixing
-  /// `s`/`o` (non-wildcard) restricts the search. Each pair is charged
-  /// once, where a leaf (an IRI or a negated set) or a zero-length match
-  /// makes it, and each closure expansion is charged one step, all to the
-  /// running budget as it happens (ResetSteps starts a fresh one), so a
-  /// `*`/`+` closure that would outgrow it returns kResourceExhausted
-  /// instead of being built first.
+  /// `s`/`o` (non-wildcard) restricts the search. The path is compiled
+  /// (paths::CompilePathNfa, whose size refusal is returned) and swept
+  /// (paths::EvalPathNfa): each product node the sweep visits is charged
+  /// one step to the running budget as it happens (ResetSteps starts a
+  /// fresh one), so a closure that would outgrow it returns
+  /// kResourceExhausted instead of being built first.
   Result<std::vector<std::pair<SymbolId, SymbolId>>> EvalPathPairs(
       const paths::Path& path, SymbolId s = kInvalidSymbol,
+      SymbolId o = kInvalidSymbol) const;
+  /// The same sweep over an already compiled path, charged the same way;
+  /// exec's path scans compile once per plan and sweep here.
+  Result<std::vector<std::pair<SymbolId, SymbolId>>> EvalPathPairs(
+      const paths::PathNfa& nfa, SymbolId s = kInvalidSymbol,
       SymbolId o = kInvalidSymbol) const;
 
  private:

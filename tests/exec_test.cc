@@ -1,12 +1,14 @@
 // Unit tests for rwdt::exec: per-operator semantics against the
-// reference evaluator, the NFA-product path evaluator against
-// EvalPathPairs across path shapes and binding shapes, GYO join-forest
+// reference evaluator, the property-path automaton against the pair-set
+// oracle (path_oracle.h) across path shapes and binding shapes, the
+// automaton's size cap and the zero-length rule, GYO join-forest
 // construction, and the planner's verdict dispatch (each certified
 // fragment picks its strategy, everything else falls back).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <thread>
@@ -15,11 +17,13 @@
 #include "common/interner.h"
 #include "common/rng.h"
 #include "exec/operators.h"
-#include "exec/path_automaton.h"
 #include "exec/planner.h"
 #include "graph/generators.h"
 #include "obs/registry.h"
+#include "path_oracle.h"
+#include "paths/automaton.h"
 #include "paths/path.h"
+#include "paths/semantics.h"
 #include "sparql/eval.h"
 #include "sparql/parser.h"
 
@@ -319,8 +323,6 @@ TEST_F(ExecTest, JoinForestRejectsCycles) {
 // --- NFA-product path evaluation ------------------------------------
 
 TEST_F(ExecTest, PathNfaMatchesEvalPathPairs) {
-  sparql::Evaluator eval(store_, &dict_);
-  const std::vector<SymbolId> terms = AllTerms();
   // One subject and one object that certainly occur in the store.
   const SymbolId some_s = store_.triples().front().s;
   const SymbolId some_o = store_.triples().front().o;
@@ -330,7 +332,7 @@ TEST_F(ExecTest, PathNfaMatchesEvalPathPairs) {
         "!(^p2)+"}) {
     auto path = paths::ParsePath(text, &dict_);
     ASSERT_TRUE(path.ok()) << text;
-    const PathNfa nfa = CompilePathNfa(*path.value());
+    const paths::PathNfa nfa = paths::CompilePathNfa(*path.value()).value();
     const struct {
       SymbolId s, o;
     } shapes[] = {
@@ -341,10 +343,13 @@ TEST_F(ExecTest, PathNfaMatchesEvalPathPairs) {
         {some_s, some_s},
     };
     for (const auto& shape : shapes) {
-      // Pair order is unspecified on both sides (the evaluator's base
-      // cases return index order); compare as sorted sets.
-      auto got = EvalPathNfa(store_, nfa, terms, shape.s, shape.o);
-      auto want = eval.EvalPathPairs(*path.value(), shape.s, shape.o).value();
+      // Pair order is unspecified on both sides (the oracle's base cases
+      // return index order); compare as sorted sets.
+      uint64_t steps = 0;
+      auto got = paths::EvalPathNfa(store_, nfa, shape.s, shape.o, &steps,
+                                    UINT64_MAX)
+                     .value();
+      auto want = OraclePathPairs(store_, *path.value(), shape.s, shape.o);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
       EXPECT_EQ(got, want) << text << " s=" << shape.s << " o=" << shape.o;
@@ -357,16 +362,14 @@ TEST_F(ExecTest, PathNfaBoundEndpointAboveEveryStoreTermStepsToNothing) {
   // store term, past the end of the per-term successor lists the sweeps
   // would size from the store alone.
   const SymbolId beyond = dict_.Intern("c_beyond");
-  const std::vector<SymbolId> terms = AllTerms();
-  ASSERT_GT(beyond, terms.back());
-  sparql::Evaluator eval(store_, &dict_);
+  ASSERT_GT(beyond, AllTerms().back());
   const SymbolId some_s = store_.triples().front().s;
   const SymbolId some_o = store_.triples().front().o;
   for (const std::string text :
        {"p0", "^p0", "p0*", "p0?", "(^p0)*", "p0/p1*", "!(p0|^p1)"}) {
     auto path = paths::ParsePath(text, &dict_);
     ASSERT_TRUE(path.ok()) << text;
-    const PathNfa nfa = CompilePathNfa(*path.value());
+    const paths::PathNfa nfa = paths::CompilePathNfa(*path.value()).value();
     const struct {
       SymbolId s, o;
     } shapes[] = {
@@ -376,8 +379,11 @@ TEST_F(ExecTest, PathNfaBoundEndpointAboveEveryStoreTermStepsToNothing) {
         {some_s, beyond},
     };
     for (const auto& shape : shapes) {
-      auto got = EvalPathNfa(store_, nfa, terms, shape.s, shape.o);
-      auto want = eval.EvalPathPairs(*path.value(), shape.s, shape.o).value();
+      uint64_t steps = 0;
+      auto got = paths::EvalPathNfa(store_, nfa, shape.s, shape.o, &steps,
+                                    UINT64_MAX)
+                     .value();
+      auto want = OraclePathPairs(store_, *path.value(), shape.s, shape.o);
       std::sort(got.begin(), got.end());
       std::sort(want.begin(), want.end());
       EXPECT_EQ(got, want) << text << " s=" << shape.s << " o=" << shape.o;
@@ -387,12 +393,105 @@ TEST_F(ExecTest, PathNfaBoundEndpointAboveEveryStoreTermStepsToNothing) {
 
 TEST_F(ExecTest, PathNfaZeroLengthCornerFallsBackInOperator) {
   // `p0?` with the object bound to a constant that is not a term of the
-  // store: the evaluator's bare-`e?` zero-length rule emits (o, o) even
-  // then. AutomatonPathScanOp must reproduce that via its documented
-  // fallback, end to end.
+  // store: a nullable path matches a bound endpoint to itself, so the
+  // scan and the evaluator both give (o, o), from the same sweep.
   dict_.Intern("c_unseen");
   ExpectStrategyAndAgreement("SELECT * WHERE { ?x p0? c_unseen }",
                              Strategy::kNfaPathProduct);
+}
+
+TEST_F(ExecTest, AbsentConstantMatchesItselfOnlyThroughNullablePaths) {
+  // c_unseen is in no triple. A nullable path matches a bound endpoint
+  // to itself whether or not the store holds it, so `?x e c`, `c e ?y`
+  // and `c ^e ?x` each give exactly (c, c); any other path gives none.
+  const SymbolId c = dict_.Intern("c_unseen");
+  const std::vector<std::pair<SymbolId, SymbolId>> self = {{c, c}};
+  sparql::Evaluator eval(store_, &dict_);
+  Executor exec(store_, &dict_);
+  const struct {
+    const char* text;
+    bool nullable;
+  } cases[] = {
+      {"p0*", true},      {"p0?", true},        {"(p0|^p1)*", true},
+      {"p0*/p1?", true},  {"(p0?)+", true},     {"!(p0|^p1)*", true},
+      {"p0", false},      {"p0+", false},       {"p0/p1*", false},
+      {"^p0", false},     {"!(p0)", false},     {"(p0|p1?)/p2", false},
+  };
+  for (const auto& [text, nullable] : cases) {
+    auto path = paths::ParsePath(text, &dict_);
+    ASSERT_TRUE(path.ok()) << text;
+    const auto want = nullable ? self : decltype(self){};
+    EXPECT_EQ(eval.EvalPathPairs(*path.value(), kInvalidSymbol, c).value(),
+              want)
+        << "?x " << text << " c";
+    EXPECT_EQ(eval.EvalPathPairs(*path.value(), c, kInvalidSymbol).value(),
+              want)
+        << "c " << text << " ?y";
+    EXPECT_EQ(eval.EvalPathPairs(*paths::Path::Inverse(path.value()), c,
+                                 kInvalidSymbol)
+                  .value(),
+              want)
+        << "c ^(" << text << ") ?x";
+    const std::string t = text;
+    for (const std::string& q :
+         {"SELECT * WHERE { ?x " + t + " c_unseen }",
+          "SELECT * WHERE { c_unseen " + t + " ?x }",
+          "SELECT * WHERE { c_unseen ^(" + t + ") ?x }"}) {
+      const sparql::Query query = Parse(q);
+      auto got = exec.Run(query);
+      auto ref = eval.EvalQuery(query);
+      ASSERT_TRUE(got.ok() && ref.ok()) << q;
+      ASSERT_EQ(got.value().size(), nullable ? 1u : 0u) << q;
+      for (const Binding& row : got.value()) {
+        ASSERT_EQ(row.size(), 1u) << q;
+        EXPECT_EQ(row.begin()->second, c) << q;
+      }
+      EXPECT_EQ(Sorted(got.value()), Sorted(ref.value())) << q;
+    }
+  }
+}
+
+TEST_F(ExecTest, PathNfaSizeIsCapped) {
+  // (w0|...|w(k-1))* copies k^2 + 4k transitions before duplicates are
+  // dropped: 65,532 for k = 254, and 66,045 for k = 255, past
+  // paths::kMaxNfaTransitions (65,536).
+  auto alternation = [](int k) {
+    std::string text = "(";
+    for (int i = 0; i < k; ++i) text += (i ? "|w" : "w") + std::to_string(i);
+    return text + ")*";
+  };
+  auto fits = paths::ParsePath(alternation(254), &dict_);
+  auto over = paths::ParsePath(alternation(255), &dict_);
+  ASSERT_TRUE(fits.ok() && over.ok());
+  EXPECT_TRUE(paths::CompilePathNfa(*fits.value()).ok());
+  const auto refused = paths::CompilePathNfa(*over.value());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), Code::kResourceExhausted);
+
+  // The planner falls back with the refusal as its reason, and the
+  // evaluator the fallback runs returns it.
+  Executor exec(store_, &dict_);
+  auto plan = exec.MakePlan(
+      Parse("SELECT * WHERE { ?x " + alternation(255) + " ?y }"));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().strategy, Strategy::kFallback);
+  EXPECT_EQ(plan.value().reason,
+            "planner fallback: " + refused.status().message());
+  EXPECT_EQ(exec.Execute(plan.value()).status().code(),
+            Code::kResourceExhausted);
+  sparql::Evaluator eval(store_, &dict_);
+  EXPECT_EQ(eval.EvalPathPairs(*over.value()).status().code(),
+            Code::kResourceExhausted);
+  EXPECT_FALSE(paths::MatchPath(store_, *over.value(), dict_.Intern("ent:0"),
+                                dict_.Intern("ent:1"),
+                                paths::PathSemantics::kWalk)
+                   .decided);
+
+  auto fitting_plan = exec.MakePlan(
+      Parse("SELECT * WHERE { ?x " + alternation(254) + " ?y }"));
+  ASSERT_TRUE(fitting_plan.ok());
+  EXPECT_EQ(fitting_plan.value().strategy, Strategy::kNfaPathProduct)
+      << fitting_plan.value().reason;
 }
 
 // --- Operator units --------------------------------------------------

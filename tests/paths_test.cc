@@ -198,5 +198,33 @@ TEST_F(SemanticsTest, InverseAndNegatedMoves) {
   EXPECT_FALSE(r.matched);
 }
 
+TEST(NegatedInverseTest, InverseOnlySetsStepBackwardOnly) {
+  // Over {x q y}, a negated set whose members are all inverse steps
+  // backward only, so `!(^q)` and `^!(q)` may cross no triple forward;
+  // `^q` crosses it backward, from y to x.
+  Interner dict;
+  graph::TripleStore store;
+  const SymbolId x = dict.Intern("x");
+  const SymbolId y = dict.Intern("y");
+  store.Add(x, dict.Intern("q"), y);
+  for (const PathSemantics semantics :
+       {PathSemantics::kWalk, PathSemantics::kSimplePath,
+        PathSemantics::kTrail}) {
+    for (const char* text : {"!(^q)", "^!(q)"}) {
+      auto path = ParsePath(text, &dict);
+      ASSERT_TRUE(path.ok()) << text;
+      const PathMatch r = MatchPath(store, *path.value(), x, y, semantics);
+      EXPECT_TRUE(r.decided) << text;
+      EXPECT_FALSE(r.matched) << text << " semantics "
+                              << static_cast<int>(semantics);
+    }
+    auto inverse = ParsePath("^q", &dict);
+    ASSERT_TRUE(inverse.ok());
+    const PathMatch r = MatchPath(store, *inverse.value(), y, x, semantics);
+    EXPECT_TRUE(r.decided);
+    EXPECT_TRUE(r.matched) << "semantics " << static_cast<int>(semantics);
+  }
+}
+
 }  // namespace
 }  // namespace rwdt::paths

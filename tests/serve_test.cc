@@ -601,6 +601,30 @@ TEST(ClassifyServerTest, LongOptionalAndFilterChainsGetFallbackPlans) {
       << slowz.body;
 }
 
+// A wide alternation under a closure is a simple transitive expression,
+// so the slow log's plan compiles its automaton, whose epsilon-free
+// construction is quadratic in the width: 8,000 ways (a 47 KB body)
+// would ask for 64 million transitions. The compiler refuses past its
+// cap and the explained plan falls back.
+TEST(ClassifyServerTest, WideClosureGetsFallbackPlan) {
+  ClassifyServer server(BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  std::string body = "SELECT * WHERE { ?x (p0";
+  for (int i = 1; i < 8000; ++i) body += "|p" + std::to_string(i);
+  body += ")* ?y }";
+  const HttpResult r =
+      Fetch(server.port(), "POST", "/v1/classify?lang=sparql", body);
+  EXPECT_EQ(r.status, 200) << r.body.substr(0, 200);
+  const HttpResult slowz = Fetch(server.port(), "GET", "/slowz");
+  ASSERT_EQ(slowz.status, 200) << slowz.body.substr(0, 200);
+  EXPECT_TRUE(Contains(slowz.body,
+                       "planner fallback: property path automaton needs "
+                       "more than 65536 transitions"))
+      << slowz.body.substr(0, 400);
+  EXPECT_TRUE(Contains(slowz.body, "\"strategy\":\"fallback\""))
+      << slowz.body.substr(0, 400);
+}
+
 TEST(ClassifyServerTest, JobHistogramCarriesExemplarForSampledTrace) {
   ClassifyServer server(BaseOptions());
   ASSERT_TRUE(server.Start().ok());

@@ -1,9 +1,11 @@
 // Property tests over generated SPARQL corpora: the parser accepts the
 // generator's output, algebraic laws of the evaluator hold, and path
-// evaluation agrees with the walk-semantics matcher.
+// evaluation agrees with the pair-set oracle (path_oracle.h) on random
+// paths and with the walk-semantics matcher.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -15,6 +17,7 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "loggen/sparql_gen.h"
+#include "path_oracle.h"
 #include "paths/semantics.h"
 #include "sparql/analysis.h"
 #include "sparql/eval.h"
@@ -138,6 +141,101 @@ TEST_P(SparqlPropertyTest, PathPatternAgreesWithWalkSemantics) {
       const auto match = paths::MatchPath(store_, *path.value(), s, o,
                                           paths::PathSemantics::kWalk);
       EXPECT_TRUE(match.matched) << text;
+    }
+  }
+}
+
+// --- The path automaton against the pair-set oracle ---------------------
+
+/// A random path over predicates p0..p3 whose operators nest at most
+/// `depth` deep: all eight PathOps, inverses nested in inverses, and
+/// negated sets that mix forward and inverse members.
+paths::PathPtr RandomPath(Rng& rng, Interner* dict, int depth) {
+  using paths::Path;
+  auto iri = [&] {
+    return dict->Intern("p" + std::to_string(rng.NextBelow(4)));
+  };
+  auto children = [&] {
+    std::vector<paths::PathPtr> out(2 + rng.NextBelow(2));
+    for (auto& c : out) c = RandomPath(rng, dict, depth - 1);
+    return out;
+  };
+  switch (depth == 0 ? rng.NextBelow(2) : rng.NextBelow(8)) {
+    case 0:
+      return Path::Iri(iri());
+    case 1: {
+      std::vector<std::pair<SymbolId, bool>> set(1 + rng.NextBelow(3));
+      for (auto& member : set) member = {iri(), rng.NextBool(0.5)};
+      return Path::Negated(std::move(set));
+    }
+    case 2:
+      return Path::Inverse(RandomPath(rng, dict, depth - 1));
+    case 3:
+      return Path::Seq(children());
+    case 4:
+      return Path::Alt(children());
+    case 5:
+      return Path::Star(RandomPath(rng, dict, depth - 1));
+    case 6:
+      return Path::Plus(RandomPath(rng, dict, depth - 1));
+    default:
+      return Path::Optional(RandomPath(rng, dict, depth - 1));
+  }
+}
+
+TEST_P(SparqlPropertyTest, PathAutomatonAgreesWithPairSetOracle) {
+  // A small store keeps the oracle's per-operator sets small.
+  Interner dict;
+  Rng rng(GetParam() * 7919 + 1);
+  graph::TripleStore store;
+  auto random_name = [&](char prefix, uint64_t bound) {
+    std::string name(1, prefix);
+    name += std::to_string(rng.NextBelow(bound));
+    return dict.Intern(name);
+  };
+  for (int i = 0; i < 24; ++i) {
+    const SymbolId s = random_name('n', 9);
+    const SymbolId p = random_name('p', 4);
+    store.Add(s, p, random_name('n', 9));
+  }
+  const std::vector<SymbolId>& terms = store.Terms();
+  auto some_term = [&] { return terms[rng.NextBelow(terms.size())]; };
+  Evaluator eval(store, &dict);
+  auto sorted = [](std::vector<std::pair<SymbolId, SymbolId>> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  for (int round = 0; round < 150; ++round) {
+    const paths::PathPtr path = RandomPath(rng, &dict, 1 + round % 3);
+    const std::string text = path->ToString(dict);
+    // Each endpoint unbound or bound to a store term.
+    const SymbolId t = some_term();
+    const struct {
+      SymbolId s, o;
+    } shapes[] = {{kInvalidSymbol, kInvalidSymbol},
+                  {some_term(), kInvalidSymbol},
+                  {kInvalidSymbol, some_term()},
+                  {some_term(), some_term()},
+                  {t, t}};
+    for (const auto& [s, o] : shapes) {
+      auto got = eval.EvalPathPairs(*path, s, o);
+      ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+      EXPECT_EQ(sorted(got.value()),
+                sorted(OraclePathPairs(store, *path, s, o)))
+          << text << " s=" << s << " o=" << o;
+    }
+    // Walk semantics decides membership in the same pair set.
+    const auto pairs = sorted(eval.EvalPathPairs(*path).value());
+    for (int sample = 0; sample < 8; ++sample) {
+      const SymbolId s = some_term();
+      const SymbolId o = some_term();
+      const auto match =
+          paths::MatchPath(store, *path, s, o, paths::PathSemantics::kWalk);
+      EXPECT_TRUE(match.decided) << text;
+      EXPECT_EQ(match.matched,
+                std::binary_search(pairs.begin(), pairs.end(),
+                                   std::make_pair(s, o)))
+          << text << " s=" << s << " o=" << o;
     }
   }
 }

@@ -695,6 +695,10 @@ TEST_F(SparqlTest, QueryAtMaxDepthParsesClassifiesPlansAndEvaluates) {
 // nested stars over a ring, where every node reaches every other, would
 // take ~40^8 steps to build, and a small budget stops them at once.
 TEST(EvalLimitsTest, PathClosureIsChargedAsItGrows) {
+  // The path's sweep is charged one step per (term, state) node it
+  // visits. From each of the 40 ring terms it visits the start state,
+  // then all 40 terms in the one state `p` leads to: 40 * (1 + 40) =
+  // 1,640 steps for the 1,600 pairs, so 1,639 must stop it.
   Interner dict;
   graph::TripleStore store;
   constexpr int kRing = 40;
@@ -705,7 +709,7 @@ TEST(EvalLimitsTest, PathClosureIsChargedAsItGrows) {
   auto q = ParseSparql("SELECT * WHERE { ?x p******** ?y }", &dict);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EvalLimits limits;
-  limits.max_steps = 10000;
+  limits.max_steps = kRing * (1 + kRing) - 1;
   const Evaluator eval(store, &dict, limits);
   const auto start = std::chrono::steady_clock::now();
   auto rows = eval.EvalQuery(q.value());
@@ -714,11 +718,18 @@ TEST(EvalLimitsTest, PathClosureIsChargedAsItGrows) {
                              .count();
   EXPECT_EQ(rows.status().code(), Code::kResourceExhausted);
   EXPECT_LT(seconds, 5.0);
+
+  limits.max_steps = kRing * (1 + kRing);
+  rows = Evaluator(store, &dict, limits).EvalQuery(q.value());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows.value().size(), static_cast<size_t>(kRing * kRing));
 }
 
 TEST(EvalLimitsTest, PathSequenceIsChargedEachPairOnce) {
-  // a -p-> b -q-> c0..c(n-1): `p/q` yields n pairs and its leaves make
-  // 1 + n, so a budget of n + 1 steps is just enough.
+  // a -p-> b -q-> c0..c(n-1): the sweep of `p/q` is charged one step per
+  // (term, state) node it visits. It seeds the n + 2 store terms, then
+  // reaches b after `p` and the n c's after `q`: 2n + 3 steps for the n
+  // pairs, so a budget of 2n + 3 is just enough.
   Interner dict;
   graph::TripleStore store;
   constexpr int kFanOut = 50;
@@ -730,12 +741,12 @@ TEST(EvalLimitsTest, PathSequenceIsChargedEachPairOnce) {
   auto q = ParseSparql("SELECT * WHERE { ?x p/q ?y }", &dict);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
   EvalLimits limits;
-  limits.max_steps = kFanOut + 1;
+  limits.max_steps = 2 * kFanOut + 3;
   auto rows = Evaluator(store, &dict, limits).EvalQuery(q.value());
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows.value().size(), static_cast<size_t>(kFanOut));
 
-  limits.max_steps = kFanOut;
+  limits.max_steps = 2 * kFanOut + 2;
   rows = Evaluator(store, &dict, limits).EvalQuery(q.value());
   EXPECT_EQ(rows.status().code(), Code::kResourceExhausted);
 }
