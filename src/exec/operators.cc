@@ -42,21 +42,48 @@ graph::TripleStore::TripleRange MatchRange(const graph::TripleStore& store,
   return {all.data(), all.data() + all.size()};
 }
 
+/// Writes the values of a pattern's variable positions into rows: the
+/// (position, slot) pairs are decided once per scan, so a row costs one
+/// store per variable position and no test.
+class SlotWriter {
+ public:
+  /// `slots[i]` is the slot of position i, kNoSlot for a constant. A
+  /// position that repeats an earlier one's slot writes nothing more.
+  SlotWriter(const uint32_t* slots, size_t positions) {
+    for (size_t i = 0; i < positions; ++i) {
+      if (slots[i] == kNoSlot ||
+          std::find(slots, slots + i, slots[i]) != slots + i) {
+        continue;
+      }
+      pos_[n_] = static_cast<uint8_t>(i);
+      slot_[n_++] = slots[i];
+    }
+  }
+  void Write(const SymbolId* values, SymbolId* row) const {
+    for (size_t k = 0; k < n_; ++k) row[slot_[k]] = values[pos_[k]];
+  }
+
+ private:
+  size_t n_ = 0;
+  uint8_t pos_[3] = {};
+  uint32_t slot_[3] = {};
+};
+
 /// Evaluator::EvalTriple's bindings as rows, straight from the store's
 /// index ranges; shared by the scan and the Yannakakis relation loader.
+/// The rows are appended as one unbound batch as long as the range, and
+/// the batch is cut to the rows kept.
 void ScanTriple(const graph::TripleStore& store, const SlotLayout& layout,
                 const sparql::TriplePattern& t, RowBuffer* out) {
   const SymbolId s = ConstantOrWildcard(t.s);
   const SymbolId p = ConstantOrWildcard(t.p);
   const SymbolId o = ConstantOrWildcard(t.o);
-  const uint32_t s_slot = layout.SlotOf(t.s);
-  const uint32_t p_slot = layout.SlotOf(t.p);
-  const uint32_t o_slot = layout.SlotOf(t.o);
   // A variable at two positions (`?x p ?x`) binds one slot, so a triple
   // must hold one value at both. Decided once per scan: position i
   // repeats position same[i] (itself when it repeats none), and
   // `?x ?x ?x` chains o to p to s.
-  const uint32_t slots[3] = {s_slot, p_slot, o_slot};
+  const uint32_t slots[3] = {layout.SlotOf(t.s), layout.SlotOf(t.p),
+                             layout.SlotOf(t.o)};
   size_t same[3] = {0, 1, 2};
   for (size_t i = 1; i < 3; ++i) {
     if (slots[i] == kNoSlot) continue;
@@ -67,7 +94,12 @@ void ScanTriple(const graph::TripleStore& store, const SlotLayout& layout,
     }
   }
   const bool repeats = same[1] != 1 || same[2] != 2;
+  const SlotWriter writer(slots, 3);
   const auto [lo, hi] = MatchRange(store, s, p, o);
+  const size_t first = out->size();
+  const size_t w = out->width();
+  SymbolId* row = out->AppendUnbound(static_cast<size_t>(hi - lo));
+  size_t kept = 0;
   for (const graph::Triple* tr = lo; tr != hi; ++tr) {
     const SymbolId v[3] = {tr->s, tr->p, tr->o};
     if ((s != kInvalidSymbol && v[0] != s) ||
@@ -76,27 +108,32 @@ void ScanTriple(const graph::TripleStore& store, const SlotLayout& layout,
         (repeats && (v[same[1]] != v[1] || v[same[2]] != v[2]))) {
       continue;
     }
-    SymbolId* row = out->Append();
-    for (size_t i = 0; i < 3; ++i) {
-      if (slots[i] != kNoSlot) row[slots[i]] = v[i];
-    }
+    writer.Write(v, row + kept * w);
+    ++kept;
   }
+  out->Truncate(first + kept);
 }
 
-/// Evaluator::EvalPath's bindings as rows, from a pair set. `?x p* ?x`
-/// binds one slot, so only pairs that start where they end are kept.
+/// Evaluator::EvalPath's bindings as rows, from a pair set, appended as
+/// one unbound batch. `?x p* ?x` binds one slot, so only pairs that
+/// start where they end are kept.
 void BindPathPairs(const std::vector<std::pair<SymbolId, SymbolId>>& pairs,
                    const SlotLayout& layout, const sparql::PathTriple& p,
                    RowBuffer* out) {
-  const uint32_t s_slot = layout.SlotOf(p.s);
-  const uint32_t o_slot = layout.SlotOf(p.o);
-  const bool repeat = s_slot != kNoSlot && s_slot == o_slot;
+  const uint32_t slots[2] = {layout.SlotOf(p.s), layout.SlotOf(p.o)};
+  const bool repeat = slots[0] != kNoSlot && slots[0] == slots[1];
+  const SlotWriter writer(slots, 2);
+  const size_t first = out->size();
+  const size_t w = out->width();
+  SymbolId* row = out->AppendUnbound(pairs.size());
+  size_t kept = 0;
   for (const auto& [x, y] : pairs) {
     if (repeat && x != y) continue;
-    SymbolId* row = out->Append();
-    if (s_slot != kNoSlot) row[s_slot] = x;
-    if (o_slot != kNoSlot) row[o_slot] = y;
+    const SymbolId v[2] = {x, y};
+    writer.Write(v, row + kept * w);
+    ++kept;
   }
+  out->Truncate(first + kept);
 }
 
 std::vector<uint32_t> SlotsOf(const SlotLayout& layout,
@@ -140,24 +177,17 @@ uint32_t SlotLayout::SlotOf(SymbolId var) const {
   return static_cast<uint32_t>(it - vars_.begin());
 }
 
-void SlotLayout::ToBinding(const SymbolId* row, Binding* mu) const {
-  // Slots ascend with variable ids, so the bound slots are the mapping's
-  // pairs in order, written once; more than the inline pairs take one
-  // heap block of exactly their number.
-  const size_t width = vars_.size();
-  const size_t bound = static_cast<size_t>(
-      width - std::count(row, row + width, kInvalidSymbol));
-  mu->assign_sorted(bound, [&](Binding::value_type* out) {
-    for (size_t i = 0; i < width; ++i) {
-      if (row[i] != kInvalidSymbol) *out++ = {vars_[i], row[i]};
-    }
-    return bound;
-  });
+SymbolId* RowBuffer::AppendUnbound(size_t n) {
+  if (rows_ + n > capacity_) Grow(rows_ + n);
+  SymbolId* first = ids_.get() + rows_ * width_;
+  std::fill_n(first, n * width_, kInvalidSymbol);
+  rows_ += n;
+  return first;
 }
 
-void RowBuffer::Grow() {
-  const size_t capacity = std::max((rows_ + 1) * width_, 2 * capacity_);
-  std::unique_ptr<SymbolId[]> grown(new SymbolId[capacity]);
+void RowBuffer::Grow(size_t rows) {
+  const size_t capacity = std::max(rows, 2 * capacity_);
+  std::unique_ptr<SymbolId[]> grown(new SymbolId[capacity * width_]);
   std::copy_n(ids_.get(), rows_ * width_, grown.get());
   ids_ = std::move(grown);
   capacity_ = capacity;
@@ -187,72 +217,152 @@ void MergeRows(const SymbolId* a, const SymbolId* b, size_t width,
 
 // --- JoinIndex -------------------------------------------------------
 
-namespace {
-
-uint64_t KeyHash(const SymbolId* row, const std::vector<uint32_t>& slots) {
-  uint64_t h = 0;
-  for (uint32_t slot : slots) {
-    h = (h ^ row[slot]) * 0x9e3779b97f4a7c15ull;
-    h ^= h >> 32;
-  }
-  return h;
-}
-
-}  // namespace
-
 Status JoinIndex::Build(const RowBuffer& rows,
                         const std::vector<uint32_t>& key_slots) {
-  if (rows.size() >= kEnd) {
+  if (rows.size() >= 0xffffffffu) {
     return Status::ResourceExhausted("join input exceeds 2^32 rows");
   }
   rows_ = &rows;
   key_slots_ = key_slots;
-  // Power-of-two bucket count, at least twice the rows: short chains.
+  const size_t n = rows.size();
+  // Power-of-two bucket count, at least the rows: about one entry a
+  // bucket.
   size_t buckets = 1;
-  while (buckets < 2 * rows.size()) buckets <<= 1;
+  while (buckets < n) buckets <<= 1;
   mask_ = buckets - 1;
-  heads_.assign(buckets, kEnd);
-  next_.resize(rows.size());
-  // Insert back to front so each chain lists its rows in input order.
-  for (size_t i = rows.size(); i-- > 0;) {
-    const SymbolId* row = rows[i];
-    if (!KeyBound(row, key_slots_)) return NonDefiniteKey();
-    uint32_t& head = heads_[KeyHash(row, key_slots_) & mask_];
-    next_[i] = head;
-    head = static_cast<uint32_t>(i);
+  // Count the entries of each bucket, turn the counts into bucket ends,
+  // then place rows back to front, which leaves each bucket's start in
+  // starts_ and its rows in input order.
+  starts_.assign(buckets + 1, 0);
+  hashes_.resize(n);
+  entries_.resize(n);
+  const bool one_slot = key_slots_.size() == 1;
+  if (one_slot) {
+    const uint32_t slot = key_slots_[0];
+    for (size_t i = 0; i < n; ++i) {
+      const SymbolId key = rows[i][slot];
+      if (key == kInvalidSymbol) return NonDefiniteKey();
+      hashes_[i] = Mix(0, key);
+      ++starts_[hashes_[i] & mask_];
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      const SymbolId* row = rows[i];
+      if (!KeyBound(row, key_slots_)) return NonDefiniteKey();
+      hashes_[i] = KeyHash(row);
+      ++starts_[hashes_[i] & mask_];
+    }
+  }
+  uint32_t total = 0;
+  for (uint32_t& end : starts_) {
+    total += end;
+    end = total;
+  }
+  // An entry's key is the id itself for a one-slot key, else the tag.
+  for (size_t i = n; i-- > 0;) {
+    const uint64_t h = hashes_[i];
+    const SymbolId key = one_slot ? rows[i][key_slots_[0]] : Tag(h);
+    entries_[--starts_[h & mask_]] = {key, static_cast<uint32_t>(i)};
   }
   return Status::Ok();
 }
 
-uint32_t JoinIndex::Match(uint32_t row, const SymbolId* probe) const {
-  for (; row != kEnd; row = next_[row]) {
-    const SymbolId* candidate = (*rows_)[row];
-    const bool equal = std::all_of(
-        key_slots_.begin(), key_slots_.end(),
-        [&](uint32_t slot) { return candidate[slot] == probe[slot]; });
-    if (equal) return row;
+bool JoinIndex::Contains(const SymbolId* probe) const {
+  if (key_slots_.size() == 1) {
+    const SymbolId key = probe[key_slots_[0]];
+    const auto [lo, hi] = BucketOf(Mix(0, key));
+    return std::any_of(lo, hi, [key](const Entry& e) { return e.key == key; });
   }
-  return kEnd;
-}
-
-uint32_t JoinIndex::First(const SymbolId* probe) const {
-  return Match(heads_[KeyHash(probe, key_slots_) & mask_], probe);
-}
-
-uint32_t JoinIndex::Next(uint32_t row, const SymbolId* probe) const {
-  return Match(next_[row], probe);
+  const uint64_t hash = KeyHash(probe);
+  const auto [lo, hi] = BucketOf(hash);
+  return std::any_of(lo, hi, [&](const Entry& e) {
+    return e.key == Tag(hash) && KeyEquals(e.row, probe);
+  });
 }
 
 // --- Operator --------------------------------------------------------
+
+namespace {
+
+/// Sorted, distinct, and without kNoSlot.
+std::vector<uint32_t> SlotSet(std::vector<uint32_t> slots) {
+  slots.erase(std::remove(slots.begin(), slots.end(), kNoSlot), slots.end());
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return slots;
+}
+
+std::vector<uint32_t> UnionOf(const Operator& a, const Operator& b) {
+  std::vector<uint32_t> out;
+  std::set_union(a.slots().begin(), a.slots().end(), b.slots().begin(),
+                 b.slots().end(), std::back_inserter(out));
+  return out;
+}
+
+/// The probe loop of a hash join, for rows of `width` (WithWidth): each
+/// match is written once, as the probe row followed by the build row's
+/// values at `build_only` slots; `shared` slots (no planned tree has
+/// any) take the build's value where the probe leaves them unbound. A
+/// probe row with no match is kept unchanged when `left_outer`.
+template <typename Width>
+Status ProbeJoin(Width width, const RowBuffer& probe, const RowBuffer& build,
+                 const JoinIndex& index, const std::vector<uint32_t>& keys,
+                 const std::vector<uint32_t>& build_only,
+                 const std::vector<uint32_t>& shared, bool left_outer,
+                 RowBuffer* out) {
+  for (size_t i = 0; i < probe.size(); ++i) {
+    const SymbolId* row = probe[i];
+    bool matched = false;
+    index.ForEachMatch(row, [&](uint32_t match) {
+      matched = true;
+      SymbolId* dst = out->AppendRow();
+      CopyRow(width, row, dst);
+      const SymbolId* other = build[match];
+      for (uint32_t slot : build_only) dst[slot] = other[slot];
+      for (uint32_t slot : shared) {
+        if (dst[slot] == kInvalidSymbol) dst[slot] = other[slot];
+      }
+    });
+    if (matched) continue;
+    // Every indexed key is bound, so only a probe that matched nothing
+    // can leave a key slot unbound.
+    if (!KeyBound(row, keys)) return NonDefiniteKey();
+    if (left_outer) CopyRow(width, row, out->AppendRow());
+  }
+  return Status::Ok();
+}
+
+/// Keeps the rows of `rows` from `first` on for which `keep(row)` holds,
+/// moved down in order over the dropped ones.
+template <typename Keep>
+void CompactRows(RowBuffer* rows, size_t first, Keep&& keep) {
+  WithWidth(rows->width(), [&](auto width) {
+    size_t kept = first;
+    for (size_t i = first; i < rows->size(); ++i) {
+      const SymbolId* row = std::as_const(*rows)[i];
+      if (!keep(row)) continue;
+      if (kept != i) CopyRow(width, row, (*rows)[kept]);
+      ++kept;
+    }
+    rows->Truncate(kept);
+  });
+}
+
+}  // namespace
+
+Operator::Operator(LayoutPtr layout, std::vector<uint32_t> slots)
+    : layout_(std::move(layout)), slots_(SlotSet(std::move(slots))) {}
 
 Result<std::vector<Binding>> Operator::Drain() {
   RowBuffer rows(width());
   RWDT_RETURN_IF_ERROR(Fill(&rows));
   std::vector<Binding> out;
   out.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    layout_->ToBinding(rows[i], &out.emplace_back());
-  }
+  WithWidth(width(), [&](auto w) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      layout_->ToBinding(w, rows[i], &out.emplace_back());
+    }
+  });
   return out;
 }
 
@@ -261,7 +371,8 @@ Result<std::vector<Binding>> Operator::Drain() {
 TripleScanOp::TripleScanOp(LayoutPtr layout, const graph::TripleStore& store,
                            const Interner& dict,
                            sparql::TriplePattern pattern)
-    : Operator(std::move(layout)),
+    : Operator(layout, {layout->SlotOf(pattern.s), layout->SlotOf(pattern.p),
+                        layout->SlotOf(pattern.o)}),
       store_(store),
       dict_(dict),
       pattern_(std::move(pattern)) {}
@@ -283,7 +394,7 @@ void TripleScanOp::Explain(JsonWriter* w) const {
 PathScanOp::PathScanOp(LayoutPtr layout, const sparql::Evaluator& eval,
                        const Interner& dict, sparql::PathTriple pattern,
                        paths::PathNfa nfa)
-    : Operator(std::move(layout)),
+    : Operator(layout, {layout->SlotOf(pattern.s), layout->SlotOf(pattern.o)}),
       eval_(eval),
       dict_(dict),
       pattern_(std::move(pattern)),
@@ -313,7 +424,7 @@ void PathScanOp::Explain(JsonWriter* w) const {
 HashJoinOp::HashJoinOp(LayoutPtr layout, OperatorPtr left, OperatorPtr right,
                        std::vector<SymbolId> join_vars, const Interner& dict,
                        bool left_outer)
-    : Operator(std::move(layout)),
+    : Operator(std::move(layout), UnionOf(*left, *right)),
       left_(std::move(left)),
       right_(std::move(right)),
       join_vars_(std::move(join_vars)),
@@ -321,7 +432,18 @@ HashJoinOp::HashJoinOp(LayoutPtr layout, OperatorPtr left, OperatorPtr right,
       dict_(dict),
       left_outer_(left_outer),
       build_(width()),
-      probe_(width()) {}
+      probe_(width()) {
+  const std::vector<uint32_t> keys = SlotSet(join_slots_);
+  std::vector<uint32_t> both;
+  std::set_difference(right_->slots().begin(), right_->slots().end(),
+                      left_->slots().begin(), left_->slots().end(),
+                      std::back_inserter(build_only_slots_));
+  std::set_intersection(right_->slots().begin(), right_->slots().end(),
+                        left_->slots().begin(), left_->slots().end(),
+                        std::back_inserter(both));
+  std::set_difference(both.begin(), both.end(), keys.begin(), keys.end(),
+                      std::back_inserter(shared_slots_));
+}
 
 Status HashJoinOp::Fill(RowBuffer* out) {
   if (std::find(join_slots_.begin(), join_slots_.end(), kNoSlot) !=
@@ -333,22 +455,10 @@ Status HashJoinOp::Fill(RowBuffer* out) {
   RWDT_RETURN_IF_ERROR(index_.Build(build_, join_slots_));
   probe_.Clear();
   RWDT_RETURN_IF_ERROR(left_->Fill(&probe_));
-  const size_t w = width();
-  for (size_t i = 0; i < probe_.size(); ++i) {
-    const SymbolId* row = probe_[i];
-    uint32_t match = index_.First(row);
-    if (match == JoinIndex::kEnd) {
-      // Every indexed key is bound, so only a probe that matched nothing
-      // can leave a key slot unbound.
-      if (!KeyBound(row, join_slots_)) return NonDefiniteKey();
-      if (left_outer_) std::copy_n(row, w, out->Append());
-      continue;
-    }
-    for (; match != JoinIndex::kEnd; match = index_.Next(match, row)) {
-      MergeRows(row, build_[match], w, out->Append());
-    }
-  }
-  return Status::Ok();
+  return WithWidth(width(), [&](auto w) {
+    return ProbeJoin(w, probe_, build_, index_, join_slots_,
+                     build_only_slots_, shared_slots_, left_outer_, out);
+  });
 }
 
 void HashJoinOp::Explain(JsonWriter* w) const {
@@ -366,7 +476,7 @@ void HashJoinOp::Explain(JsonWriter* w) const {
 
 NestedLoopJoinOp::NestedLoopJoinOp(LayoutPtr layout, OperatorPtr left,
                                    OperatorPtr right, bool left_outer)
-    : Operator(std::move(layout)),
+    : Operator(std::move(layout), UnionOf(*left, *right)),
       left_(std::move(left)),
       right_(std::move(right)),
       left_outer_(left_outer),
@@ -386,10 +496,10 @@ Status NestedLoopJoinOp::Fill(RowBuffer* out) {
       const SymbolId* other = build_[j];
       if (CompatibleRows(row, other, w)) {
         matched = true;
-        MergeRows(row, other, w, out->Append());
+        MergeRows(row, other, w, out->AppendRow());
       }
     }
-    if (left_outer_ && !matched) std::copy_n(row, w, out->Append());
+    if (left_outer_ && !matched) std::copy_n(row, w, out->AppendRow());
   }
   return Status::Ok();
 }
@@ -410,32 +520,47 @@ FilterOp::FilterOp(LayoutPtr layout, OperatorPtr child,
                    const sparql::Query& query,
                    const sparql::FilterExpr& filter,
                    const sparql::Evaluator& eval)
-    : Operator(std::move(layout)),
+    : Operator(std::move(layout), child->slots()),
       child_(std::move(child)),
       query_(query),
       filter_(filter),
-      eval_(eval) {}
+      eval_(eval) {
+  std::vector<SymbolId> vars;
+  query_.AppendVars(filter_, &vars);
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  var_slots_.reserve(vars.size());
+  for (SymbolId v : vars) var_slots_.emplace_back(v, layout_->SlotOf(v));
+}
 
 Status FilterOp::Fill(RowBuffer* out) {
   const size_t first = out->size();
   RWDT_RETURN_IF_ERROR(child_->Fill(out));
-  const size_t w = width();
   const SymbolId* row = nullptr;
   const sparql::VarLookup value_of = [&](SymbolId var) {
-    const uint32_t slot = layout().SlotOf(var);
+    const auto it = std::find_if(
+        var_slots_.begin(), var_slots_.end(),
+        [var](const std::pair<SymbolId, uint32_t>& vs) {
+          return vs.first == var;
+        });
+    // Every variable the expression mentions was resolved; the layout
+    // answers for any other.
+    const uint32_t slot =
+        it != var_slots_.end() ? it->second : layout().SlotOf(var);
     return slot == kNoSlot ? kInvalidSymbol : row[slot];
   };
-  size_t kept = first;
-  for (size_t i = first; i < out->size(); ++i) {
-    row = std::as_const(*out)[i];
-    RWDT_ASSIGN_OR_RETURN(const bool pass,
-                          eval_.EvalFilter(query_, filter_, value_of));
-    if (!pass) continue;
-    if (kept != i) std::copy_n(row, w, (*out)[kept]);
-    ++kept;
-  }
-  out->Truncate(kept);
-  return Status::Ok();
+  Status status = Status::Ok();
+  CompactRows(out, first, [&](const SymbolId* r) {
+    if (!status.ok()) return false;
+    row = r;
+    Result<bool> pass = eval_.EvalFilter(query_, filter_, value_of);
+    if (!pass.ok()) {
+      status = pass.status();
+      return false;
+    }
+    return pass.value();
+  });
+  return status;
 }
 
 void FilterOp::Explain(JsonWriter* w) const {
@@ -504,16 +629,22 @@ std::vector<uint32_t> SharedSlots(const SlotLayout& layout,
 Status Semijoin(RowBuffer* rel, const RowBuffer& other,
                 const std::vector<uint32_t>& slots, JoinIndex* index) {
   RWDT_RETURN_IF_ERROR(index->Build(other, slots));
-  const size_t width = rel->width();
-  size_t kept = 0;
-  for (size_t i = 0; i < rel->size(); ++i) {
-    const SymbolId* row = std::as_const(*rel)[i];
-    if (index->First(row) == JoinIndex::kEnd) continue;
-    if (kept != i) std::copy_n(row, width, (*rel)[kept]);
-    ++kept;
-  }
-  rel->Truncate(kept);
+  CompactRows(rel, 0,
+              [index](const SymbolId* row) { return index->Contains(row); });
   return Status::Ok();
+}
+
+/// The slots of the variables of `triples`, as Operator takes them.
+std::vector<uint32_t> TriplesSlots(
+    const SlotLayout& layout,
+    const std::vector<sparql::TriplePattern>& triples) {
+  std::vector<uint32_t> slots;
+  for (const auto& t : triples) {
+    for (const sparql::Term* term : {&t.s, &t.p, &t.o}) {
+      slots.push_back(layout.SlotOf(*term));
+    }
+  }
+  return slots;
 }
 
 }  // namespace
@@ -521,7 +652,7 @@ Status Semijoin(RowBuffer* rel, const RowBuffer& other,
 YannakakisOp::YannakakisOp(LayoutPtr layout, const graph::TripleStore& store,
                            const Interner& dict,
                            std::vector<sparql::TriplePattern> triples)
-    : Operator(std::move(layout)),
+    : Operator(layout, TriplesSlots(*layout, triples)),
       store_(store),
       dict_(dict),
       triples_(std::move(triples)),
@@ -542,20 +673,25 @@ YannakakisOp::YannakakisOp(LayoutPtr layout, const graph::TripleStore& store,
     if (forest_.parent[i] == -1) root_ = i;
   }
   parent_slots_.resize(n);
-  join_slots_.resize(n);
-  for (size_t i : forest_.order) {
+  new_slots_.resize(n);
+  // The join runs root first, in reverse removal order, so relation i
+  // meets the root and every relation removed after it: those still
+  // live when GYO removed i. The ear property keeps i's variables
+  // shared with them inside its parent's, so i joins on exactly the
+  // slots it shares with its parent, a definite-key hash join, and adds
+  // the slots of its other variables.
+  std::set<SymbolId> acc_vars = varsets[root_];
+  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
+    const size_t i = *it;
     parent_slots_[i] =
         SharedSlots(*layout_, varsets[i],
                     varsets[static_cast<size_t>(forest_.parent[i])]);
-  }
-  // The join runs root first, in reverse removal order. The GYO ear
-  // property keeps each relation's overlap with the accumulated result
-  // inside its parent's variables, so every join is a definite-key
-  // hash join.
-  std::set<SymbolId> acc_vars = varsets[root_];
-  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
-    join_slots_[*it] = SharedSlots(*layout_, varsets[*it], acc_vars);
-    acc_vars.insert(varsets[*it].begin(), varsets[*it].end());
+    std::vector<SymbolId> added;
+    std::set_difference(varsets[i].begin(), varsets[i].end(),
+                        acc_vars.begin(), acc_vars.end(),
+                        std::back_inserter(added));
+    new_slots_[i] = SlotsOf(*layout_, added);
+    acc_vars.insert(varsets[i].begin(), varsets[i].end());
   }
   rel_.reserve(n);
   for (size_t i = 0; i < n; ++i) rel_.emplace_back(width());
@@ -580,22 +716,20 @@ Status YannakakisOp::Fill(RowBuffer* out) {
     ScanTriple(store_, layout(), triples_[i], &rel_[i]);
   }
 
-  // Semijoin reduction: leaves to root, then root to leaves. Removal
-  // order guarantees every child of i has already reduced rel_[i] when i
-  // reduces its own parent.
+  // Semijoin reduction, leaves to root. Removal order guarantees every
+  // child of i has already reduced rel_[i] when i reduces its own
+  // parent, so afterwards every row of a relation extends to its whole
+  // subtree, and the root's rows to full answers.
   for (size_t i : forest_.order) {
     const size_t j = static_cast<size_t>(forest_.parent[i]);
     RWDT_RETURN_IF_ERROR(
         Semijoin(&rel_[j], rel_[i], parent_slots_[i], &index_));
   }
-  for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
-    const size_t i = *it;
-    const size_t j = static_cast<size_t>(forest_.parent[i]);
-    RWDT_RETURN_IF_ERROR(
-        Semijoin(&rel_[i], rel_[j], parent_slots_[i], &index_));
-  }
 
   // Join along the forest, root first; the last join writes to `out`.
+  // Each accumulated row meets its parent's row, which has a partner in
+  // every child, so every join extends every row it is given.
+  static const std::vector<uint32_t> kNone;
   const RowBuffer* acc = &rel_[root_];
   for (auto it = forest_.order.rbegin(); it != forest_.order.rend(); ++it) {
     if (acc->empty()) break;
@@ -603,14 +737,11 @@ Status YannakakisOp::Fill(RowBuffer* out) {
     RowBuffer* dst = last ? out : &next_acc_;
     if (!last) next_acc_.Clear();
     const RowBuffer& rel = rel_[*it];
-    RWDT_RETURN_IF_ERROR(index_.Build(rel, join_slots_[*it]));
-    for (size_t a = 0; a < acc->size(); ++a) {
-      const SymbolId* row = (*acc)[a];
-      for (uint32_t r = index_.First(row); r != JoinIndex::kEnd;
-           r = index_.Next(r, row)) {
-        MergeRows(row, rel[r], width(), dst->Append());
-      }
-    }
+    RWDT_RETURN_IF_ERROR(index_.Build(rel, parent_slots_[*it]));
+    RWDT_RETURN_IF_ERROR(WithWidth(width(), [&](auto w) {
+      return ProbeJoin(w, *acc, rel, index_, parent_slots_[*it],
+                       new_slots_[*it], kNone, /*left_outer=*/false, dst);
+    }));
     if (!last) {
       std::swap(acc_, next_acc_);
       acc = &acc_;

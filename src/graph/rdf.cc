@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/stats.h"
 
@@ -12,33 +13,106 @@ void TripleStore::Add(SymbolId s, SymbolId p, SymbolId o) {
   dirty_ = true;
 }
 
+namespace {
+
+/// The radix passes' digit: 11 bits, so ids below 2^11 sort in one
+/// pass and any 32-bit id in three.
+constexpr unsigned kDigitBits = 11;
+constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+
+/// One stable counting pass: `out` takes `in` ordered by the digit of
+/// key(x) at `shift`.
+template <typename T, typename Key>
+void RadixPass(const std::vector<T>& in, std::vector<T>* out, Key key,
+               unsigned shift) {
+  std::vector<uint32_t> start(kDigitMask + 2, 0);
+  for (const T& x : in) ++start[((key(x) >> shift) & kDigitMask) + 1];
+  for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+  out->resize(in.size());
+  for (const T& x : in) (*out)[start[(key(x) >> shift) & kDigitMask]++] = x;
+}
+
+/// Stable LSD radix sort of `v` on the 32-bit key(x), one pass per
+/// digit: a digit that is zero in every key would move nothing, so it
+/// is skipped. `scratch` is the passes' second buffer.
+template <typename T, typename Key>
+void RadixSort(std::vector<T>* v, std::vector<T>* scratch, Key key) {
+  uint32_t used = 0;
+  for (const T& x : *v) used |= key(x);
+  for (unsigned shift = 0; shift < 32; shift += kDigitBits) {
+    if (((used >> shift) & kDigitMask) == 0) continue;
+    RadixPass(*v, scratch, key, shift);
+    v->swap(*scratch);
+  }
+}
+
+}  // namespace
+
 const std::vector<Triple>& TripleStore::EnsureSorted() const {
   if (dirty_) {
-    std::sort(spo_.begin(), spo_.end());
+    // SPO: stable passes on o, then p, then s. Equal triples end up
+    // side by side, the only duplicates.
+    {
+      std::vector<Triple> scratch;
+      RadixSort(&spo_, &scratch, [](const Triple& t) { return t.o; });
+      RadixSort(&spo_, &scratch, [](const Triple& t) { return t.p; });
+      RadixSort(&spo_, &scratch, [](const Triple& t) { return t.s; });
+    }
     spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-    pos_ = spo_;
-    std::sort(pos_.begin(), pos_.end(), [](const Triple& a, const Triple& b) {
-      if (a.p != b.p) return a.p < b.p;
-      if (a.o != b.o) return a.o < b.o;
-      return a.s < b.s;
-    });
-    osp_ = spo_;
-    std::sort(osp_.begin(), osp_.end(), [](const Triple& a, const Triple& b) {
-      if (a.o != b.o) return a.o < b.o;
-      if (a.s != b.s) return a.s < b.s;
-      return a.p < b.p;
-    });
+    const size_t n = spo_.size();
+    // The kept arrays are sized before the passes' scratch, which is
+    // then the last to be allocated and the first to be freed.
+    osp_.resize(n);
+    pos_.resize(n);
+    pos_ranks_.resize(n);
+
+    // OSP is SPO stably ordered on o, and POS is OSP stably ordered on
+    // p. Both are sorted as permutations of row numbers, so the rank of
+    // a POS triple's subject can be looked up by its SPO row.
+    std::vector<uint32_t> osp_rows(n), pos_rows(n), scratch;
+    std::iota(osp_rows.begin(), osp_rows.end(), 0u);
+    RadixSort(&osp_rows, &scratch, [this](uint32_t i) { return spo_[i].o; });
+    for (size_t k = 0; k < n; ++k) osp_[k] = spo_[osp_rows[k]];
+    std::iota(pos_rows.begin(), pos_rows.end(), 0u);
+    RadixSort(&pos_rows, &scratch, [this](uint32_t j) { return osp_[j].p; });
+
     // spo_ lists subjects and osp_ lists objects in ascending order, so
     // merging the two streams yields every term in order; equal
-    // neighbours are the only duplicates.
+    // neighbours are the only duplicates. A first merge counts them.
+    auto merge_terms = [&](auto&& emit) {
+      SymbolId last = kInvalidSymbol;
+      bool any = false;
+      for (size_t i = 0, j = 0; i < n || j < n;) {
+        const SymbolId next =
+            j == n || (i < n && spo_[i].s <= osp_[j].o) ? spo_[i++].s
+                                                        : osp_[j++].o;
+        if (!any || next != last) emit(next);
+        any = true;
+        last = next;
+      }
+    };
+    size_t distinct = 0;
+    merge_terms([&](SymbolId) { ++distinct; });
     terms_.clear();
-    const size_t n = spo_.size();
-    size_t i = 0, j = 0;
-    while (i < n || j < n) {
-      const SymbolId next =
-          j == n || (i < n && spo_[i].s <= osp_[j].o) ? spo_[i++].s
-                                                      : osp_[j++].o;
-      if (terms_.empty() || terms_.back() != next) terms_.push_back(next);
+    terms_.reserve(distinct);
+    merge_terms([&](SymbolId t) { terms_.push_back(t); });
+
+    // Ranks: the same two streams ascend, so one forward walk over the
+    // terms ranks each. Subject ranks by SPO row, object ranks by OSP
+    // row; POS takes both through its permutation.
+    std::vector<uint32_t> s_rank(n), o_rank(n);
+    for (size_t i = 0, r = 0; i < n; ++i) {
+      while (terms_[r] < spo_[i].s) ++r;
+      s_rank[i] = static_cast<uint32_t>(r);
+    }
+    for (size_t j = 0, r = 0; j < n; ++j) {
+      while (terms_[r] < osp_[j].o) ++r;
+      o_rank[j] = static_cast<uint32_t>(r);
+    }
+    for (size_t k = 0; k < n; ++k) {
+      const uint32_t j = pos_rows[k];
+      pos_[k] = osp_[j];
+      pos_ranks_[k] = {s_rank[osp_rows[j]], o_rank[j]};
     }
     dirty_ = false;
   }
@@ -199,6 +273,20 @@ bool TripleStore::Contains(SymbolId s, SymbolId p, SymbolId o) const {
 const std::vector<SymbolId>& TripleStore::Terms() const {
   EnsureSorted();
   return terms_;
+}
+
+uint32_t TripleStore::RankOf(SymbolId t) const {
+  EnsureSorted();
+  const auto it = std::lower_bound(terms_.begin(), terms_.end(), t);
+  if (it == terms_.end() || *it != t) return kNoRank;
+  return static_cast<uint32_t>(it - terms_.begin());
+}
+
+std::pair<const TripleStore::TermRanks*, const TripleStore::TermRanks*>
+TripleStore::RanksP(SymbolId p) const {
+  const auto [lo, hi] = RangeP(p);
+  const TermRanks* ranks = pos_ranks_.data();
+  return {ranks + (lo - pos_.data()), ranks + (hi - pos_.data())};
 }
 
 std::set<SymbolId> TripleStore::SubjectSet() const {

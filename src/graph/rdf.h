@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/interner.h"
@@ -75,12 +76,26 @@ class TripleStore {
 
   const std::vector<Triple>& triples() const { return EnsureSorted(); }
 
-  /// Every term in subject or object position, sorted and distinct: the
-  /// distinct subjects of the SPO index merged with the distinct objects
-  /// of the OSP index. Built once with the indexes and, like them, valid
-  /// until the next Add. Path evaluation seeds its unbound sweeps and
-  /// zero-length matches from it.
+  /// Every term in subject or object position, sorted and distinct.
+  /// Built once with the indexes and, like them, valid until the next
+  /// Add. Path evaluation seeds its unbound sweeps and zero-length
+  /// matches from it, and indexes its product by a term's rank here.
   const std::vector<SymbolId>& Terms() const;
+
+  /// RankOf's answer for a term no triple holds.
+  static constexpr uint32_t kNoRank = 0xffffffffu;
+  /// The index of `t` in Terms(), or kNoRank; a binary search.
+  uint32_t RankOf(SymbolId t) const;
+
+  /// The ranks in Terms() of one triple's subject and object.
+  struct TermRanks {
+    uint32_t s = 0;
+    uint32_t o = 0;
+  };
+  /// The ranks of the triples of RangeP(p), parallel to it: entry i
+  /// belongs to the range's i-th triple. Built with the indexes, so a
+  /// caller that walks a predicate's triples by rank searches for none.
+  std::pair<const TermRanks*, const TermRanks*> RanksP(SymbolId p) const;
 
   std::set<SymbolId> SubjectSet() const;
   std::set<SymbolId> PredicateSet() const;
@@ -93,6 +108,7 @@ class TripleStore {
   mutable std::vector<Triple> pos_;   // sorted by (p,o,s)
   mutable std::vector<Triple> osp_;   // sorted by (o,s,p)
   mutable std::vector<SymbolId> terms_;  // see Terms()
+  mutable std::vector<TermRanks> pos_ranks_;  // parallel to pos_
   mutable bool dirty_ = false;
 };
 

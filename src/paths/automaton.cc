@@ -200,24 +200,24 @@ class NfaBuilder {
   std::vector<std::vector<uint32_t>> eps_;
 };
 
-/// Successor lists over term ids for one labeled step in the direction
-/// a sweep walks it: from term t the step reaches
-/// targets[offsets[t], offsets[t + 1]).
-struct DenseSteps {
-  std::vector<uint32_t> offsets;  // num_ids + 1 entries
-  std::vector<SymbolId> targets;
+/// Successor lists over term ranks (TripleStore::Terms) for one labeled
+/// step in the direction a sweep walks it: from the term of rank t the
+/// step reaches the ranks targets[offsets[t], offsets[t + 1]).
+struct RankSteps {
+  std::vector<uint32_t> offsets;  // num_ranks + 1 entries
+  std::vector<uint32_t> targets;
 };
 
 /// The lists of the triples (x, iri, y), keyed by x and reaching y when
-/// `from_subject`, else keyed by y and reaching x; one pass over
-/// RangeP(iri). Every key must be below `num_ids`.
-DenseSteps BuildDenseSteps(const graph::TripleStore& store, SymbolId iri,
-                           bool from_subject, size_t num_ids) {
-  DenseSteps d;
-  d.offsets.assign(num_ids + 1, 0);
-  const auto [lo, hi] = store.RangeP(iri);
-  for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-    ++d.offsets[from_subject ? tr->s : tr->o];
+/// `from_subject`, else keyed by y and reaching x; one pass over the
+/// ranks of RangeP(iri), which the store built with its indexes.
+RankSteps BuildRankSteps(const graph::TripleStore& store, SymbolId iri,
+                         bool from_subject, size_t num_ranks) {
+  RankSteps d;
+  d.offsets.assign(num_ranks + 1, 0);
+  const auto [lo, hi] = store.RanksP(iri);
+  for (const auto* r = lo; r != hi; ++r) {
+    ++d.offsets[from_subject ? r->s : r->o];
   }
   // Running sums make offsets[t] the end of t's list; placing triples
   // back to front then moves it to the start, keeping index order.
@@ -227,13 +227,241 @@ DenseSteps BuildDenseSteps(const graph::TripleStore& store, SymbolId iri,
     end = total;
   }
   d.targets.resize(total);
-  for (const graph::Triple* tr = hi; tr != lo;) {
-    --tr;
-    const SymbolId key = from_subject ? tr->s : tr->o;
-    d.targets[--d.offsets[key]] = from_subject ? tr->o : tr->s;
+  for (const auto* r = hi; r != lo;) {
+    --r;
+    const uint32_t key = from_subject ? r->s : r->o;
+    d.targets[--d.offsets[key]] = from_subject ? r->o : r->s;
   }
   return d;
 }
+
+/// One EvalPathNfa call: its flat step table, rank lists and stamps, and
+/// the pairs found so far.
+///
+/// The product's terms are store terms, indexed by rank in Terms(), so
+/// its arrays grow with the store, not the dictionary. The one term that
+/// may lie outside is the bound endpoint a sweep starts from (the seed);
+/// it takes the rank past the store's, where nothing steps.
+class ProductSweep {
+ public:
+  using Rank = uint32_t;
+  using Pairs = std::vector<std::pair<SymbolId, SymbolId>>;
+
+  ProductSweep(const graph::TripleStore& store, const PathNfa& nfa,
+               SymbolId s, SymbolId o, uint64_t charged, uint64_t max_steps)
+      : store_(store),
+        nfa_(nfa),
+        terms_(store.Terms()),
+        ns_(static_cast<uint32_t>(nfa.num_states())),
+        nt_(static_cast<Rank>(store.Terms().size())),
+        // Bound s, or nothing bound: forward sweeps. Bound o alone: one
+        // backward sweep over the reversed product.
+        forward_(s != kInvalidSymbol || o == kInvalidSymbol),
+        seed_(forward_ ? s : o),
+        o_(o),
+        charged_(charged),
+        max_steps_(max_steps) {
+    size_t num_ranks = nt_;
+    if (seed_ != kInvalidSymbol) {
+      seed_rank_ = store.RankOf(seed_);
+      if (seed_rank_ == kNoRank) seed_rank_ = static_cast<Rank>(num_ranks++);
+    }
+    // A forward sweep with o bound emits only at o's rank; kNoRank
+    // matches none.
+    any_o_ = !forward_ || o == kInvalidSymbol;
+    if (!any_o_) o_rank_ = o == s ? seed_rank_ : store.RankOf(o);
+    BuildSteps(num_ranks);
+    visited_.assign(num_ranks * ns_, 0);
+    emitted_.assign(num_ranks, 0);
+  }
+
+  /// Bound s: one forward sweep from it. Bound o alone: one backward
+  /// sweep from it. Nothing bound: one forward sweep per store term.
+  void Run() {
+    if (forward_) {
+      if (seed_ != kInvalidSymbol) {
+        Start<true>(seed_rank_, seed_);
+        return;
+      }
+      for (Rank t = 0; t < nt_ && !exhausted_; ++t) Start<true>(t, terms_[t]);
+      return;
+    }
+    Start<false>(seed_rank_, seed_);
+  }
+
+  uint64_t charged() const { return charged_; }
+  bool exhausted() const { return exhausted_; }
+  Pairs TakePairs() { return std::move(out_); }
+
+ private:
+  static constexpr Rank kNoRank = graph::TripleStore::kNoRank;
+  static constexpr uint32_t kNoList = 0xffffffffu;
+
+  /// A product step out of a state in the sweep's direction: to state
+  /// `next`, through a labeled edge's rank list (from rank t, the ranks
+  /// targets[offsets[t], offsets[t + 1])), or, when `edge` is set,
+  /// through a negated edge's range scan.
+  struct Step {
+    uint32_t next = 0;
+    const uint32_t* offsets = nullptr;
+    const uint32_t* targets = nullptr;
+    const PathNfa::Edge* edge = nullptr;
+  };
+
+  /// The flat step table (state q's steps are table_[first_[q],
+  /// first_[q + 1]), in the order of nfa_.adj) and one rank list per
+  /// distinct labeled step: a kFwd edge walked forward and a kInv edge
+  /// walked backward both go from subject to object, so one list serves
+  /// every edge with the same (iri, direction).
+  void BuildSteps(size_t num_ranks) {
+    first_.assign(ns_ + 1, 0);
+    for (uint32_t q = 0; q < ns_; ++q) {
+      for (const auto& e : nfa_.adj[q]) ++first_[(forward_ ? q : e.to) + 1];
+    }
+    for (uint32_t q = 0; q < ns_; ++q) first_[q + 1] += first_[q];
+    table_.resize(first_[ns_]);
+    std::vector<uint32_t> fill(first_.begin(), first_.end() - 1);
+    std::vector<uint32_t> list_of(table_.size(), kNoList);
+    std::vector<std::pair<SymbolId, bool>> keys;  // (iri, from_subject)
+    for (uint32_t q = 0; q < ns_; ++q) {
+      for (const auto& e : nfa_.adj[q]) {
+        const uint32_t k = fill[forward_ ? q : e.to]++;
+        table_[k].next = forward_ ? e.to : q;
+        if (e.kind != PathNfa::EdgeKind::kFwd &&
+            e.kind != PathNfa::EdgeKind::kInv) {
+          table_[k].edge = &e;
+          continue;
+        }
+        const std::pair<SymbolId, bool> key = {e.iri,
+                                               StepFromSubject(e, forward_)};
+        list_of[k] = static_cast<uint32_t>(
+            std::find(keys.begin(), keys.end(), key) - keys.begin());
+        if (list_of[k] == keys.size()) keys.push_back(key);
+      }
+    }
+    lists_.reserve(keys.size());
+    for (const auto& [iri, from_subject] : keys) {
+      lists_.push_back(BuildRankSteps(store_, iri, from_subject, num_ranks));
+    }
+    for (size_t k = 0; k < table_.size(); ++k) {
+      if (list_of[k] == kNoList) continue;
+      table_[k].offsets = lists_[list_of[k]].offsets.data();
+      table_[k].targets = lists_[list_of[k]].targets.data();
+    }
+    // A forward sweep emits (seed, y) at every accepting node, the seed
+    // included (zero-length matches when nullable); a backward sweep
+    // reaching the start state at x emits (x, o).
+    emits_.resize(ns_);
+    for (uint32_t q = 0; q < ns_; ++q) {
+      emits_[q] = forward_ ? nfa_.accept[q] : q == nfa_.start;
+    }
+  }
+
+  /// One sweep from the term of rank `t` (id `from`) with fresh stamps:
+  /// forward from the start state, or backward from every accepting one.
+  /// The loop reads the stamps, the budget and the step table through
+  /// locals.
+  template <bool kForward>
+  void Start(Rank t, SymbolId from) {
+    const uint32_t epoch = ++epoch_;
+    const uint32_t ns = ns_;
+    uint32_t* const visited = visited_.data();
+    uint32_t* const emitted = emitted_.data();
+    const uint8_t* const emits = emits_.data();
+    const uint32_t* const first = first_.data();
+    const Step* const table = table_.data();
+    const bool any_o = any_o_;
+    const Rank o_rank = o_rank_;
+    const uint64_t max_steps = max_steps_;
+    const SymbolId* const terms = terms_.data();
+    const Rank nt = nt_;
+    const SymbolId seed = seed_;
+    const SymbolId o = o_;
+    uint64_t charged = charged_;
+    bool exhausted = false;
+    auto id_of = [&](Rank r) { return r < nt ? terms[r] : seed; };
+    work_.clear();
+    // Marks (term, state) visited, charging one step when it is new; a
+    // sweep stops at the first node past the budget.
+    auto visit = [&](Rank term, uint32_t state) __attribute__((always_inline)) {
+      uint32_t& stamp = visited[static_cast<size_t>(term) * ns + state];
+      if (stamp == epoch) return;
+      if (++charged > max_steps) {
+        exhausted = true;
+        return;
+      }
+      stamp = epoch;
+      work_.emplace_back(term, state);
+      if (!emits[state] || (kForward && !any_o && term != o_rank) ||
+          emitted[term] == epoch) {
+        return;
+      }
+      emitted[term] = epoch;
+      if (kForward) {
+        out_.emplace_back(from, id_of(term));
+      } else {
+        out_.emplace_back(id_of(term), o);
+      }
+    };
+    if (kForward) {
+      visit(t, nfa_.start);
+    } else {
+      for (uint32_t q = 0; q < ns; ++q) {
+        if (nfa_.accept[q]) visit(t, q);
+      }
+    }
+    // Traversal order is immaterial for reachability, so the worklist
+    // is a stack.
+    while (!work_.empty() && !exhausted) {
+      const auto [term, state] = work_.back();
+      work_.pop_back();
+      for (const Step* st = table + first[state];
+           st != table + first[state + 1]; ++st) {
+        if (st->edge == nullptr) {
+          for (uint32_t i = st->offsets[term]; i < st->offsets[term + 1];
+               ++i) {
+            visit(st->targets[i], st->next);
+          }
+        } else {
+          ForEachStep(store_, *st->edge, kForward, id_of(term),
+                      [&](SymbolId y, const graph::Triple&) {
+                        visit(store_.RankOf(y), st->next);
+                      });
+        }
+      }
+    }
+    charged_ = charged;
+    exhausted_ = exhausted;
+  }
+
+  const graph::TripleStore& store_;
+  const PathNfa& nfa_;
+  const std::vector<SymbolId>& terms_;
+  const uint32_t ns_;
+  const Rank nt_;
+  const bool forward_;
+  const SymbolId seed_;  // kInvalidSymbol: a sweep per store term
+  const SymbolId o_;
+  Rank seed_rank_ = kNoRank;
+  Rank o_rank_ = kNoRank;
+  bool any_o_ = true;
+
+  std::vector<uint32_t> first_;
+  std::vector<Step> table_;
+  std::vector<RankSteps> lists_;
+  std::vector<uint8_t> emits_;
+
+  // Epoch stamps over (rank x state) and over ranks replace per-sweep
+  // sets.
+  std::vector<uint32_t> visited_;
+  std::vector<uint32_t> emitted_;
+  uint32_t epoch_ = 0;
+  std::vector<std::pair<Rank, uint32_t>> work_;
+  uint64_t charged_;
+  const uint64_t max_steps_;
+  bool exhausted_ = false;
+  Pairs out_;
+};
 
 }  // namespace
 
@@ -250,150 +478,15 @@ Result<PathNfa> CompilePathNfa(const Path& path) {
 Result<std::vector<std::pair<SymbolId, SymbolId>>> EvalPathNfa(
     const graph::TripleStore& store, const PathNfa& nfa, SymbolId s,
     SymbolId o, uint64_t* steps, uint64_t max_steps) {
-  std::vector<std::pair<SymbolId, SymbolId>> out;
-  const uint32_t ns = static_cast<uint32_t>(nfa.num_states());
-  if (ns == 0) return out;
-  const std::vector<SymbolId>& all_terms = store.Terms();
-
-  // Dense visited / emitted stamps over (term x state): every term the
-  // sweeps can touch is a store term (all_terms is sorted) or one of the
-  // bound endpoints, so ids are bounded and an epoch counter replaces
-  // per-sweep set allocations.
-  SymbolId max_id = all_terms.empty() ? 0 : all_terms.back();
-  if (s != kInvalidSymbol) max_id = std::max(max_id, s);
-  if (o != kInvalidSymbol) max_id = std::max(max_id, o);
-  const size_t num_ids = static_cast<size_t>(max_id) + 1;
-  std::vector<uint32_t> visited(num_ids * ns, 0);
-  std::vector<uint32_t> emitted(num_ids, 0);
-  uint32_t epoch = 0;
-  std::vector<std::pair<SymbolId, uint32_t>> work;
-  uint64_t charged = *steps;
-  bool exhausted = false;
-
-  // Bound s, or nothing bound: forward sweeps. Bound o alone: one
-  // backward sweep over the reversed product.
-  const bool forward = s != kInvalidSymbol || o == kInvalidSymbol;
-
-  // The product steps out of each state in the sweep's direction: to
-  // state `next`, through dense list `dense` for a labeled edge, or
-  // through a negated edge's range scan. A kFwd edge walked forward and
-  // a kInv edge walked backward both go from subject to object; one list
-  // serves every edge with the same (iri, direction).
-  constexpr uint32_t kScan = 0xffffffffu;
-  struct Step {
-    uint32_t next = 0;
-    uint32_t dense = kScan;
-    const PathNfa::Edge* edge = nullptr;
-  };
-  std::vector<std::vector<Step>> sweep_steps(ns);
-  std::vector<std::pair<SymbolId, bool>> keys;  // (iri, from_subject)
-  for (uint32_t q = 0; q < ns; ++q) {
-    for (const auto& e : nfa.adj[q]) {
-      Step st{forward ? e.to : q, kScan, &e};
-      if (e.kind == PathNfa::EdgeKind::kFwd ||
-          e.kind == PathNfa::EdgeKind::kInv) {
-        const std::pair<SymbolId, bool> key = {
-            e.iri, (e.kind == PathNfa::EdgeKind::kFwd) == forward};
-        st.dense = static_cast<uint32_t>(
-            std::find(keys.begin(), keys.end(), key) - keys.begin());
-        if (st.dense == keys.size()) keys.push_back(key);
-      }
-      sweep_steps[forward ? q : e.to].push_back(st);
-    }
-  }
-  // Built over the stamps' id range, so a bound endpoint above every
-  // store term steps to nothing.
-  std::vector<DenseSteps> dense;
-  dense.reserve(keys.size());
-  for (const auto& [iri, from_subject] : keys) {
-    dense.push_back(BuildDenseSteps(store, iri, from_subject, num_ids));
-  }
-  auto expand = [&](SymbolId term, uint32_t state, auto&& visit) {
-    for (const Step& st : sweep_steps[state]) {
-      if (st.dense != kScan) {
-        const DenseSteps& d = dense[st.dense];
-        for (uint32_t k = d.offsets[term]; k < d.offsets[term + 1]; ++k) {
-          visit(d.targets[k], st.next);
-        }
-      } else {
-        ForEachStep(store, *st.edge, forward, term,
-                    [&](SymbolId y, const graph::Triple&) {
-                      visit(y, st.next);
-                    });
-      }
-    }
-  };
-  // Traversal order is immaterial for reachability, so the worklist is a
-  // stack. A sweep stops at the first node past the budget.
-  auto drain = [&](auto&& visit) {
-    while (!work.empty() && !exhausted) {
-      const auto [term, state] = work.back();
-      work.pop_back();
-      expand(term, state, visit);
-    }
-  };
-
-  // One forward product sweep; emits (start, y) at every accepting
-  // product node, including the seed (zero-length matches when
-  // nullable). Each node is charged when it is first marked visited.
-  auto forward_from = [&](SymbolId start) {
-    ++epoch;
-    work.clear();
-    auto visit = [&](SymbolId term, uint32_t state) {
-      uint32_t& stamp = visited[static_cast<size_t>(term) * ns + state];
-      if (stamp == epoch) return;
-      if (++charged > max_steps) {
-        exhausted = true;
-        return;
-      }
-      stamp = epoch;
-      work.emplace_back(term, state);
-      if (nfa.accept[state] && (o == kInvalidSymbol || o == term) &&
-          emitted[term] != epoch) {
-        emitted[term] = epoch;
-        out.emplace_back(start, term);
-      }
-    };
-    visit(start, nfa.start);
-    drain(visit);
-  };
-
-  if (s != kInvalidSymbol) {
-    forward_from(s);
-  } else if (o != kInvalidSymbol) {
-    // Backward sweep from the bound object over the reversed product;
-    // reaching the start state at term x means x -> o in the path.
-    ++epoch;
-    auto visit = [&](SymbolId term, uint32_t state) {
-      uint32_t& stamp = visited[static_cast<size_t>(term) * ns + state];
-      if (stamp == epoch) return;
-      if (++charged > max_steps) {
-        exhausted = true;
-        return;
-      }
-      stamp = epoch;
-      work.emplace_back(term, state);
-      if (state == nfa.start && emitted[term] != epoch) {
-        emitted[term] = epoch;
-        out.emplace_back(term, o);
-      }
-    };
-    for (uint32_t q = 0; q < ns; ++q) {
-      if (nfa.accept[q]) visit(o, q);
-    }
-    drain(visit);
-  } else {
-    for (SymbolId start : all_terms) {
-      if (exhausted) break;
-      forward_from(start);
-    }
-  }
-  *steps = charged;
-  if (exhausted) {
+  if (nfa.num_states() == 0) return ProductSweep::Pairs{};
+  ProductSweep sweep(store, nfa, s, o, *steps, max_steps);
+  sweep.Run();
+  *steps = sweep.charged();
+  if (sweep.exhausted()) {
     return Status::ResourceExhausted("evaluation exceeded " +
                                      std::to_string(max_steps) + " steps");
   }
-  return out;
+  return sweep.TakePairs();
 }
 
 }  // namespace rwdt::paths

@@ -68,7 +68,9 @@ Result<PathNfa> CompilePathNfa(const Path& path);
 /// no specified order, via a sweep of the (graph term x NFA state)
 /// product: bound `s`, one forward sweep; bound `o` alone, one backward
 /// sweep; nothing bound, a forward sweep from every store term
-/// (`TripleStore::Terms`).
+/// (`TripleStore::Terms`). The sweep's arrays are indexed by a term's
+/// rank in Terms(), so a call costs the store's size, however many
+/// symbols the dictionary holds.
 ///
 /// Zero-length matches follow the automaton: a nullable path matches a
 /// bound endpoint to itself whether or not the store holds it, and with
@@ -81,28 +83,46 @@ Result<std::vector<std::pair<SymbolId, SymbolId>>> EvalPathNfa(
     const graph::TripleStore& store, const PathNfa& nfa, SymbolId s,
     SymbolId o, uint64_t* steps, uint64_t max_steps);
 
+/// Whether one application of edge `e` goes from a triple's subject to
+/// its object. `forward` false walks the edge against its direction
+/// (from its target term back to its source term), as a backward sweep
+/// does; a forward edge walked forward and an inverse edge walked
+/// backward both go from subject to object.
+inline bool StepFromSubject(const PathNfa::Edge& e, bool forward) {
+  using Kind = PathNfa::EdgeKind;
+  return (e.kind == Kind::kFwd || e.kind == Kind::kNegFwd) == forward;
+}
+
+/// The index range that holds every triple one application of edge `e`
+/// at term `t` may cross; a negated edge must still skip the triples
+/// whose predicate its set names (StepSkips).
+inline graph::TripleStore::TripleRange StepRange(
+    const graph::TripleStore& store, const PathNfa::Edge& e, bool forward,
+    SymbolId t) {
+  using Kind = PathNfa::EdgeKind;
+  const bool negated = e.kind == Kind::kNegFwd || e.kind == Kind::kNegInv;
+  const bool from_subject = StepFromSubject(e, forward);
+  return negated ? (from_subject ? store.RangeS(t) : store.RangeO(t))
+                 : (from_subject ? store.RangeSP(t, e.iri)
+                                 : store.RangePO(e.iri, t));
+}
+
+/// Whether edge `e` may not cross `tr`, a triple of its StepRange.
+inline bool StepSkips(const PathNfa::Edge& e, const graph::Triple& tr) {
+  return !e.negated.empty() &&
+         std::binary_search(e.negated.begin(), e.negated.end(), tr.p);
+}
+
 /// One application of edge `e` at term `t`: calls `visit(y, triple)` for
 /// every term y one step away and the triple that step crosses, in index
-/// order. `forward` false walks the edge against its direction (from
-/// its target term back to its source term), as a backward sweep does.
+/// order.
 template <typename Visit>
 void ForEachStep(const graph::TripleStore& store, const PathNfa::Edge& e,
                  bool forward, SymbolId t, Visit&& visit) {
-  using Kind = PathNfa::EdgeKind;
-  const bool negated = e.kind == Kind::kNegFwd || e.kind == Kind::kNegInv;
-  // A forward edge walked forward and an inverse edge walked backward
-  // both go from subject to object.
-  const bool from_subject =
-      (e.kind == Kind::kFwd || e.kind == Kind::kNegFwd) == forward;
-  const auto [lo, hi] =
-      negated ? (from_subject ? store.RangeS(t) : store.RangeO(t))
-              : (from_subject ? store.RangeSP(t, e.iri)
-                              : store.RangePO(e.iri, t));
+  const bool from_subject = StepFromSubject(e, forward);
+  const auto [lo, hi] = StepRange(store, e, forward, t);
   for (const graph::Triple* tr = lo; tr != hi; ++tr) {
-    if (negated &&
-        std::binary_search(e.negated.begin(), e.negated.end(), tr->p)) {
-      continue;
-    }
+    if (StepSkips(e, *tr)) continue;
     visit(from_subject ? tr->o : tr->s, *tr);
   }
 }

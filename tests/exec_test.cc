@@ -744,6 +744,198 @@ TEST_F(ExecTest, AcyclicChainOfMoreThan64Variables) {
   EXPECT_EQ(got.value(), want.value());
 }
 
+// --- Row kernels against the evaluator --------------------------------
+
+/// Plans and runs `text` over `store`, checks the strategy and the
+/// reference evaluator's bag, and returns the rows.
+std::vector<Binding> RunAgainstEvaluator(const graph::TripleStore& store,
+                                         Interner* dict,
+                                         const std::string& text,
+                                         Strategy want) {
+  auto q = sparql::ParseSparql(text, dict);
+  EXPECT_TRUE(q.ok()) << text;
+  if (!q.ok()) return {};
+  Executor exec(store, dict);
+  auto plan = exec.MakePlan(q.value());
+  EXPECT_TRUE(plan.ok()) << text;
+  if (!plan.ok()) return {};
+  EXPECT_EQ(plan.value().strategy, want)
+      << text << "\nreason: " << plan.value().reason;
+  auto got = exec.Execute(plan.value());
+  EXPECT_TRUE(got.ok()) << text;
+  sparql::Evaluator eval(store, dict);
+  auto want_rows = eval.EvalQuery(q.value());
+  EXPECT_TRUE(want_rows.ok()) << text;
+  if (!got.ok() || !want_rows.ok()) return {};
+  EXPECT_EQ(Sorted(got.value()), Sorted(want_rows.value())) << text;
+  return got.value();
+}
+
+TEST_F(ExecTest, RowsWiderThanTheUnrolledWidths) {
+  // Six nodes, each with `e` edges one and two steps on around a ring:
+  // a 9-edge chain has 10 variables and 6 * 2^9 rows; a 9-edge cycle has
+  // 9 variables, and a closed walk takes three or nine 2-steps, so
+  // C(9, 3) + 1 = 85 rows from each node.
+  static_assert(kUnrolledWidth < 9);
+  Interner dict;
+  graph::TripleStore store;
+  const SymbolId e = dict.Intern("e");
+  auto node = [&](int i) { return dict.Intern("r" + std::to_string(i % 6)); };
+  for (int i = 0; i < 6; ++i) {
+    store.Add(node(i), e, node(i + 1));
+    store.Add(node(i), e, node(i + 2));
+  }
+  std::string chain = "SELECT * WHERE {";
+  std::string cycle = "SELECT * WHERE {";
+  for (int i = 0; i < 9; ++i) {
+    chain += " ?v" + std::to_string(i) + " e ?v" + std::to_string(i + 1) + " .";
+    cycle += " ?v" + std::to_string(i) + " e ?v" + std::to_string((i + 1) % 9) +
+             " .";
+  }
+  chain += " }";
+  cycle += " }";
+  const auto chain_rows =
+      RunAgainstEvaluator(store, &dict, chain, Strategy::kYannakakis);
+  ASSERT_EQ(chain_rows.size(), 6u * 512u);
+  EXPECT_EQ(chain_rows[0].size(), 10u);
+  const auto cycle_rows =
+      RunAgainstEvaluator(store, &dict, cycle, Strategy::kHtwJoinOrder);
+  ASSERT_EQ(cycle_rows.size(), 6u * 85u);
+  EXPECT_EQ(cycle_rows[0].size(), 9u);
+}
+
+TEST_F(ExecTest, TwoKeyJoinsMatchTheEvaluator) {
+  // Pairs on both p0 and p1, so keys on (?x, ?y) have matches; the
+  // nested group keeps the conjunction from being all triples, so the
+  // join is a two-key hash join rather than Yannakakis.
+  for (int i = 0; i < 6; ++i) {
+    const SymbolId x = dict_.Intern("ent:" + std::to_string(i));
+    const SymbolId y = dict_.Intern("ent:" + std::to_string(i + 3));
+    store_.Add(x, dict_.Intern("p0"), y);
+    store_.Add(x, dict_.Intern("p1"), y);
+  }
+  const std::string hash_text =
+      "SELECT * WHERE { ?x p0 ?y . { ?x p1 ?y FILTER(?x != ?y) } }";
+  Executor exec(store_, &dict_);
+  const std::string json = PlanJson(exec, hash_text);
+  EXPECT_NE(json.find(R"("op":"hash_join","join_vars":["?x","?y"])"),
+            std::string::npos)
+      << json;
+  EXPECT_FALSE(RunAgainstEvaluator(store_, &dict_, hash_text,
+                                   Strategy::kHtwJoinOrder)
+                   .empty());
+  // The same keys through Yannakakis' semijoins and joins.
+  EXPECT_FALSE(RunAgainstEvaluator(store_, &dict_,
+                                   "SELECT * WHERE { ?x p0 ?y . ?x p1 ?y . "
+                                   "?y p2 ?z }",
+                                   Strategy::kYannakakis)
+                   .empty());
+}
+
+TEST_F(ExecTest, YannakakisDropsADanglingTupleAtEveryNode) {
+  // Forest: r0(a, b) with children r1(b, c) and r2(b, d), and r3(c, e)
+  // below r1. Each relation holds one tuple of the answer and one that
+  // joins nothing on some edge, so the leaf-to-root pass must remove
+  // dangling tuples at every level, and the root-first join must extend
+  // every row it keeps.
+  Interner dict;
+  graph::TripleStore store;
+  auto add = [&](const char* s, const char* p, const char* o) {
+    store.Add(dict.Intern(s), dict.Intern(p), dict.Intern(o));
+  };
+  add("a1", "r0", "b1");  // the answer
+  add("a2", "r0", "b2");  // b2: no r1 and no r2
+  add("a3", "r0", "b3");  // b3: an r1 whose c has no r3, and no r2
+  add("b1", "r1", "c1");  // the answer
+  add("b1", "r1", "c2");  // c2: no r3
+  add("b3", "r1", "c3");
+  add("b9", "r1", "c1");  // b9: no r0
+  add("b1", "r2", "d1");  // the answer
+  add("b8", "r2", "d8");  // b8: no r0
+  add("c1", "r3", "e1");  // the answer
+  add("c7", "r3", "e7");  // c7: no r1
+  const auto rows = RunAgainstEvaluator(
+      store, &dict,
+      "SELECT * WHERE { ?a r0 ?b . ?b r1 ?c . ?b r2 ?d . ?c r3 ?e }",
+      Strategy::kYannakakis);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].size(), 5u);
+  EXPECT_EQ(rows[0].find(dict.Intern("?e"))->second, dict.Intern("e1"));
+}
+
+TEST_F(ExecTest, LeftJoinLeavesBuildOnlySlotsUnbound) {
+  // The OPTIONAL block binds ?z and ?w, which only the build side of the
+  // hash left join binds: a probe row without a match keeps both
+  // unbound, a matched one takes both from the build row.
+  const auto rows = RunAgainstEvaluator(
+      store_, &dict_,
+      "SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z . ?z p2 ?w } }",
+      Strategy::kPatternTree);
+  const SymbolId z = dict_.Intern("?z");
+  const SymbolId w = dict_.Intern("?w");
+  size_t unmatched = 0, matched = 0;
+  for (const Binding& row : rows) {
+    EXPECT_EQ(row.count(z), row.count(w));
+    (row.count(z) > 0 ? matched : unmatched) += 1;
+  }
+  EXPECT_GT(unmatched, 0u);
+  EXPECT_GT(matched, 0u);
+}
+
+TEST_F(ExecTest, HashJoinMergesASharedNonKeySlotAsMergeRowsDoes) {
+  // Built by hand: no planned tree joins on fewer slots than both sides
+  // may bind. The left side leaves ?y unbound where its OPTIONAL fails,
+  // the right side always binds it, and the join keys on ?x alone: each
+  // match is MergeRows of the probe and build rows, as a brute-force
+  // pairing computes.
+  auto triple = [&](const std::string& text) {
+    const sparql::Query q = Parse("SELECT * WHERE { " + text + " }");
+    return q.node(q.pattern).triple;
+  };
+  const sparql::TriplePattern xw = triple("?x p0 ?w");
+  const sparql::TriplePattern wy = triple("?w p1 ?y");
+  const sparql::TriplePattern xy = triple("?x p2 ?y");
+  const auto layout = std::make_shared<const SlotLayout>(
+      std::set<SymbolId>{xw.s.id, xw.o.id, wy.o.id});
+  auto left = [&]() -> OperatorPtr {
+    return std::make_unique<HashJoinOp>(
+        layout, std::make_unique<TripleScanOp>(layout, store_, dict_, xw),
+        std::make_unique<TripleScanOp>(layout, store_, dict_, wy),
+        std::vector<SymbolId>{xw.o.id}, dict_, /*left_outer=*/true);
+  };
+  HashJoinOp join(layout, left(),
+                  std::make_unique<TripleScanOp>(layout, store_, dict_, xy),
+                  std::vector<SymbolId>{xw.s.id}, dict_);
+  EXPECT_EQ(join.slots(), (std::vector<uint32_t>{0, 1, 2}));
+  RowBuffer got(layout->width());
+  ASSERT_TRUE(join.Fill(&got).ok());
+
+  RowBuffer probe(layout->width()), build(layout->width());
+  ASSERT_TRUE(left()->Fill(&probe).ok());
+  ASSERT_TRUE(
+      TripleScanOp(layout, store_, dict_, xy).Fill(&build).ok());
+  const uint32_t x_slot = layout->SlotOf(xw.s.id);
+  std::vector<std::vector<SymbolId>> want, have;
+  bool some_probe_unbound = false;
+  for (size_t i = 0; i < probe.size(); ++i) {
+    some_probe_unbound |= probe[i][layout->SlotOf(wy.o.id)] == kInvalidSymbol;
+    for (size_t j = 0; j < build.size(); ++j) {
+      if (probe[i][x_slot] != build[j][x_slot]) continue;
+      std::vector<SymbolId> merged(layout->width());
+      MergeRows(probe[i], build[j], layout->width(), merged.data());
+      want.push_back(merged);
+    }
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    have.emplace_back(got[i], got[i] + layout->width());
+  }
+  EXPECT_TRUE(some_probe_unbound);
+  EXPECT_FALSE(want.empty());
+  std::sort(want.begin(), want.end());
+  std::sort(have.begin(), have.end());
+  EXPECT_EQ(have, want);
+}
+
 TEST_F(ExecTest, NestedOptionalStaysExact) {
   ExpectStrategyAndAgreement(
       "SELECT * WHERE { ?x p0 ?y OPTIONAL { ?y p1 ?z OPTIONAL "

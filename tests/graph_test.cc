@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <tuple>
+#include <vector>
+
 #include "common/interner.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -35,6 +40,91 @@ TEST(TripleStoreTest, TermSets) {
   EXPECT_EQ(store.SubjectSet().size(), 2u);
   EXPECT_EQ(store.PredicateSet().size(), 1u);
   EXPECT_EQ(store.ObjectSet().size(), 2u);
+}
+
+/// The store's three orders, Terms() and the POS ranks against the
+/// comparison sorts: random stores whose ids reach every byte of a
+/// 32-bit id (the radix passes skip a digit only when no id sets it),
+/// with duplicate triples.
+TEST(TripleStoreTest, RadixIndexesMatchComparisonSorts) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    // Ids below 2^8, 2^16, 2^24 or up to the largest id, by seed, and a
+    // few draws from every range in each store.
+    const uint64_t top[] = {1ull << 8, 1ull << 16, 1ull << 24,
+                            kInvalidSymbol};
+    const uint64_t bound = top[seed % 4];
+    auto id = [&]() -> SymbolId {
+      const uint64_t range = rng.NextBelow(8) == 0 ? top[rng.NextBelow(4)]
+                                                   : bound;
+      return static_cast<SymbolId>(rng.NextBelow(range));
+    };
+    // A small pool of ids, so subjects, objects and predicates repeat.
+    std::vector<SymbolId> pool(2 + rng.NextBelow(30));
+    for (SymbolId& v : pool) v = id();
+    auto pick = [&] { return pool[rng.NextBelow(pool.size())]; };
+    TripleStore store;
+    std::vector<Triple> added;
+    const uint64_t n = rng.NextBelow(300);  // 0: the empty store
+    for (uint64_t i = 0; i < n; ++i) {
+      const Triple t = rng.NextBelow(5) == 0 && !added.empty()
+                           ? added[rng.NextBelow(added.size())]
+                           : Triple{pick(), pick(), pick()};
+      added.push_back(t);
+      store.Add(t);
+    }
+
+    std::vector<Triple> spo = added;
+    std::sort(spo.begin(), spo.end());
+    spo.erase(std::unique(spo.begin(), spo.end()), spo.end());
+    std::vector<Triple> pos = spo, osp = spo;
+    std::sort(pos.begin(), pos.end(), [](const Triple& a, const Triple& b) {
+      return std::tie(a.p, a.o, a.s) < std::tie(b.p, b.o, b.s);
+    });
+    std::sort(osp.begin(), osp.end(), [](const Triple& a, const Triple& b) {
+      return std::tie(a.o, a.s, a.p) < std::tie(b.o, b.s, b.p);
+    });
+    std::set<SymbolId> term_set, predicates, objects;
+    for (const Triple& t : spo) {
+      term_set.insert(t.s);
+      term_set.insert(t.o);
+      predicates.insert(t.p);
+      objects.insert(t.o);
+    }
+    const std::vector<SymbolId> terms(term_set.begin(), term_set.end());
+
+    EXPECT_EQ(store.triples(), spo) << "seed " << seed;
+    EXPECT_EQ(store.Terms(), terms) << "seed " << seed;
+    // Every predicate's range in turn covers the POS index in order, and
+    // every object's the OSP index.
+    std::vector<Triple> got_pos, got_osp;
+    for (SymbolId p : predicates) {
+      const auto [lo, hi] = store.RangeP(p);
+      const auto [rlo, rhi] = store.RanksP(p);
+      ASSERT_EQ(rhi - rlo, hi - lo) << "seed " << seed;
+      for (const Triple* t = lo; t != hi; ++t) {
+        got_pos.push_back(*t);
+        const TripleStore::TermRanks& r = rlo[t - lo];
+        ASSERT_LT(r.s, terms.size());
+        ASSERT_LT(r.o, terms.size());
+        EXPECT_EQ(terms[r.s], t->s) << "seed " << seed;
+        EXPECT_EQ(terms[r.o], t->o) << "seed " << seed;
+      }
+    }
+    for (SymbolId o : objects) {
+      const auto [lo, hi] = store.RangeO(o);
+      got_osp.insert(got_osp.end(), lo, hi);
+    }
+    EXPECT_EQ(got_pos, pos) << "seed " << seed;
+    EXPECT_EQ(got_osp, osp) << "seed " << seed;
+    for (size_t r = 0; r < terms.size(); ++r) {
+      EXPECT_EQ(store.RankOf(terms[r]), r) << "seed " << seed;
+    }
+    const SymbolId absent = terms.empty() ? 0 : terms.back() + 1;
+    if (absent != kInvalidSymbol) {
+      EXPECT_EQ(store.RankOf(absent), TripleStore::kNoRank);
+    }
+  }
 }
 
 TEST(RdfStructureTest, GeneratedDatasetMatchesRealWorldShape) {

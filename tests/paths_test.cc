@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "common/interner.h"
 #include "graph/rdf.h"
 #include "paths/analysis.h"
+#include "paths/automaton.h"
 #include "paths/path.h"
 #include "paths/semantics.h"
 
@@ -196,6 +200,58 @@ TEST_F(SemanticsTest, InverseAndNegatedMoves) {
   r = MatchPath(store_, *P("!(a|b)"), S("s"), S("t"),
                 PathSemantics::kWalk);
   EXPECT_FALSE(r.matched);
+}
+
+TEST(SearchStackTest, LongChainSearchesRunOnTheHeap) {
+  // `p*` from one end of a 100,000-edge chain to the other: each step of
+  // the search path was once a stack frame, and 39,000 of them overflowed
+  // an 8 MiB stack. Now the path lives in the searcher's own stack.
+  constexpr SymbolId kEdges = 100000;
+  constexpr SymbolId kP = kEdges + 1;
+  graph::TripleStore store;
+  for (SymbolId i = 0; i < kEdges; ++i) store.Add(i, kP, i + 1);
+  const PathPtr star = Path::Star(Path::Iri(kP));
+  for (const PathSemantics semantics :
+       {PathSemantics::kSimplePath, PathSemantics::kTrail}) {
+    const PathMatch r = MatchPath(store, *star, 0, kEdges, semantics);
+    EXPECT_TRUE(r.decided) << static_cast<int>(semantics);
+    EXPECT_TRUE(r.matched) << static_cast<int>(semantics);
+    // One step per node of the path, the source included.
+    EXPECT_EQ(r.steps, kEdges + 1) << static_cast<int>(semantics);
+  }
+}
+
+TEST(SweepSizeTest, SweepCostsTheStoreNotTheDictionary) {
+  // A 100-triple chain whose ids sit above two million, as they do when
+  // that many unrelated symbols were interned first. Arrays sized by the
+  // largest id cost about 4 ms a sweep to clear (RelWithDebInfo); sized
+  // by the store's 101 terms, microseconds. The fastest of five batches
+  // of 20 bound-subject sweeps must stay under 20 ms, which a sweep over
+  // the id range misses by far and a sweep over the terms meets with
+  // room in Debug and under the sanitizers.
+  constexpr SymbolId kBase = 2000000;
+  constexpr SymbolId kP = kBase + 1000;
+  graph::TripleStore store;
+  for (SymbolId i = 0; i < 100; ++i) store.Add(kBase + i, kP, kBase + i + 1);
+  const Result<PathNfa> nfa = CompilePathNfa(*Path::Star(Path::Iri(kP)));
+  ASSERT_TRUE(nfa.ok());
+  double fastest_ms = 1e9;
+  for (int batch = 0; batch < 5; ++batch) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int call = 0; call < 20; ++call) {
+      uint64_t steps = 0;
+      const auto pairs = EvalPathNfa(store, nfa.value(), kBase + 50,
+                                     kInvalidSymbol, &steps, 1u << 20);
+      ASSERT_TRUE(pairs.ok());
+      ASSERT_EQ(pairs.value().size(), 51u);  // itself and the 50 after it
+      ASSERT_EQ(steps, 51u);
+    }
+    fastest_ms = std::min(
+        fastest_ms, std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+  }
+  EXPECT_LT(fastest_ms, 20.0);
 }
 
 TEST(NegatedInverseTest, InverseOnlySetsStepBackwardOnly) {
