@@ -9,7 +9,7 @@
 
 #include "common/hash.h"
 #include "common/interner.h"
-#include "core/verdict.h"
+#include "core/query_analysis.h"
 #include "obs/trace.h"
 #include "sparql/parser.h"
 
@@ -69,20 +69,27 @@ struct alignas(64) Engine::ShardState {
   /// so a first sight allocates nothing once they have grown.
   sparql::Query query;
   core::ClassifyScratch scratch;
-  /// The outcome of one distinct text, computed once per stream.
+  /// The outcome of one distinct text, computed once per stream: 16
+  /// bytes, so a duplicate reads one small record and the vector's
+  /// growth moves no analysis.
   struct Text {
-    bool parse_ok = false;
-    ErrorClass error = ErrorClass::kParseError;  // when !parse_ok
+    static constexpr uint32_t kRejected = UINT32_MAX;
     /// Occurrences after the first (valid texts only). Finish folds each
-    /// verdict into valid_agg once with this weight; AddToAggregates is
+    /// analysis into valid_agg once with this weight; AddToAggregates is
     /// weight-linear in every field (unsigned sums), so one weighted
     /// call is bit-identical to per-occurrence calls.
     uint64_t dup_extra = 0;
-    core::QueryVerdict verdict;  // when parse_ok
+    /// Index into `analyses`, or kRejected for a text that failed to
+    /// parse.
+    uint32_t analysis = kRejected;
+    uint8_t error = 0;  // the ErrorClass of a rejected text
   };
+  static_assert(sizeof(Text) == 16);
   /// Indexed by `seen` id. Memory is O(distinct texts), the same class
   /// as `seen`, which already pins every distinct text itself.
   std::vector<Text> texts;
+  /// The analysis of each distinct valid text, in first-sight order.
+  std::vector<core::QueryAnalysis> analyses;
   uint64_t valid = 0;
   uint64_t unique = 0;
   std::array<uint64_t, kNumErrorClasses> errors{};
@@ -291,7 +298,7 @@ core::SourceStudy EngineStream::Finish() {
       core::Merge(s.unique_agg, &study.unique_agg);
       for (const Engine::ShardState::Text& t : s.texts) {
         if (t.dup_extra == 0) continue;
-        core::AddToAggregates(t.verdict.analysis, t.dup_extra,
+        core::AddToAggregates(s.analyses[t.analysis], t.dup_extra,
                               &study.valid_agg);
       }
     }
@@ -333,8 +340,8 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
 
     if (id != prior) {
       ShardState::Text& known = state->texts[id];
-      if (!known.parse_ok) {
-        reject(known.error);
+      if (known.analysis == ShardState::Text::kRejected) {
+        reject(static_cast<ErrorClass>(known.error));
         continue;
       }
       // Valid duplicate: two counter bumps and done. The aggregate fold
@@ -357,20 +364,22 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     local.Record(Stage::kParse, t1 - t0);
     obs::EmitSpan("parse", t0, t1 - t0);
     if (!parsed.ok()) {
-      fresh.error = ClassifyStatus(parsed);
+      const ErrorClass error = ClassifyStatus(parsed);
+      fresh.error = static_cast<uint8_t>(error);
       local.parse_failures++;
-      reject(fresh.error);
+      reject(error);
       continue;
     }
     core::StageTimings st;
-    fresh.parse_ok = true;
-    fresh.verdict =
-        core::Classify(state->query, options_.study, &state->scratch, &st);
+    fresh.analysis = static_cast<uint32_t>(state->analyses.size());
+    const core::QueryAnalysis& analysis =
+        state->analyses.emplace_back(core::AnalyzeQuery(
+            state->query, options_.study, &state->scratch, &st));
     local.queries_analyzed++;
     state->valid++;
     state->unique++;
     const uint64_t t2 = NowNs();
-    core::AddToAggregates(fresh.verdict.analysis, 1, &state->unique_agg);
+    core::AddToAggregates(analysis, 1, &state->unique_agg);
     const uint64_t t3 = NowNs();
     local.Record(Stage::kFeatures, st.feature_ns);
     local.Record(Stage::kHypergraph, st.hypergraph_ns);

@@ -121,7 +121,7 @@ class EngineStream {
 ///     given seed regardless of thread count.
 ///  2. **Exact dedup.** Every duplicate of a text lands in one shard,
 ///     which parses and classifies the text once per stream and keeps
-///     its verdict by value; later occurrences only count. The
+///     its analysis; later occurrences only count. The
 ///     Valid/Unique gap of the paper's Table 2 (duplication factors of
 ///     2-10x) thus costs a hash lookup per duplicate. Nothing is kept
 ///     across streams: a second log on the same engine parses again.

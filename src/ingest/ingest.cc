@@ -179,8 +179,8 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
 
     std::string_view query = rec.text;
     if (options.format == LogFormat::kTsv) {
-      const size_t tab = swar::FindByte(query, '\t');
-      if (tab == std::string_view::npos) {
+      const size_t tab = swar::ScanToByte(query.data(), query.size(), '\t').at;
+      if (tab == query.size()) {
         // Structurally broken record; no source column to attribute.
         reject(ErrorClass::kParseError, "split");
         continue;
@@ -189,7 +189,9 @@ Result<IngestReport> Run(std::istream* in, const std::string* path,
       query = query.substr(tab + 1);
     }
 
-    if (!tree::IsValidUtf8(query)) {
+    // The scan flagged every line holding a byte >= 0x80; only those
+    // can be invalid UTF-8.
+    if (!rec.ascii && !tree::IsValidUtf8(query)) {
       reject(ErrorClass::kEncodingError, "utf8");
       continue;
     }

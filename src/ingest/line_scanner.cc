@@ -5,6 +5,13 @@
 #include "common/swar.h"
 
 namespace rwdt::ingest {
+namespace {
+
+bool IsAscii(std::string_view s) {
+  return swar::AsciiPrefix(s.data(), s.size()) == s.size();
+}
+
+}  // namespace
 
 LineScanner::LineScanner(BlockReader* reader, size_t max_line_bytes,
                          Arena* carry_arena)
@@ -35,6 +42,9 @@ bool LineScanner::EmitCarry(Line* out, uint64_t* bytes, uint64_t record_len,
   if (!carry_.empty() && carry_.back() == '\r') carry_.pop_back();
   out->text = arena_->Copy(carry_);
   out->overflow = record_len > max_;
+  // At most one stitched record per block: one more pass over its kept
+  // bytes costs less than carrying the scans' bits across blocks.
+  out->ascii = IsAscii(carry_);
   *bytes += record_len + (saw_newline ? 1 : 0);
   return true;
 }
@@ -50,7 +60,9 @@ bool LineScanner::Next(Line* out, uint64_t* bytes) {
         return EmitCarry(out, bytes, len, /*saw_newline=*/false);
       }
     }
-    const size_t nl = swar::FindByte(block_.data(), block_.size(), '\n');
+    const swar::ByteScan scan =
+        swar::ScanToByte(block_.data(), block_.size(), '\n');
+    const size_t nl = scan.at;
     if (nl == block_.size()) {
       // No terminator here: the record continues into the next block.
       AppendKept(block_);
@@ -67,6 +79,9 @@ bool LineScanner::Next(Line* out, uint64_t* bytes) {
       if (!kept.empty() && kept.back() == '\r') kept.remove_suffix(1);
       out->text = kept;
       out->overflow = len > max_;
+      // The scan covered the whole record; an overlong one keeps only a
+      // prefix, which may be ASCII although its dropped tail is not.
+      out->ascii = scan.ascii || (out->overflow && IsAscii(kept));
       *bytes += len + 1;
       return true;
     }

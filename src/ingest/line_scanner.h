@@ -28,6 +28,9 @@ namespace rwdt::ingest {
 ///     bounded no matter what the log contains.
 ///   * `*bytes` accounting counts every byte consumed, terminator and
 ///     overflowed tail included.
+///   * `ascii` says whether every kept byte is < 0x80. The newline scan
+///     learns it in the same pass over the bytes (swar::ScanToByte), so
+///     a consumer validating UTF-8 can skip the lines that need none.
 ///
 /// Zero-copy rule: a record that lies entirely inside one block is
 /// returned as a view into that block — no copy. The one record that
@@ -43,6 +46,7 @@ class LineScanner {
   struct Line {
     std::string_view text;  // kept bytes, '\r'-stripped, <= max_line_bytes
     bool overflow = false;  // the record exceeded max_line_bytes
+    bool ascii = false;     // every byte of `text` is < 0x80
   };
 
   /// `reader` and `carry_arena` are caller-owned and must outlive the

@@ -278,6 +278,57 @@ TEST(Hash64Test, NoTrivialCollisionsOnGeneratedKeys) {
   EXPECT_EQ(seen.size(), 100000u);
 }
 
+/// Hash64 with its 1-7 tail bytes read one at a time at every length:
+/// the reference the one-load tail must match, since shard routing,
+/// the study digests and perfbench's known-answer digest rest on the
+/// values.
+uint64_t ByteTailHash64(std::string_view s, uint64_t seed = kHashSeed) {
+  using hash_internal::Load64;
+  using hash_internal::Mix;
+  constexpr uint64_t k1 = 0x9e3779b97f4a7c15ull;
+  constexpr uint64_t k2 = 0xbf58476d1ce4e5b9ull;
+  constexpr uint64_t k3 = 0x94d049bb133111ebull;
+  const char* p = s.data();
+  size_t n = s.size();
+  uint64_t h = Mix(seed ^ k1, n + 1);
+  while (n >= 8) {
+    h = Mix(h ^ Load64(p), k2);
+    p += 8;
+    n -= 8;
+  }
+  uint64_t tail = 0;
+  for (size_t i = 0; i < n; ++i) {
+    tail |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return Mix(h ^ tail, k3);
+}
+
+TEST(Hash64Test, OneLoadTailMatchesTheByteLoopAtEveryLength) {
+  // Random bytes over the full range (high bytes included), every length
+  // from 0 to 256, unaligned starts, several generator and hash seeds.
+  for (const uint64_t rng_seed : {1u, 2u, 3u, 0x4841u}) {
+    Rng rng(rng_seed);
+    std::string buf(256 + 8, '\0');
+    for (char& c : buf) c = static_cast<char>(rng.NextBelow(256));
+    for (const uint64_t seed : {kHashSeed, uint64_t{0}, rng.Next()}) {
+      for (size_t skew = 0; skew < 8; skew += 3) {
+        for (size_t n = 0; n <= 256; ++n) {
+          const std::string_view s(buf.data() + skew, n);
+          ASSERT_EQ(Hash64(s, seed), ByteTailHash64(s, seed))
+              << "rng_seed=" << rng_seed << " n=" << n << " skew=" << skew;
+        }
+      }
+    }
+  }
+}
+
+TEST(Hash64Test, KnownValues) {
+  // Computed with the byte-loop tail: a 27-byte text (3-byte tail) and
+  // an 18-byte one holding a two-byte UTF-8 sequence (2-byte tail).
+  EXPECT_EQ(Hash64("SELECT * WHERE { ?s ?p ?o }"), 0xce92e5d34ab29056ull);
+  EXPECT_EQ(Hash64("ASK { ?x <\xc3\x9c> ?y }", 42), 0x51ffe9fa9d0d24b2ull);
+}
+
 TEST(ArenaTest, CopyRoundTripsAndClearReuses) {
   Arena arena(/*block_bytes=*/64);
   const std::string_view a = arena.Copy("hello");
@@ -406,11 +457,12 @@ TEST(SwarTest, ZeroByteMaskIsExact) {
   }
 }
 
-TEST(SwarTest, FindByteMatchesNaiveAtEveryOffset) {
+TEST(SwarTest, ScanToByteFindsEveryTargetAtEveryOffset) {
   // Every (haystack length, match offset) pair around the 8/16-byte
   // step boundaries, for targets that tickle the high-bit trickery:
   // '\n' (0x0A) must not be confused with 0x8A, and searching for
-  // '\0' and 0xFF must work.
+  // '\0' and 0xFF must work. The distractors are high bytes for some
+  // targets and ASCII for others, so the ASCII bit flips with them.
   for (const char target : {'\n', '\t', '\0', '\x7f', '\xff'}) {
     for (size_t n = 0; n <= 40; ++n) {
       std::string hay(n, 'A');
@@ -422,19 +474,18 @@ TEST(SwarTest, FindByteMatchesNaiveAtEveryOffset) {
         std::string h = hay;
         if (at < n) h[at] = target;
         const size_t want = NaiveFindByte(h.data(), n, target);
-        ASSERT_EQ(swar::FindByte(h.data(), n, target), want)
-            << "n=" << n << " at=" << at << " target=" << int{target};
-        ASSERT_EQ(swar::FindByteGeneric(h.data(), n, target), want);
+        const bool ascii = NaiveAsciiPrefix(h.data(), want) == want;
+        for (const swar::ByteScan scan :
+             {swar::ScanToByte(h.data(), n, target),
+              swar::ScanToByteGeneric(h.data(), n, target)}) {
+          ASSERT_EQ(scan.at, want)
+              << "n=" << n << " at=" << at << " target=" << int{target};
+          ASSERT_EQ(scan.ascii, ascii)
+              << "n=" << n << " at=" << at << " target=" << int{target};
+        }
       }
     }
   }
-}
-
-TEST(SwarTest, FindByteStringViewReturnsNpos) {
-  EXPECT_EQ(swar::FindByte(std::string_view{}, '\n'), std::string_view::npos);
-  EXPECT_EQ(swar::FindByte(std::string_view{"abc"}, '\n'),
-            std::string_view::npos);
-  EXPECT_EQ(swar::FindByte(std::string_view{"ab\ncd"}, '\n'), 2u);
 }
 
 TEST(SwarTest, AsciiPrefixMatchesNaiveAtEveryOffset) {
@@ -446,6 +497,35 @@ TEST(SwarTest, AsciiPrefixMatchesNaiveAtEveryOffset) {
       ASSERT_EQ(swar::AsciiPrefix(h.data(), n), want)
           << "n=" << n << " at=" << at;
       ASSERT_EQ(swar::AsciiPrefixGeneric(h.data(), n), want);
+    }
+  }
+}
+
+TEST(SwarTest, ScanToByteMatchesNaiveAtEveryOffset) {
+  // Lengths 0-80 around the 8/16-byte steps, the delimiter at every
+  // offset (or absent) and one high byte at every offset (or none),
+  // before, at and after the delimiter. 0x8A is '\n' with its high bit
+  // set, so it must count as high and never as the delimiter.
+  for (const char high : {'\x80', '\x8a', '\xff'}) {
+    for (size_t n = 0; n <= 80; ++n) {
+      for (size_t at = 0; at <= n; ++at) {
+        for (size_t hi = 0; hi <= n; ++hi) {
+          std::string h(n, 'q');
+          if (hi < n) h[hi] = high;
+          if (at < n) h[at] = '\n';
+          const size_t want = NaiveFindByte(h.data(), n, '\n');
+          const bool ascii = NaiveAsciiPrefix(h.data(), want) == want;
+          const swar::ByteScan got = swar::ScanToByte(h.data(), n, '\n');
+          const swar::ByteScan generic =
+              swar::ScanToByteGeneric(h.data(), n, '\n');
+          ASSERT_EQ(got.at, want) << "n=" << n << " at=" << at << " hi=" << hi;
+          ASSERT_EQ(got.ascii, ascii)
+              << "n=" << n << " at=" << at << " hi=" << hi;
+          ASSERT_EQ(generic.at, want);
+          ASSERT_EQ(generic.ascii, ascii)
+              << "n=" << n << " at=" << at << " hi=" << hi;
+        }
+      }
     }
   }
 }
@@ -471,8 +551,13 @@ TEST(SwarTest, RandomDifferentialAgainstNaive) {
     const size_t len = n - std::min(n, skew);
     for (const char target : {'\n', '\t', static_cast<char>(0x80)}) {
       const size_t want = NaiveFindByte(p, len, target);
-      ASSERT_EQ(swar::FindByte(p, len, target), want) << "round " << round;
-      ASSERT_EQ(swar::FindByteGeneric(p, len, target), want);
+      const bool ascii = NaiveAsciiPrefix(p, want) == want;
+      for (const swar::ByteScan scan :
+           {swar::ScanToByte(p, len, target),
+            swar::ScanToByteGeneric(p, len, target)}) {
+        ASSERT_EQ(scan.at, want) << "round " << round;
+        ASSERT_EQ(scan.ascii, ascii) << "round " << round;
+      }
     }
     ASSERT_EQ(swar::AsciiPrefix(p, len), NaiveAsciiPrefix(p, len));
     ASSERT_EQ(swar::AsciiPrefixGeneric(p, len), NaiveAsciiPrefix(p, len));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -12,8 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/interner.h"
 #include "engine/engine.h"
+#include "ingest/block_reader.h"
+#include "ingest/line_scanner.h"
 #include "loggen/corruptor.h"
 #include "loggen/log_text.h"
 #include "loggen/sparql_gen.h"
@@ -344,6 +348,35 @@ void ExpectSameObservables(const IngestReport& reference,
   EXPECT_EQ(reference.per_source, block.per_source) << context;
 }
 
+/// Runs `text` through the block reader and the line scanner alone and
+/// checks every record's `ascii` bit against its kept bytes: true
+/// exactly when none is >= 0x80, for in-block, stitched and overlong
+/// records alike. Returns how many records hold a high byte.
+size_t ExpectExactAsciiBits(const std::string& text, size_t block_bytes,
+                            size_t max_line_bytes,
+                            const std::string& context) {
+  std::istringstream in(text);
+  BlockReader::Options bopts;
+  bopts.block_bytes = block_bytes;
+  BlockReader reader(&in, bopts);
+  Arena carry;
+  LineScanner scanner(&reader, max_line_bytes, &carry);
+  LineScanner::Line rec;
+  uint64_t bytes = 0;
+  size_t records = 0;
+  size_t high = 0;
+  while (scanner.Next(&rec, &bytes)) {
+    const bool ascii =
+        std::all_of(rec.text.begin(), rec.text.end(), [](char c) {
+          return static_cast<unsigned char>(c) < 0x80;
+        });
+    EXPECT_EQ(rec.ascii, ascii) << context << " record " << records;
+    high += ascii ? 0 : 1;
+    ++records;
+  }
+  return high;
+}
+
 TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
   loggen::SourceProfile profile = loggen::ExampleProfile(150);
   auto log = loggen::GenerateLog(profile, 19);
@@ -369,6 +402,11 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
         opts.format = tsv ? LogFormat::kTsv : LogFormat::kPlain;
         opts.engine.threads = 1;
         const IngestReport reference = ReferenceIngest(text, opts);
+        // The UTF-8 splices must reach the encoding check for the sweep
+        // to test which lines skip it; ExpectSameObservables compares
+        // the per-class error counts with the rest of the study.
+        ASSERT_GT(ErrorCount(reference.study, ErrorClass::kEncodingError),
+                  0u);
         for (const size_t block_bytes :
              {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
               size_t{4096}, size_t{1} << 20}) {
@@ -379,6 +417,10 @@ TEST(IngestReaderDifferentialTest, BitIdenticalOnCorruptedLogsAllDialects) {
               " final_newline=" + std::to_string(final_newline) +
               " block_bytes=" + std::to_string(block_bytes);
           ExpectSameObservables(reference, block, context);
+          EXPECT_GT(ExpectExactAsciiBits(text, block_bytes,
+                                         opts.max_line_bytes, context),
+                    0u)
+              << context;
           EXPECT_FALSE(block.used_mmap) << context;  // istream fallback
           if (block_bytes < 64) {
             // Tiny blocks force records across boundaries: the carry
@@ -431,6 +473,45 @@ TEST(IngestReaderDifferentialTest, Utf8AndCrSplitAcrossBlockEdges) {
     const IngestReport block = MustIngest(text, opts);
     ExpectSameObservables(reference, block,
                           "block_bytes=" + std::to_string(block_bytes));
+  }
+}
+
+TEST(IngestReaderDifferentialTest, AsciiBitFlagsEveryHighByteItKeeps) {
+  // High bytes just before a stripped '\r' (invalid 0xFF and a valid
+  // "Ü"), a record long enough to straddle small blocks with a high
+  // byte in its middle, and an overlong record whose only high byte
+  // lies in the dropped tail (so its kept bytes are ASCII).
+  const std::string valid = "SELECT ?x WHERE { ?x a \"\xc3\x9c\" }";
+  const std::string long_query =
+      "SELECT ?x WHERE { ?x <p> ?y . ?y <q> \"" + std::string(40, 'z') +
+      "\xc3\x9c" + std::string(40, 'z') + "\" }";
+  const std::string text = "ASK { ?s ?p ?o }\xff\r\n" + valid + "\r\n" +
+                           long_query + "\n" + std::string(200, 'w') +
+                           "\xff\n" + valid + "\n";
+
+  IngestOptions opts;
+  opts.engine.threads = 1;
+  opts.max_line_bytes = 160;
+  const IngestReport reference = ReferenceIngest(text, opts);
+  EXPECT_EQ(ErrorCount(reference.study, ErrorClass::kEncodingError), 1u);
+  EXPECT_EQ(ErrorCount(reference.study, ErrorClass::kResourceExhausted), 1u);
+  EXPECT_EQ(reference.study.valid, 3u);
+
+  for (const size_t block_bytes : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                                   size_t{16}, size_t{64}, size_t{4096}}) {
+    const std::string context = "block_bytes=" + std::to_string(block_bytes);
+    opts.block_bytes = block_bytes;
+    const IngestReport block = MustIngest(text, opts);
+    ExpectSameObservables(reference, block, context);
+    // Four records keep a high byte: the two before a '\r', the long
+    // query and the last line. The overlong line keeps none.
+    EXPECT_EQ(
+        ExpectExactAsciiBits(text, block_bytes, opts.max_line_bytes, context),
+        4u)
+        << context;
+    if (block_bytes < 64) {
+      EXPECT_GT(block.carry_stitches, 0u) << context;
+    }
   }
 }
 
