@@ -32,7 +32,7 @@
 #include "common/build_info.h"
 #include "common/table.h"
 #include "engine/engine.h"
-#include "obs/admin_server.h"
+#include "serve/admin_server.h"
 #include "study_util.h"
 
 namespace {
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   // dead engine.
   std::mutex sweeping_mu;
   const engine::Engine* sweeping = nullptr;
-  auto admin = obs::MaybeStartEnvAdmin([&] {
+  auto admin = serve::MaybeStartEnvAdmin([&] {
     std::lock_guard<std::mutex> lock(sweeping_mu);
     return sweeping != nullptr ? sweeping->Snapshot().ToJson()
                                : engine::Metrics{}.ToJson();

@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   eng_opts.threads = threads;
   eng_opts.progress.interval_ms = progress_ms;  // live one-line snapshots
   engine::Engine ingest_engine(eng_opts);
-  auto admin = obs::MaybeStartEnvAdmin(
+  auto admin = serve::MaybeStartEnvAdmin(
       [&ingest_engine] { return ingest_engine.Snapshot().ToJson(); });
   auto ingested = ingest::IngestStream(log_text, &ingest_engine, iopts);
   if (!ingested.ok()) {

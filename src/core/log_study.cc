@@ -1,19 +1,6 @@
 #include "core/log_study.h"
 
-#include "engine/engine.h"
-
 namespace rwdt::core {
-
-SourceStudy AnalyzeLog(const loggen::SourceProfile& profile, uint64_t seed,
-                       const LogStudyOptions& options) {
-  // The historical single-threaded path is the engine's threads=1 case:
-  // one shard, entries processed in log order, no worker threads.
-  engine::EngineOptions eopts;
-  eopts.threads = 1;
-  eopts.study = options;
-  engine::Engine eng(eopts);
-  return eng.AnalyzeLog(profile, seed);
-}
 
 void Merge(const LogAggregates& from, LogAggregates* into) {
   into->queries += from.queries;

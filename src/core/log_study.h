@@ -10,7 +10,6 @@
 #include "common/interner.h"
 #include "common/status.h"
 #include "hypergraph/hypergraph.h"
-#include "loggen/sparql_gen.h"
 #include "paths/analysis.h"
 #include "sparql/analysis.h"
 
@@ -87,15 +86,6 @@ struct LogStudyOptions {
   /// (real logs cap out around 230; the check is exponential in k only).
   size_t max_triples_for_htw = 64;
 };
-
-/// Runs the full per-query analysis pipeline (the paper's "~120
-/// analytical tests") over a generated log.
-///
-/// This is the single-threaded convenience entry point: it delegates to
-/// `engine::Engine` with `threads = 1`. Use the engine directly for
-/// parallel sharding and metrics.
-SourceStudy AnalyzeLog(const loggen::SourceProfile& profile, uint64_t seed,
-                       const LogStudyOptions& options = {});
 
 /// Merges aggregates (for DBpedia-BritM vs Wikidata groupings).
 void Merge(const LogAggregates& from, LogAggregates* into);

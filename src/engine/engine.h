@@ -110,8 +110,7 @@ class EngineStream {
 /// A parallel streaming log-analysis engine.
 ///
 /// The engine runs the paper's per-query classifier battery (Tables 3-8,
-/// Figure 3) over query logs with three production-minded properties the
-/// plain `core::AnalyzeLog` loop lacked:
+/// Figure 3) over query logs with three production-minded properties:
 ///
 ///  1. **Sharded parallelism.** Entries are partitioned by query-text
 ///     hash across one shard per thread, executed on a fixed thread
@@ -131,7 +130,7 @@ class EngineStream {
 ///     `Snapshot` copies the total, and a scrape-time collector renders
 ///     it into the process-wide obs::MetricRegistry (`rwdt_engine_*`).
 ///     The engine only analyzes: the tools that run it host the admin
-///     endpoints (obs::MaybeStartEnvAdmin) and the profiler
+///     endpoints (serve::MaybeStartEnvAdmin) and the profiler
 ///     (obs::MaybeStartEnvProfile).
 ///
 /// Thread-safe for metrics reads; `AnalyzeLog`/`AnalyzeEntries` must not
@@ -145,7 +144,7 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Generates the log for `profile` at `seed` and streams it through
-  /// the pipeline. Equivalent to core::AnalyzeLog for any thread count.
+  /// the pipeline. The study is the same for any thread count.
   core::SourceStudy AnalyzeLog(const loggen::SourceProfile& profile,
                                uint64_t seed);
 

@@ -591,57 +591,4 @@ std::unique_ptr<ScopedSelfProfile> MaybeStartEnvProfile(
   return std::make_unique<ScopedSelfProfile>(std::move(path), options);
 }
 
-serve::HttpResponse HandleProfilez(const serve::HttpRequest& request) {
-  serve::HttpResponse resp;
-  resp.extra_headers.push_back({"Cache-Control", "no-store"});
-
-  double seconds = 1.0;
-  const std::string seconds_param =
-      serve::QueryParam(request.query, "seconds");
-  if (!seconds_param.empty()) {
-    seconds = std::strtod(seconds_param.c_str(), nullptr);
-    if (!(seconds > 0)) {
-      resp.status = 400;
-      resp.body = "bad seconds parameter\n";
-      return resp;
-    }
-  }
-  seconds = std::min(std::max(seconds, 0.05), 60.0);
-
-  ProfileOptions options;
-  const std::string hz_param = serve::QueryParam(request.query, "hz");
-  if (!hz_param.empty()) {
-    options.hz = std::strtod(hz_param.c_str(), nullptr);
-    if (!(options.hz > 0)) {
-      resp.status = 400;
-      resp.body = "bad hz parameter\n";
-      return resp;
-    }
-  }
-
-  const std::string format =
-      serve::QueryParam(request.query, "format", "collapsed");
-  if (format != "collapsed" && format != "json") {
-    resp.status = 400;
-    resp.body = "format must be collapsed or json\n";
-    return resp;
-  }
-
-  auto profile = CaptureProfile(seconds, options);
-  if (!profile.ok()) {
-    resp.status = 503;
-    resp.extra_headers.push_back({"Retry-After", "1"});
-    resp.body = profile.error_message() + "\n";
-    return resp;
-  }
-  if (format == "json") {
-    resp.content_type = "application/json; charset=utf-8";
-    resp.body = profile.value().ToJson();
-  } else {
-    resp.content_type = "text/plain; charset=utf-8";
-    resp.body = profile.value().ToCollapsed();
-  }
-  return resp;
-}
-
 }  // namespace rwdt::obs

@@ -5,10 +5,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
-#include "serve/http_server.h"
 
 namespace rwdt::obs {
 
@@ -178,14 +178,6 @@ class ScopedSelfProfile {
 /// RWDT_PROFILE_HZ overrides the sampling frequency (default 99).
 std::unique_ptr<ScopedSelfProfile> MaybeStartEnvProfile(
     const char* default_path = "profile.collapsed");
-
-/// The shared GET /profilez handler: parses `seconds` (default 1,
-/// clamped to [0.05, 60]), `hz` (default 99), and `format`
-/// ("collapsed" | "json") from the query string, runs a blocking timed
-/// capture, and renders it. Both the engine's AdminServer and
-/// rwdt_serve mount this. Responses carry Cache-Control: no-store — a
-/// profile is a point-in-time capture.
-serve::HttpResponse HandleProfilez(const serve::HttpRequest& request);
 
 }  // namespace rwdt::obs
 

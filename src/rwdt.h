@@ -20,8 +20,8 @@
 //     EngineOptions::progress (also IngestOptions::engine.progress) for
 //     live run reporting, labeled with the stream's source name. The
 //     engine runs one shard per thread and only analyzes; a process that
-//     runs it hosts the admin endpoints (obs::MaybeStartEnvAdmin) and the
-//     profiler (obs::MaybeStartEnvProfile) itself.
+//     runs it hosts the admin endpoints (serve::MaybeStartEnvAdmin) and
+//     the profiler (obs::MaybeStartEnvProfile) itself.
 #ifndef RWDT_RWDT_H_
 #define RWDT_RWDT_H_
 
@@ -35,9 +35,14 @@
 #include "common/status.h"
 #include "common/table.h"
 
-// Observability: tracing, structured logging, the metric registry, the
-// shared admin routes and the profiler.
-#include "obs/obs.h"
+// Observability: tracing, structured logging, the metric registry and
+// its OpenMetrics exposition, the profiler and the process footprint.
+#include "obs/log.h"
+#include "obs/openmetrics.h"
+#include "obs/proc_stats.h"
+#include "obs/profiler.h"
+#include "obs/registry.h"
+#include "obs/trace.h"
 
 // Parsers and per-formalism analyses.
 #include "paths/analysis.h"
@@ -94,8 +99,11 @@
 #include "exec/operators.h"
 #include "exec/planner.h"
 
-// HTTP serving: the hand-rolled HTTP/1.1 stack and the classification
-// service (batching, backpressure, per-tenant quotas, graceful drain).
+// HTTP serving: the hand-rolled HTTP/1.1 stack, the shared admin routes
+// and the server a tool hosts them on (/metrics, /healthz, /readyz,
+// /statusz, /tracez, /profilez), and the classification service
+// (batching, backpressure, per-tenant quotas, graceful drain).
+#include "serve/admin_server.h"
 #include "serve/http_server.h"
 #include "serve/serve.h"
 #include "serve/verdict.h"

@@ -52,8 +52,8 @@ std::string QueryParam(std::string_view query, std::string_view key,
 /// A small, dependency-free blocking HTTP/1.1 server: one accept thread
 /// feeds a bounded connection queue drained by a fixed handler pool.
 /// This is the one hand-rolled HTTP stack in the tree — the admin
-/// endpoints (obs::AdminServer) and the classification front end
-/// (serve::ClassifyServer) are both built on it.
+/// endpoints (AdminServer) and the classification front end
+/// (ClassifyServer) are both built on it.
 ///
 /// Supported: GET/POST routing by exact path, request bodies framed by
 /// Content-Length (bounded by `max_body_bytes`, 413 beyond), HTTP/1.1

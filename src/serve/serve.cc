@@ -11,8 +11,8 @@
 #include "exec/planner.h"
 #include "graph/rdf.h"
 #include "ingest/ingest.h"
-#include "obs/admin_server.h"
 #include "obs/log.h"
+#include "serve/admin_server.h"
 #include "sparql/parser.h"
 
 namespace rwdt::serve {
@@ -106,16 +106,25 @@ struct ClassifyServer::Worker {
 };
 
 Status ServeOptions::Validate() const {
+  // The same cap as EngineOptions::threads: each worker and each
+  // handler is a thread.
+  constexpr unsigned kMaxThreads = 4096;
   if (queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be > 0");
   }
   if (workers == 0) return Status::InvalidArgument("workers must be > 0");
+  if (workers > kMaxThreads) {
+    return Status::InvalidArgument("workers must be <= 4096");
+  }
   if (max_batch == 0) return Status::InvalidArgument("max_batch must be > 0");
   if (quota_qps > 0 && !(quota_burst >= 1)) {
     return Status::InvalidArgument("quota_burst must be >= 1 when quotas on");
   }
   if (http.handler_threads == 0) {
     return Status::InvalidArgument("http.handler_threads must be > 0");
+  }
+  if (http.handler_threads > kMaxThreads) {
+    return Status::InvalidArgument("http.handler_threads must be <= 4096");
   }
   if (!(trace_sample_rate >= 0) || trace_sample_rate > 1) {
     return Status::InvalidArgument("trace_sample_rate must be in [0, 1]");
@@ -186,10 +195,10 @@ Status ClassifyServer::Start() {
   http_->Handle("GET", "/slowz", [this](const HttpRequest& r) {
     return HandleSlowz(r);
   });
-  obs::AdminHooks hooks;
+  AdminHooks hooks;
   hooks.ready = [this] { return !draining(); };
   hooks.statusz = [this] { return StatuszJson(); };
-  for (obs::AdminRoute& route : obs::AdminRoutes(std::move(hooks))) {
+  for (AdminRoute& route : AdminRoutes(std::move(hooks))) {
     http_->Handle("GET", route.path,
                   [this, path = route.path,
                    handler = std::move(route.handler)](const HttpRequest& r) {

@@ -26,8 +26,9 @@ namespace rwdt::serve {
 
 struct ServeOptions {
   /// Front-end HTTP options (bind address, port, handler pool, body
-  /// caps). handler_threads bounds concurrent in-flight requests; each
-  /// one parks on its queued job until a worker completes it.
+  /// caps). handler_threads (at most 4096) bounds concurrent in-flight
+  /// requests; each one parks on its queued job until a worker
+  /// completes it.
   HttpServer::Options http;
 
   /// Bounded request queue between the HTTP handler pool and the batch
@@ -40,7 +41,7 @@ struct ServeOptions {
   /// within a request, not across requests; EngineStream's
   /// one-stream-per-engine rule holds because a worker processes jobs
   /// serially). Classification uses the default core::LogStudyOptions
-  /// and sparql::ParseLimits.
+  /// and sparql::ParseLimits. At most 4096.
   unsigned workers = 2;
 
   /// Micro-batch: a worker pops up to this many queued jobs per wakeup,
@@ -100,7 +101,7 @@ struct ServeOptions {
 ///                   slowest requests of the recent window with trace
 ///                   id, timing breakdown, verdict, explained plan.
 ///   GET  /quitquitquit   requests shutdown (releases WaitForQuit).
-///   The shared admin routes (obs::AdminRoutes), each counted in
+///   The shared admin routes (AdminRoutes), each counted in
 ///   rwdt_serve_requests_total like the routes above:
 ///   GET  /healthz   liveness: 200 while the process serves at all.
 ///   GET  /readyz    readiness: 200 while accepting new work; 503

@@ -20,9 +20,15 @@
 namespace rwdt::core {
 namespace {
 
+engine::EngineOptions OneThread() {
+  engine::EngineOptions options;
+  options.threads = 1;
+  return options;
+}
+
 TEST(LogStudyTest, BasicInvariants) {
   loggen::SourceProfile p = loggen::ExampleProfile(1500);
-  const SourceStudy study = AnalyzeLog(p, 101);
+  const SourceStudy study = engine::Engine(OneThread()).AnalyzeLog(p, 101);
   EXPECT_EQ(study.total, 1500u);
   EXPECT_LE(study.valid, study.total);
   EXPECT_LE(study.unique, study.valid);
@@ -38,7 +44,7 @@ TEST(LogStudyTest, BasicInvariants) {
 
 TEST(LogStudyTest, FragmentContainments) {
   loggen::SourceProfile p = loggen::ExampleProfile(1500);
-  const SourceStudy s = AnalyzeLog(p, 55);
+  const SourceStudy s = engine::Engine(OneThread()).AnalyzeLog(p, 55);
   const LogAggregates& a = s.valid_agg;
   // CQ subseteq CQ+F subseteq C2RPQ+F.
   EXPECT_LE(a.cq, a.cq_f);
@@ -64,7 +70,7 @@ TEST(LogStudyTest, FragmentContainments) {
 
 TEST(LogStudyTest, ShapesDominatedBySimpleOnes) {
   loggen::SourceProfile p = loggen::ExampleProfile(2000);
-  const SourceStudy s = AnalyzeLog(p, 77);
+  const SourceStudy s = engine::Engine(OneThread()).AnalyzeLog(p, 77);
   const LogAggregates& a = s.valid_agg;
   ASSERT_GT(a.graph_cqf, 100u);
   uint64_t simple = 0, total = 0;
@@ -86,7 +92,7 @@ TEST(LogStudyTest, WikidataProfileShowsPaths) {
   ASSERT_NE(wiki, nullptr);
   loggen::SourceProfile scaled = *wiki;
   scaled.total_queries = 2500;
-  const SourceStudy s = AnalyzeLog(scaled, 31);
+  const SourceStudy s = engine::Engine(OneThread()).AnalyzeLog(scaled, 31);
   const LogAggregates& a = s.valid_agg;
   // Property paths prominent (paper: 24% of Wikidata queries).
   const uint64_t with_paths =
@@ -107,8 +113,9 @@ TEST(LogStudyTest, WikidataProfileShowsPaths) {
 
 TEST(LogStudyTest, MergeAddsUp) {
   loggen::SourceProfile p = loggen::ExampleProfile(500);
-  SourceStudy a = AnalyzeLog(p, 1);
-  SourceStudy b = AnalyzeLog(p, 2);
+  engine::Engine engine(OneThread());
+  SourceStudy a = engine.AnalyzeLog(p, 1);
+  SourceStudy b = engine.AnalyzeLog(p, 2);
   SourceStudy merged = a;
   MergeSource(b, &merged);
   EXPECT_EQ(merged.total, a.total + b.total);
@@ -193,12 +200,6 @@ TEST(TreewidthStudyTest, BoundsOrdered) {
 
 uint64_t StudyDigest(const SourceStudy& study) {
   return Hash64(serve::StudyToJson(study));
-}
-
-engine::EngineOptions OneThread() {
-  engine::EngineOptions options;
-  options.threads = 1;
-  return options;
 }
 
 TEST(StudyDigestTest, Table2ProfilesAtDefaultScale) {

@@ -268,7 +268,9 @@ TEST(EngineTest, SpanFeedMatchesVectorFeed) {
 
 TEST(EngineTest, MatchesLegacySingleThreadedPath) {
   loggen::SourceProfile p = loggen::ExampleProfile(1200);
-  const core::SourceStudy legacy = core::AnalyzeLog(p, 13);
+  EngineOptions one;
+  one.threads = 1;
+  const core::SourceStudy legacy = Engine(one).AnalyzeLog(p, 13);
   EngineOptions opts;
   opts.threads = 4;
   Engine engine(opts);

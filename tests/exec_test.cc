@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "common/interner.h"
+#include "common/max_depth.h"
 #include "common/rng.h"
+#include "depth_ladders.h"
 #include "exec/operators.h"
 #include "exec/planner.h"
 #include "graph/generators.h"
@@ -300,6 +302,36 @@ TEST_F(ExecTest, ResourceLimitsSurfaceAsErrors) {
   ASSERT_TRUE(
       exec.Run(Parse("SELECT * WHERE { { ?x p0 ?y } UNION { ?x p1 ?y } }"))
           .ok());
+}
+
+// The SPARQL depth ladders at the deepest text the parser accepts (the
+// parse and evaluate half is sparql_test's
+// SparqlTest.QueryAtMaxDepthParsesClassifiesAndEvaluates): the planner
+// and executor take it and agree with the reference evaluator.
+TEST(ExecDepthTest, QueryAtMaxDepthPlansAndExecutesAsTheEvaluator) {
+  Interner dict;
+  graph::TripleStore store;
+  const SymbolId knows = dict.Intern("knows");
+  store.Add(dict.Intern("alice"), knows, dict.Intern("bob"));
+  store.Add(dict.Intern("bob"), knows, dict.Intern("carol"));
+  store.Add(dict.Intern("carol"), knows, dict.Intern("dave"));
+  Executor exec(store, &dict);
+  sparql::Evaluator eval(store, &dict);
+  for (const ladders::Nesting& nesting : ladders::SparqlNestings()) {
+    const size_t n = (kDefaultMaxDepth - nesting.base) / nesting.per;
+    const auto q = sparql::ParseSparql(nesting.text(n), &dict);
+    ASSERT_TRUE(q.ok()) << nesting.name << ": " << q.status().ToString();
+    const core::QueryVerdict verdict = exec.Classify(q.value());
+    auto plan = exec.MakePlan(q.value(), verdict);
+    ASSERT_TRUE(plan.ok()) << nesting.name << ": "
+                           << plan.status().ToString();
+    auto got = exec.Execute(plan.value());
+    ASSERT_TRUE(got.ok()) << nesting.name << ": " << got.status().ToString();
+    auto want = eval.EvalQuery(q.value());
+    ASSERT_TRUE(want.ok()) << nesting.name << ": "
+                           << want.status().ToString();
+    EXPECT_EQ(Sorted(got.value()), Sorted(want.value())) << nesting.name;
+  }
 }
 
 // --- Join forest -----------------------------------------------------

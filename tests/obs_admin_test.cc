@@ -18,12 +18,12 @@
 
 #include "common/interner.h"
 #include "engine/engine.h"
-#include "obs/admin_server.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "serve/admin_server.h"
 #include "tree/json.h"
 
-namespace rwdt::obs {
+namespace rwdt::serve {
 namespace {
 
 struct HttpResult {
@@ -156,7 +156,7 @@ std::function<std::string()> MetricsJson(const engine::Engine& eng) {
 /// ephemeral port) serves every shared route, and /metrics agrees with
 /// the engine's final Metrics snapshot.
 TEST(AdminServerTest, EngineEndToEnd) {
-  TraceCollector trace;  // makes /tracez live
+  obs::TraceCollector trace;  // makes /tracez live
 
   engine::EngineOptions opts;
   opts.threads = 2;
@@ -243,7 +243,7 @@ TEST(AdminServerTest, TracezWithoutCollectorIs503) {
 
 /// ?limit= must be a decimal count: garbage is a 400, never "no cap".
 TEST(AdminServerTest, TracezRejectsLimitThatIsNotADecimalCount) {
-  TraceCollector trace;
+  obs::TraceCollector trace;
   engine::EngineOptions opts;
   opts.threads = 1;
   engine::Engine eng(opts);
@@ -294,4 +294,4 @@ TEST(AdminServerTest, AdminOffByDefaultAndBindFailureIsNonFatal) {
 }
 
 }  // namespace
-}  // namespace rwdt::obs
+}  // namespace rwdt::serve

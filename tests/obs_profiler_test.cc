@@ -4,7 +4,8 @@
 // ring-overwrite loss accounting surfaced on /metrics, a multi-thread
 // capture smoke (TSan-clean by construction: the handler writes relaxed
 // atomics into pre-allocated rings), the process-global capture lock,
-// the off-CPU dimension, and the /profilez handler contract.
+// the off-CPU dimension, and the /profilez handler contract
+// (serve::HandleProfilez, which wraps a capture in HTTP).
 
 #include "obs/profiler.h"
 
@@ -18,7 +19,7 @@
 
 #include "obs/proc_stats.h"
 #include "obs/registry.h"
-#include "serve/http_server.h"
+#include "serve/admin_server.h"
 
 namespace rwdt::obs {
 
@@ -233,9 +234,9 @@ bool HasHeader(const serve::HttpResponse& response, const std::string& key,
 }
 
 TEST(ProfilezTest, RejectsBadParameters) {
-  EXPECT_EQ(HandleProfilez(ProfilezRequest("format=xml")).status, 400);
-  EXPECT_EQ(HandleProfilez(ProfilezRequest("seconds=abc")).status, 400);
-  EXPECT_EQ(HandleProfilez(ProfilezRequest("hz=0")).status, 400);
+  EXPECT_EQ(serve::HandleProfilez(ProfilezRequest("format=xml")).status, 400);
+  EXPECT_EQ(serve::HandleProfilez(ProfilezRequest("seconds=abc")).status, 400);
+  EXPECT_EQ(serve::HandleProfilez(ProfilezRequest("hz=0")).status, 400);
 }
 
 TEST(ProfilezTest, CapturesAndSetsNoStore) {
@@ -246,7 +247,7 @@ TEST(ProfilezTest, CapturesAndSetsNoStore) {
     while (!stop.load()) ProfilerTestBurnAnchor(100000);
   });
   const serve::HttpResponse collapsed =
-      HandleProfilez(ProfilezRequest("seconds=0.2&hz=400"));
+      serve::HandleProfilez(ProfilezRequest("seconds=0.2&hz=400"));
   EXPECT_EQ(collapsed.status, 200) << collapsed.body;
   EXPECT_NE(collapsed.content_type.find("charset=utf-8"), std::string::npos);
   EXPECT_TRUE(HasHeader(collapsed, "Cache-Control", "no-store"));
@@ -256,7 +257,7 @@ TEST(ProfilezTest, CapturesAndSetsNoStore) {
   }
 
   const serve::HttpResponse json =
-      HandleProfilez(ProfilezRequest("seconds=0.1&hz=200&format=json"));
+      serve::HandleProfilez(ProfilezRequest("seconds=0.1&hz=200&format=json"));
   stop.store(true);
   burner.join();
   EXPECT_EQ(json.status, 200) << json.body;

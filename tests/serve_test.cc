@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -20,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/max_depth.h"
+#include "depth_ladders.h"
 #include "ingest/ingest.h"
 #include "loggen/sparql_gen.h"
 #include "serve/verdict.h"
@@ -398,6 +401,42 @@ TEST(ClassifyServerTest, ValidateRejectsNonsense) {
   opts.enable_slow_log = true;
   opts.slow_log.capacity = 0;
   EXPECT_FALSE(opts.Validate().ok());
+}
+
+// Thread counts are capped as the engine's are: a worker count or
+// handler pool of UINT_MAX (what "-1" read with atoi used to become) is
+// refused before anything starts.
+TEST(ClassifyServerTest, ValidateCapsWorkersAndHandlerThreads) {
+  ServeOptions opts = BaseOptions();
+  opts.workers = UINT_MAX;
+  EXPECT_FALSE(opts.Validate().ok());
+  opts = BaseOptions();
+  opts.http.handler_threads = UINT_MAX;
+  EXPECT_FALSE(opts.Validate().ok());
+  opts = BaseOptions();
+  opts.workers = 4097;
+  EXPECT_FALSE(opts.Validate().ok());
+  opts = BaseOptions();
+  opts.workers = 4096;
+  opts.http.handler_threads = 4096;
+  EXPECT_TRUE(opts.Validate().ok());
+}
+
+// The XPath depth ladder at the deepest text the parser accepts (its
+// parse and evaluate half is xpath_test's
+// XPathTest.QueryAtMaxDepthParsesClassifiesAndEvaluates): the service's
+// classifier takes it and finds it downward.
+TEST(ClassifyToJsonTest, XPathAtMaxDepthIsDownward) {
+  for (const ladders::Nesting& nesting : ladders::XPathNestings()) {
+    const std::string text = nesting.text(kDefaultMaxDepth - nesting.base);
+    const auto json = ClassifyToJson(text, QueryLang::kXPath,
+                                     core::LogStudyOptions{},
+                                     sparql::ParseLimits{});
+    ASSERT_TRUE(json.ok()) << nesting.name << ": "
+                           << json.status().ToString();
+    EXPECT_NE(json.value().find("\"downward\":true"), std::string::npos)
+        << json.value();
+  }
 }
 
 // ---------------------------------------------------------------------

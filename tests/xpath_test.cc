@@ -1,14 +1,11 @@
-#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/interner.h"
-#include "core/log_study.h"
-#include "paths/path.h"
-#include "serve/verdict.h"
-#include "sparql/parser.h"
+#include "common/max_depth.h"
+#include "depth_ladders.h"
 #include "tree/xml.h"
 #include "xpath/xpath.h"
 
@@ -166,40 +163,12 @@ TEST_F(XPathTest, EveryTreePatternIsPositiveAndDownward) {
   }
 }
 
-std::string Repeat(const std::string& s, size_t n) {
-  std::string out;
-  out.reserve(s.size() * n);
-  for (size_t i = 0; i < n; ++i) out += s;
-  return out;
-}
-
-/// One nesting construct: `text(n)` nests it n times, reaching
-/// base + n levels.
-struct Nesting {
-  const char* name;
-  size_t base;
-  std::function<std::string(size_t)> text;
-};
-
-std::vector<Nesting> Nestings() {
-  return {
-      {"predicate", 0,
-       [](size_t n) { return Repeat("a[", n) + "b" + Repeat("]", n); }},
-      {"not", 1,
-       [](size_t n) {
-         return "a[" + Repeat("not(", n) + "b" + Repeat(")", n) + "]";
-       }},
-      {"parens", 1,
-       [](size_t n) {
-         return "a[" + Repeat("(", n) + "b" + Repeat(")", n) + "]";
-       }},
-  };
-}
+using ladders::Nesting;
 
 constexpr size_t kMaxDepth = kDefaultMaxDepth;
 
 TEST_F(XPathTest, NestingLadderIsResourceExhaustedBeyondMaxDepth) {
-  for (const Nesting& nesting : Nestings()) {
+  for (const Nesting& nesting : ladders::XPathNestings()) {
     for (size_t n = 10; n <= 1000000; n *= 10) {
       const auto q = ParseXPath(nesting.text(n), &dict_);
       if (nesting.base + n <= kMaxDepth) {
@@ -217,25 +186,19 @@ TEST_F(XPathTest, NestingLadderIsResourceExhaustedBeyondMaxDepth) {
   }
 }
 
+// serve_test's ClassifyToJsonTest.XPathAtMaxDepthIsDownward classifies
+// the same texts through the service's classifier.
 TEST_F(XPathTest, QueryAtMaxDepthParsesClassifiesAndEvaluates) {
-  for (const Nesting& nesting : Nestings()) {
+  for (const Nesting& nesting : ladders::XPathNestings()) {
     const size_t n = kMaxDepth - nesting.base;
     const auto over = ParseXPath(nesting.text(n + 1), &dict_);
     ASSERT_FALSE(over.ok()) << nesting.name;
     EXPECT_EQ(over.status().code(), Code::kResourceExhausted)
         << nesting.name;
 
-    const std::string text = nesting.text(n);
-    const Query q = Q(text);
+    const Query q = Q(nesting.text(n));
     EXPECT_TRUE(IsDownwardXPath(q)) << nesting.name;
     EXPECT_TRUE(Evaluate(q, tree_, dict_, attrs_).empty()) << nesting.name;
-    const auto json = serve::ClassifyToJson(text, serve::QueryLang::kXPath,
-                                            core::LogStudyOptions{},
-                                            sparql::ParseLimits{});
-    ASSERT_TRUE(json.ok()) << nesting.name << ": "
-                           << json.status().ToString();
-    EXPECT_NE(json.value().find("\"downward\":true"), std::string::npos)
-        << json.value();
   }
 }
 

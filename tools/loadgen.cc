@@ -33,6 +33,7 @@
 
 #include "common/build_info.h"
 #include "common/json.h"
+#include "flags.h"
 #include "loggen/rate_schedule.h"
 #include "loggen/sparql_gen.h"
 #include "obs/trace.h"
@@ -40,6 +41,12 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using rwdt::tools::ParseDecimal;
+using rwdt::tools::ParseFlag;
+
+/// Each connection is a sender thread; the same cap as the server's
+/// thread counts.
+constexpr unsigned kMaxConnections = 4096;
 
 struct Config {
   std::string host = "127.0.0.1";
@@ -218,17 +225,11 @@ double Percentile(std::vector<double>* sorted, double p) {
   return (*sorted)[std::min(idx, sorted->size() - 1)];
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [flags]\n"
+      "  (N is a decimal number, without sign)\n"
       "  --target=HOST:PORT   server (default 127.0.0.1:8080)\n"
       "  --path=PATH          route to hit (default /v1/classify)\n"
       "  --tenant=NAME        X-Tenant header value (default: none)\n"
@@ -240,7 +241,7 @@ int Usage(const char* argv0) {
       "  --duty=X             burst duty cycle in (0,1) (default 0.2)\n"
       "  --duration=X         run length seconds (default 10)\n"
       "  --seed=N             arrival-schedule seed (default 1)\n"
-      "  --connections=N      sender threads (default 8)\n"
+      "  --connections=N      sender threads (default 8, at most 4096)\n"
       "  --trace=0|1          send a sampled traceparent per request and\n"
       "                       report the slowest trace ids (default 0)\n"
       "  --out=FILE           JSON report (default BENCH_serve.json)\n"
@@ -260,7 +261,11 @@ int main(int argc, char** argv) {
       return 0;
     } else if (ParseFlag(argv[i], "--target", &v)) {
       const size_t colon = v.rfind(':');
-      if (colon == std::string::npos) return Usage(argv[0]);
+      uint16_t port = 0;
+      if (colon == std::string::npos ||
+          !ParseDecimal(v.substr(colon + 1), &port)) {
+        return Usage(argv[0]);
+      }
       config.host = v.substr(0, colon);
       config.port = v.substr(colon + 1);
     } else if (ParseFlag(argv[i], "--path", &v)) {
@@ -284,11 +289,15 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--duration", &v)) {
       config.duration_s = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--seed", &v)) {
-      config.seed = std::strtoull(v.c_str(), nullptr, 10);
+      if (!ParseDecimal(v, &config.seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--connections", &v)) {
-      config.connections = static_cast<unsigned>(std::atoi(v.c_str()));
+      if (!ParseDecimal(v, &config.connections, kMaxConnections)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--trace", &v)) {
-      config.trace = std::atoi(v.c_str()) != 0;
+      unsigned trace = 0;
+      if (!ParseDecimal(v, &trace, 1u)) return Usage(argv[0]);
+      config.trace = trace != 0;
     } else if (ParseFlag(argv[i], "--out", &v)) {
       config.out = v;
     } else {

@@ -18,11 +18,15 @@
 
 #include "common/build_info.h"
 #include "common/json.h"
+#include "flags.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "serve/serve.h"
 
 namespace {
+
+using rwdt::tools::ParseDecimal;
+using rwdt::tools::ParseFlag;
 
 rwdt::serve::ClassifyServer* g_server = nullptr;
 
@@ -31,21 +35,16 @@ void HandleSignal(int /*sig*/) {
   if (g_server != nullptr) g_server->RequestQuit();
 }
 
-bool ParseFlag(const char* arg, const char* name, std::string* out) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  *out = arg + len + 1;
-  return true;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [flags]\n"
+      "  (N is a decimal number, without sign)\n"
       "  --port=N             listen port (default 8080; 0 = ephemeral)\n"
       "  --bind=ADDR          bind address (default 127.0.0.1)\n"
-      "  --workers=N          batch workers (default 2)\n"
-      "  --handler-threads=N  concurrent HTTP requests (default 8)\n"
+      "  --workers=N          batch workers (default 2, at most 4096)\n"
+      "  --handler-threads=N  concurrent HTTP requests (default 8, at most\n"
+      "                       4096)\n"
       "  --queue=N            request queue capacity (default 256)\n"
       "  --max-batch=N        jobs per worker wakeup (default 32)\n"
       "  --max-body-mb=N      request body cap in MiB (default 64)\n"
@@ -116,21 +115,23 @@ int main(int argc, char** argv) {
       std::printf("%s\n", rwdt::common::BuildInfo::Get().ToString().c_str());
       return 0;
     } else if (ParseFlag(argv[i], "--port", &v)) {
-      options.http.port = static_cast<uint16_t>(std::atoi(v.c_str()));
+      if (!ParseDecimal(v, &options.http.port)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--bind", &v)) {
       options.http.bind_address = v;
     } else if (ParseFlag(argv[i], "--workers", &v)) {
-      options.workers = static_cast<unsigned>(std::atoi(v.c_str()));
+      if (!ParseDecimal(v, &options.workers)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--handler-threads", &v)) {
-      options.http.handler_threads =
-          static_cast<unsigned>(std::atoi(v.c_str()));
+      if (!ParseDecimal(v, &options.http.handler_threads)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--queue", &v)) {
-      options.queue_capacity = static_cast<size_t>(std::atoll(v.c_str()));
+      if (!ParseDecimal(v, &options.queue_capacity)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--max-batch", &v)) {
-      options.max_batch = static_cast<size_t>(std::atoll(v.c_str()));
+      if (!ParseDecimal(v, &options.max_batch)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--max-body-mb", &v)) {
-      options.http.max_body_bytes =
-          static_cast<size_t>(std::atoll(v.c_str())) << 20;
+      size_t mb = 0;
+      if (!ParseDecimal(v, &mb, SIZE_MAX >> 20)) return Usage(argv[0]);
+      options.http.max_body_bytes = mb << 20;
     } else if (ParseFlag(argv[i], "--quota-qps", &v)) {
       options.quota_qps = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--quota-burst", &v)) {
@@ -138,14 +139,14 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--trace-sample", &v)) {
       options.trace_sample_rate = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--trace-seed", &v)) {
-      options.trace_sample_seed =
-          static_cast<uint64_t>(std::strtoull(v.c_str(), nullptr, 10));
+      if (!ParseDecimal(v, &options.trace_sample_seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--trace", &v)) {
       trace_path = v;
     } else if (ParseFlag(argv[i], "--slow-log", &v)) {
-      const long long n = std::atoll(v.c_str());
+      size_t n = 0;
+      if (!ParseDecimal(v, &n)) return Usage(argv[0]);
       options.enable_slow_log = n > 0;
-      if (n > 0) options.slow_log.capacity = static_cast<size_t>(n);
+      if (n > 0) options.slow_log.capacity = n;
     } else if (ParseFlag(argv[i], "--slow-window", &v)) {
       options.slow_log.window_s = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--report", &v)) {
