@@ -31,12 +31,22 @@ const char* CodeName(Code code) {
 
 }  // namespace
 
+Status::Status(Code code, std::string message)
+    : rep_(code == Code::kOk ? nullptr : new Rep{code, std::move(message)}) {}
+
+Status::Rep* Status::Copy(const Rep& rep) { return new Rep(rep); }
+
+const std::string& Status::EmptyMessage() {
+  static const std::string* const kEmpty = new std::string();
+  return *kEmpty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = CodeName(code_);
-  if (!message_.empty()) {
+  std::string out = CodeName(rep_->code);
+  if (!rep_->message.empty()) {
     out += ": ";
-    out += message_;
+    out += rep_->message;
   }
   return out;
 }

@@ -23,12 +23,40 @@ enum class Code {
   kEncodingError,  // byte-level breakage (invalid UTF-8 etc.)
 };
 
-/// A lightweight success/error value. Cheap to copy on the OK path.
+/// A success/error value the size of one pointer: null is OK, and an
+/// error points to a heap rep holding its code and message. The OK path
+/// (returning, testing and destroying an OK status) touches no memory
+/// and builds no string.
+///
+/// A moved-from Status reads OK, whatever it held. Nothing reads a
+/// Status after moving from it: the only movers are the macros below
+/// and `Result<T>::status() &&`, and new code keeps it that way.
 class Status {
  public:
-  Status() : code_(Code::kOk) {}
-  Status(Code code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+  Status() = default;
+  /// An error with `code` and `message`; Code::kOk makes an OK status
+  /// and drops the message.
+  Status(Code code, std::string message);
+  Status(const Status& other)
+      : rep_(other.rep_ == nullptr ? nullptr : Copy(*other.rep_)) {}
+  Status(Status&& other) noexcept : rep_(other.rep_) { other.rep_ = nullptr; }
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      Rep* copy = other.rep_ == nullptr ? nullptr : Copy(*other.rep_);
+      delete rep_;
+      rep_ = copy;
+    }
+    return *this;
+  }
+  Status& operator=(Status&& other) noexcept {
+    if (this != &other) {
+      delete rep_;
+      rep_ = other.rep_;
+      other.rep_ = nullptr;
+    }
+    return *this;
+  }
+  ~Status() { delete rep_; }
 
   static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -59,20 +87,30 @@ class Status {
     return Status(Code::kEncodingError, std::move(msg));
   }
 
-  bool ok() const { return code_ == Code::kOk; }
+  bool ok() const { return rep_ == nullptr; }
   explicit operator bool() const { return ok(); }
-  Code code() const { return code_; }
-  const std::string& message() const { return message_; }
+  Code code() const { return rep_ == nullptr ? Code::kOk : rep_->code; }
+  /// The error's message; an OK status's is empty.
+  const std::string& message() const {
+    return rep_ == nullptr ? EmptyMessage() : rep_->message;
+  }
   /// Alias for `message()`, mirroring `Result<T>::error_message()` so
   /// generic code can report either uniformly.
-  const std::string& error_message() const { return message_; }
+  const std::string& error_message() const { return message(); }
 
   std::string ToString() const;
 
  private:
-  Code code_;
-  std::string message_;
+  struct Rep {
+    Code code;
+    std::string message;
+  };
+  static Rep* Copy(const Rep& rep);
+  static const std::string& EmptyMessage();
+
+  Rep* rep_ = nullptr;
 };
+static_assert(sizeof(Status) == sizeof(void*));
 
 /// Either a value of type `T` or an error `Status`. Accessing `value()`
 /// on an error result is a programming error (asserted in debug builds).

@@ -46,16 +46,23 @@ QueryAnalysis AnalyzeQuery(const sparql::Query& q,
                            ClassifyScratch* scratch,
                            StageTimings* timings) {
   QueryAnalysis a;
-  const uint64_t t_features = timings != nullptr ? NowNs() : 0;
+  uint64_t t_features = 0;
+  if (timings != nullptr) {
+    t_features = timings->start_ns != 0 ? timings->start_ns : NowNs();
+  }
   a.is_describe = q.form == sparql::QueryForm::kDescribe;
-  a.triples = q.NumTriplePatterns();
-  a.features = sparql::ExtractFeatures(q);
-  a.ops = sparql::ExtractOperatorSet(q);
-  a.afo_only = sparql::UsesOnlyAndFilterOptional(q);
+  // Two walks give every fact below; the interval check runs only for an
+  // AFO-only query with an OPTIONAL.
+  sparql::PatternFacts& facts = scratch->facts;
+  sparql::ExtractPatternFacts(q, &facts);
+  a.triples = facts.triples;
+  a.features = facts.features;
+  a.ops = facts.ops;
+  a.afo_only = facts.afo_only;
   a.well_designed =
-      a.afo_only && sparql::IsWellDesigned(q, &scratch->well_designed);
-  a.safe_filters = sparql::HasOnlySafeFilters(q);
-  a.simple_filters = sparql::HasOnlySimpleFilters(q);
+      sparql::IsWellDesigned(q, facts, &scratch->well_designed);
+  a.safe_filters = facts.safe_filters;
+  a.simple_filters = facts.simple_filters;
   const uint64_t t_hypergraph = timings != nullptr ? NowNs() : 0;
   if (timings != nullptr) timings->feature_ns = t_hypergraph - t_features;
 
@@ -84,7 +91,7 @@ QueryAnalysis AnalyzeQuery(const sparql::Query& q,
       a.cq_htw3 = a.cqf_htw3;
     }
 
-    a.graph_cqf = sparql::IsGraphCqF(q);
+    a.graph_cqf = sparql::IsGraphCqF(q, &facts);
     if (a.graph_cqf) {
       const hypergraph::QueryShapes shapes =
           hypergraph::ClassifyCanonicalShapes(q, &hs);
@@ -95,15 +102,17 @@ QueryAnalysis AnalyzeQuery(const sparql::Query& q,
   const uint64_t t_paths = timings != nullptr ? NowNs() : 0;
   if (timings != nullptr) timings->hypergraph_ns = t_paths - t_hypergraph;
 
-  sparql::ForEachNode(q, [&](const sparql::Pattern& p) {
-    if (p.op != sparql::Pattern::Op::kPath) return;
-    const paths::Path& path = *q.path(p).path;
+  for (const sparql::PathTriple* triple : facts.paths) {
+    const paths::Path& path = *triple->path;
     a.path_types.push_back(paths::ClassifyTable8(path));
     if (paths::IsSimpleTransitiveExpression(path)) a.ste++;
     if (paths::CertifiedInCtract(path)) a.ctract++;
     if (paths::CertifiedInTtract(path)) a.ttract++;
-  });
-  if (timings != nullptr) timings->path_ns = NowNs() - t_paths;
+  }
+  if (timings != nullptr) {
+    timings->end_ns = NowNs();
+    timings->path_ns = timings->end_ns - t_paths;
+  }
   return a;
 }
 

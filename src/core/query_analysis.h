@@ -35,21 +35,31 @@ struct QueryAnalysis {
 
 /// Wall-time spent in the expensive sub-stages of `AnalyzeQuery`, in
 /// nanoseconds. Filled only when a non-null pointer is passed (the
-/// clock calls are skipped entirely otherwise).
+/// clock calls are skipped entirely otherwise). The three stages run
+/// back to back and share their boundary clock reads, so their spans
+/// abut: features ends where hypergraph starts, and so on.
 struct StageTimings {
+  /// In: the steady_clock time (ns) the features stage starts at, for a
+  /// caller whose own last clock read ends the stage before it (the
+  /// engine's parse); 0 has AnalyzeQuery read the clock itself.
+  uint64_t start_ns = 0;
   uint64_t feature_ns = 0;     // feature / operator-set / filter classes
   uint64_t hypergraph_ns = 0;  // acyclicity, htw <= k, shape classes
   uint64_t path_ns = 0;        // property-path type classification
+  /// Out: the clock read that ends the paths stage, which a caller can
+  /// take as the start of its next stage instead of reading the clock.
+  uint64_t end_ns = 0;
 };
 
-/// The buffers one classification fills: the well-designedness check's
-/// arrays, the canonical hypergraph with its vertex map, free vertices
-/// and acyclicity arrays, and Table 7's edge lists. A caller that
-/// classifies query after query (each engine shard) keeps one, so once
-/// they have grown a query costs no heap allocation outside the rare
-/// paths: an htw search, a Table 7 graph with a cycle, a property path's
-/// type list.
+/// The buffers one classification fills: the pattern facts, the
+/// well-designedness check's arrays, the canonical hypergraph with its
+/// vertex map, free vertices and acyclicity arrays, and Table 7's edge
+/// lists. A caller that classifies query after query (each engine
+/// shard) keeps one, so once they have grown a query costs no heap
+/// allocation outside the rare paths: an htw search, a Table 7 graph
+/// with a cycle, a property path's type list.
 struct ClassifyScratch {
+  sparql::PatternFacts facts;
   sparql::WellDesignedScratch well_designed;
   hypergraph::Scratch hypergraph;
   hypergraph::Hypergraph canonical;

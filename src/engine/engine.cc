@@ -370,7 +370,12 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
       reject(error);
       continue;
     }
+    // Six clock reads per accepted text: parse start and end here, the
+    // three classify stage boundaries inside AnalyzeQuery, and aggregate
+    // end. Classify starts at the parse's end and the aggregate at
+    // classify's last read, so the five spans abut.
     core::StageTimings st;
+    st.start_ns = t1;
     fresh.analysis = static_cast<uint32_t>(state->analyses.size());
     const core::QueryAnalysis& analysis =
         state->analyses.emplace_back(core::AnalyzeQuery(
@@ -378,16 +383,13 @@ void Engine::ProcessShard(const std::vector<RoutedEntry>& entries,
     local.queries_analyzed++;
     state->valid++;
     state->unique++;
-    const uint64_t t2 = NowNs();
+    const uint64_t t2 = st.end_ns;
     core::AddToAggregates(analysis, 1, &state->unique_agg);
     const uint64_t t3 = NowNs();
     local.Record(Stage::kFeatures, st.feature_ns);
     local.Record(Stage::kHypergraph, st.hypergraph_ns);
     local.Record(Stage::kPaths, st.path_ns);
     local.Record(Stage::kAggregate, t3 - t2);
-    // Classify runs its stages back-to-back starting right after the
-    // parse, so their spans chain from t1 using the durations it
-    // reported (start offsets are exact up to its internal overhead).
     obs::EmitSpan("features", t1, st.feature_ns);
     obs::EmitSpan("hypergraph", t1 + st.feature_ns, st.hypergraph_ns);
     obs::EmitSpan("paths", t1 + st.feature_ns + st.hypergraph_ns,

@@ -7,6 +7,7 @@
 
 #include "common/build_info.h"
 #include "common/json.h"
+#include "common/parse_number.h"
 #include "obs/log.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
@@ -181,14 +182,14 @@ std::string AdminServer::IndexBody() const {
 uint32_t AdminPortFromEnv(uint32_t fallback) {
   const char* env = std::getenv("RWDT_ADMIN_PORT");
   if (env == nullptr || env[0] == '\0') return fallback;
-  const unsigned long v = std::strtoul(env, nullptr, 10);
-  if (v == 0) return fallback;  // "0" = explicit off, same as unset
-  if (v > 65535) {
+  uint16_t port = 0;
+  if (!ParseDecimal(std::string_view(env), &port)) {
     RWDT_LOG(WARN) << "RWDT_ADMIN_PORT=" << env
                    << " is not a valid port; admin server stays off";
     return 0;
   }
-  return static_cast<uint32_t>(v);
+  if (port == 0) return fallback;  // "0" = explicit off, same as unset
+  return port;
 }
 
 std::unique_ptr<AdminServer> StartEngineAdmin(

@@ -108,8 +108,9 @@ class AdminServer {
 };
 
 /// Parses the RWDT_ADMIN_PORT environment variable: unset, empty, or
-/// "0" yield `fallback` (admin off). Values above 65535 are clamped to
-/// 0 with a warning.
+/// "0" yield `fallback` (admin off). Anything but a whole decimal number
+/// of at most 65535 ("19467x", " 19468", "+1", "-1", "70000") logs a
+/// warning and yields 0, so the admin server stays off.
 uint32_t AdminPortFromEnv(uint32_t fallback = 0);
 
 /// The admin host of a tool that runs engines: an AdminServer on

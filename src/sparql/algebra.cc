@@ -184,7 +184,7 @@ bool Query::IsSimple(const FilterExpr& f) const {
 size_t Query::NumTriplePatterns() const {
   size_t n = 0;
   ForEachNode(*this, [&n](const Pattern& p) {
-    if (p.op == Pattern::Op::kTriple || p.op == Pattern::Op::kPath) ++n;
+    if (p.IsTripleOrPath()) ++n;
   });
   return n;
 }

@@ -126,6 +126,12 @@ struct Pattern {
   IndexRange values_vars;  // kValues header, in `terms`
   IndexRange values_rows;  // kValues rows, in `rows`
   NodeIndex subquery;      // kSubquery: its entry in `subqueries`
+
+  /// A triple or property path pattern: the unit of the size analysis
+  /// and what makes a conjunct count for the "And" feature.
+  bool IsTripleOrPath() const {
+    return op == Op::kTriple || op == Op::kPath;
+  }
 };
 
 enum class QueryForm { kSelect, kAsk, kConstruct, kDescribe };

@@ -93,11 +93,13 @@ void AddFilterFeatures(const Query& q, NodeIndex f, FeatureSet* out) {
   }
 }
 
-/// True iff the subtree rooted at `root` holds a triple or path pattern.
+/// True iff the subtree rooted at `root` holds a triple or path pattern,
+/// subqueries included. A triple or path answers without a walk, so an
+/// AND of triples costs no walk per conjunct.
 bool HasTriplePatterns(const Query& q, NodeIndex root) {
-  return !ForEachNode(q, root, [](const Pattern& p) {
-    return p.op != Pattern::Op::kTriple && p.op != Pattern::Op::kPath;
-  });
+  if (q.node(root).IsTripleOrPath()) return true;
+  return !ForEachNode(q, root,
+                      [](const Pattern& p) { return !p.IsTripleOrPath(); });
 }
 
 void AddPatternFeatures(const Query& q, const Pattern& p, FeatureSet* out) {
@@ -107,9 +109,11 @@ void AddPatternFeatures(const Query& q, const Pattern& p, FeatureSet* out) {
       // patterns, not a triple merely co-occurring with VALUES/BIND.
       size_t triple_bearing = 0;
       for (const NodeIndex c : q.children(p)) {
-        triple_bearing += HasTriplePatterns(q, c) ? 1 : 0;
+        if (HasTriplePatterns(q, c) && ++triple_bearing == 2) {
+          out->insert(Feature::kAnd);
+          break;
+        }
       }
-      if (triple_bearing >= 2) out->insert(Feature::kAnd);
       break;
     }
     case Pattern::Op::kFilter:
@@ -179,15 +183,92 @@ void AddModifierFeatures(const QueryHead& q, FeatureSet* out) {
   }
 }
 
-/// The features of one query level: its modifiers and its own pattern's
-/// nodes, not those inside its subqueries.
-void AddLevelFeatures(const Query& q, const QueryHead& level,
-                      FeatureSet* out) {
+/// The features of one node of the query's own pattern. A subquery node
+/// adds its subquery's modifiers and own pattern's nodes, not those of
+/// the subqueries further down.
+void AddNodeFeatures(const Query& q, const Pattern& p, FeatureSet* out) {
+  AddPatternFeatures(q, p, out);
+  if (p.op != Pattern::Op::kSubquery) return;
+  const QueryHead& level = q.subquery(p);
   AddModifierFeatures(level, out);
   ForEachNode(
       q, level.pattern,
-      [&](const Pattern& p) { AddPatternFeatures(q, p, out); },
+      [&](const Pattern& sub) { AddPatternFeatures(q, sub, out); },
       Subqueries::kSkip);
+}
+
+/// The operator-set rule for one node of the query's own pattern.
+void AddOperator(const Query& q, const Pattern& p, OperatorSet* out) {
+  switch (p.op) {
+    case Pattern::Op::kTriple:
+      break;
+    case Pattern::Op::kPath:
+      out->uses_path = true;
+      break;
+    case Pattern::Op::kAnd:
+      out->uses_and = true;
+      break;
+    case Pattern::Op::kFilter:
+      out->uses_filter = true;
+      break;
+    case Pattern::Op::kValues:
+      if (!q.values_vars(p).empty()) out->uses_other = true;
+      break;
+    default:
+      out->uses_other = true;
+      break;
+  }
+}
+
+/// The AND/FILTER/OPTIONAL-only rule for one node of the query's own
+/// pattern.
+bool IsAndFilterOptional(const Query& q, const Pattern& p) {
+  switch (p.op) {
+    case Pattern::Op::kTriple:
+    case Pattern::Op::kPath:
+    case Pattern::Op::kAnd:
+    case Pattern::Op::kFilter:
+    case Pattern::Op::kOptional:
+      return true;
+    case Pattern::Op::kValues:
+      return q.values_vars(p).empty();  // the parser's unit table
+    default:
+      return false;
+  }
+}
+
+/// The filter of a FILTER node, or null for any other node.
+const FilterExpr* FilterOf(const Query& q, const Pattern& p) {
+  if (p.op != Pattern::Op::kFilter || p.filter == nullptr) return nullptr;
+  return &q.filter(p.filter);
+}
+
+/// Appends the predicate of a triple pattern that is a variable.
+void AddPredicateVar(const Pattern& p, std::vector<SymbolId>* out) {
+  if (p.op == Pattern::Op::kTriple && p.triple.p.ActsAsVar()) {
+    out->push_back(p.triple.p.id);
+  }
+}
+
+/// IsGraphCqF's predicate rule: a variable predicate may be the
+/// predicate of one triple only, and may not appear in any other triple
+/// position. Sorts `predicate_vars`.
+bool PredicateVarsStandAlone(const Query& q,
+                             std::vector<SymbolId>* predicate_vars) {
+  if (predicate_vars->empty()) return true;
+  std::sort(predicate_vars->begin(), predicate_vars->end());
+  if (std::adjacent_find(predicate_vars->begin(), predicate_vars->end()) !=
+      predicate_vars->end()) {
+    return false;
+  }
+  auto is_predicate_var = [&](const Term& t) {
+    return t.ActsAsVar() && std::binary_search(predicate_vars->begin(),
+                                               predicate_vars->end(), t.id);
+  };
+  return ForEachNode(q, [&](const Pattern& p) {
+    return p.op != Pattern::Op::kTriple ||
+           !(is_predicate_var(p.triple.s) || is_predicate_var(p.triple.o));
+  });
 }
 
 }  // namespace
@@ -196,15 +277,7 @@ FeatureSet ExtractFeatures(const Query& q) {
   FeatureSet out;
   AddModifierFeatures(q, &out);
   ForEachNode(
-      q, q.pattern,
-      [&](const Pattern& p) {
-        AddPatternFeatures(q, p, &out);
-        // The modifiers and patterns of the subqueries one level down
-        // count too.
-        if (p.op == Pattern::Op::kSubquery) {
-          AddLevelFeatures(q, q.subquery(p), &out);
-        }
-      },
+      q, q.pattern, [&](const Pattern& p) { AddNodeFeatures(q, p, &out); },
       Subqueries::kSkip);
   return out;
 }
@@ -212,28 +285,7 @@ FeatureSet ExtractFeatures(const Query& q) {
 OperatorSet ExtractOperatorSet(const Query& q) {
   OperatorSet out;
   ForEachNode(
-      q, q.pattern,
-      [&](const Pattern& p) {
-        switch (p.op) {
-          case Pattern::Op::kTriple:
-            break;
-          case Pattern::Op::kPath:
-            out.uses_path = true;
-            break;
-          case Pattern::Op::kAnd:
-            out.uses_and = true;
-            break;
-          case Pattern::Op::kFilter:
-            out.uses_filter = true;
-            break;
-          case Pattern::Op::kValues:
-            if (!q.values_vars(p).empty()) out.uses_other = true;
-            break;
-          default:
-            out.uses_other = true;
-            break;
-        }
-      },
+      q, q.pattern, [&](const Pattern& p) { AddOperator(q, p, &out); },
       Subqueries::kSkip);
   return out;
 }
@@ -329,26 +381,21 @@ class OptionalCheck {
   std::vector<std::pair<SymbolId, uint32_t>>& by_var_;
 };
 
+/// Well-designedness once the operators are known: an AFO-only query is
+/// well designed unless one of its OPTIONALs breaks the condition.
+bool WellDesignedGiven(const Query& q, bool afo_only, bool has_optional,
+                       WellDesignedScratch* scratch) {
+  return afo_only &&
+         (!has_optional || OptionalCheck(q, scratch).WellDesigned());
+}
+
 }  // namespace
 
 bool UsesOnlyAndFilterOptional(const Query& q) {
   if (q.pattern == nullptr) return false;
   return ForEachNode(
       q, q.pattern,
-      [&](const Pattern& p) {
-        switch (p.op) {
-          case Pattern::Op::kTriple:
-          case Pattern::Op::kPath:
-          case Pattern::Op::kAnd:
-          case Pattern::Op::kFilter:
-          case Pattern::Op::kOptional:
-            return true;
-          case Pattern::Op::kValues:
-            return q.values_vars(p).empty();  // the parser's unit table
-          default:
-            return false;
-        }
-      },
+      [&](const Pattern& p) { return IsAndFilterOptional(q, p); },
       Subqueries::kSkip);
 }
 
@@ -362,57 +409,90 @@ bool IsWellDesigned(const Query& q, WellDesignedScratch* scratch) {
   const bool has_optional = !ForEachNode(q, [](const Pattern& p) {
     return p.op != Pattern::Op::kOptional;
   });
-  return !has_optional || OptionalCheck(q, scratch).WellDesigned();
+  return WellDesignedGiven(q, true, has_optional, scratch);
 }
 
-namespace {
-
-/// True iff `pred` holds for every filter of the pattern, subqueries
-/// included.
-template <class Pred>
-bool AllFilters(const Query& q, Pred pred) {
+bool HasOnlySafeFilters(const Query& q) {
   return ForEachNode(q, [&](const Pattern& p) {
-    return p.op != Pattern::Op::kFilter || p.filter == nullptr ||
-           pred(q.filter(p.filter));
+    const FilterExpr* f = FilterOf(q, p);
+    return f == nullptr || q.IsSafe(*f);
   });
 }
 
-}  // namespace
-
-bool HasOnlySafeFilters(const Query& q) {
-  return AllFilters(q, [&](const FilterExpr& f) { return q.IsSafe(f); });
-}
-
 bool HasOnlySimpleFilters(const Query& q) {
-  return AllFilters(q, [&](const FilterExpr& f) { return q.IsSimple(f); });
+  return ForEachNode(q, [&](const Pattern& p) {
+    const FilterExpr* f = FilterOf(q, p);
+    return f == nullptr || q.IsSimple(*f);
+  });
 }
 
 bool IsGraphCqF(const Query& q) {
   if (q.pattern == nullptr) return false;
   if (!ExtractOperatorSet(q).IsCqF()) return false;
   if (!HasOnlySimpleFilters(q)) return false;
-  // A variable predicate may be the predicate of one triple only, and
-  // may not appear in any other triple position.
   std::vector<SymbolId> predicate_vars;  // usually none
+  ForEachNode(q,
+              [&](const Pattern& p) { AddPredicateVar(p, &predicate_vars); });
+  return PredicateVarsStandAlone(q, &predicate_vars);
+}
+
+void ExtractPatternFacts(const Query& q, PatternFacts* facts) {
+  facts->features = FeatureSet();
+  facts->ops = OperatorSet();
+  facts->afo_only = q.pattern != nullptr;
+  facts->triples = 0;
+  facts->has_optional = false;
+  facts->safe_filters = true;
+  facts->simple_filters = true;
+  facts->predicate_vars.clear();
+  facts->paths.clear();
+
+  // The level walk.
+  AddModifierFeatures(q, &facts->features);
+  ForEachNode(
+      q, q.pattern,
+      [&](const Pattern& p) {
+        AddNodeFeatures(q, p, &facts->features);
+        AddOperator(q, p, &facts->ops);
+        facts->afo_only = facts->afo_only && IsAndFilterOptional(q, p);
+      },
+      Subqueries::kSkip);
+
+  // The whole walk. A filter rule that has failed once is not asked
+  // again.
   ForEachNode(q, [&](const Pattern& p) {
-    if (p.op == Pattern::Op::kTriple && p.triple.p.ActsAsVar()) {
-      predicate_vars.push_back(p.triple.p.id);
+    if (p.IsTripleOrPath()) ++facts->triples;
+    switch (p.op) {
+      case Pattern::Op::kTriple:
+        AddPredicateVar(p, &facts->predicate_vars);
+        break;
+      case Pattern::Op::kPath:
+        facts->paths.push_back(&q.path(p));
+        break;
+      case Pattern::Op::kOptional:
+        facts->has_optional = true;
+        break;
+      case Pattern::Op::kFilter:
+        if (const FilterExpr* f = FilterOf(q, p)) {
+          facts->safe_filters = facts->safe_filters && q.IsSafe(*f);
+          facts->simple_filters = facts->simple_filters && q.IsSimple(*f);
+        }
+        break;
+      default:
+        break;
     }
   });
-  if (predicate_vars.empty()) return true;
-  std::sort(predicate_vars.begin(), predicate_vars.end());
-  if (std::adjacent_find(predicate_vars.begin(), predicate_vars.end()) !=
-      predicate_vars.end()) {
-    return false;
-  }
-  auto is_predicate_var = [&](const Term& t) {
-    return t.ActsAsVar() && std::binary_search(predicate_vars.begin(),
-                                               predicate_vars.end(), t.id);
-  };
-  return ForEachNode(q, [&](const Pattern& p) {
-    return p.op != Pattern::Op::kTriple ||
-           !(is_predicate_var(p.triple.s) || is_predicate_var(p.triple.o));
-  });
+}
+
+bool IsWellDesigned(const Query& q, const PatternFacts& facts,
+                    WellDesignedScratch* scratch) {
+  return WellDesignedGiven(q, facts.afo_only, facts.has_optional, scratch);
+}
+
+bool IsGraphCqF(const Query& q, PatternFacts* facts) {
+  return q.pattern != nullptr && facts->ops.IsCqF() &&
+         facts->simple_filters &&
+         PredicateVarsStandAlone(q, &facts->predicate_vars);
 }
 
 }  // namespace rwdt::sparql

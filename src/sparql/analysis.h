@@ -85,7 +85,8 @@ std::string FeatureName(Feature f);
 /// All Table 3 features, in the paper's row order.
 const std::vector<Feature>& AllFeatures();
 
-/// Extracts the set of features a query uses.
+/// Extracts the set of features a query uses: its own modifiers and
+/// pattern, and those of the subqueries one level down.
 FeatureSet ExtractFeatures(const Query& q);
 
 /// Pattern-operator sets for Tables 4 and 5: which of And / Filter /
@@ -139,6 +140,45 @@ bool IsGraphCqF(const Query& q);
 /// Safe filters only (unary or ?x = ?y), keeping the query conjunctive.
 bool HasOnlySafeFilters(const Query& q);
 bool HasOnlySimpleFilters(const Query& q);
+
+/// What one classification reads off a query's pattern, taken in two
+/// walks instead of one walk per predicate above. Each field equals the
+/// predicate named beside it; both apply the same per-node rules.
+/// Neither walk enters an EXISTS body: it belongs to a filter
+/// expression.
+struct PatternFacts {
+  // The level walk: the query's own pattern, subqueries skipped. The
+  // features add each subquery's modifiers and own pattern, one level
+  // down, as ExtractFeatures counts them.
+  FeatureSet features;    // ExtractFeatures
+  OperatorSet ops;        // ExtractOperatorSet
+  bool afo_only = false;  // UsesOnlyAndFilterOptional
+
+  // The whole walk: subqueries entered at every depth.
+  size_t triples = 0;           // Query::NumTriplePatterns
+  bool has_optional = false;    // an OPTIONAL node anywhere
+  bool safe_filters = true;     // HasOnlySafeFilters
+  bool simple_filters = true;   // HasOnlySimpleFilters
+  /// The variable predicates of triple patterns, in walk order: what
+  /// IsGraphCqF's predicate rule checks.
+  std::vector<SymbolId> predicate_vars;
+  /// The property path patterns, in walk order.
+  std::vector<const PathTriple*> paths;
+};
+
+/// Refills `facts` from `q` in the two walks, keeping the vectors'
+/// capacity.
+void ExtractPatternFacts(const Query& q, PatternFacts* facts);
+
+/// IsWellDesigned from the facts. The OPTIONAL interval check runs only
+/// for an AND/FILTER/OPTIONAL-only query that has an OPTIONAL.
+bool IsWellDesigned(const Query& q, const PatternFacts& facts,
+                    WellDesignedScratch* scratch);
+
+/// IsGraphCqF from the facts. The predicate rule runs only for a CQ+F
+/// query with simple filters and a variable predicate; it sorts
+/// `facts->predicate_vars`.
+bool IsGraphCqF(const Query& q, PatternFacts* facts);
 
 }  // namespace rwdt::sparql
 

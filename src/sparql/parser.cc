@@ -8,6 +8,7 @@
 
 #include "common/ascii.h"
 #include "common/max_depth.h"
+#include "sparql/lexer.h"
 
 namespace rwdt::sparql {
 namespace {
@@ -16,11 +17,6 @@ namespace {
 /// array a query fills holds fewer than eight entries or bytes per byte
 /// of its text, so 32-bit indices address all of them.
 constexpr size_t kMaxIndexedBytes = size_t{1} << 28;
-
-bool IsNameChar(char c) {
-  return ascii::IsAlnum(c) || c == '_' || c == ':' || c == '.' || c == '-' ||
-         c == '#';
-}
 
 /// Characters that turn a predicate expression into a property path.
 bool IsPathOperatorChar(char c) {
@@ -165,15 +161,20 @@ class SparqlParser {
     return Status::LexError(AtOffset(what));
   }
 
+  // The per-token helpers below (ConsumeStep, SkipSpace, Peek, Lit,
+  // LitWord) are forced inline: the parser calls one or more of them per
+  // token, and a call costs more than their common path.
+
   /// Consumes one unit of the shared step budget (~one token/AST node).
-  Status ConsumeStep() {
-    if (*steps_ == 0) {
-      return Status::ResourceExhausted(
-          "query exceeds max_parser_steps=" +
-          std::to_string(limits_.max_parser_steps));
-    }
+  [[gnu::always_inline]] Status ConsumeStep() {
+    if (*steps_ == 0) return StepsExhausted();
     --*steps_;
     return Status::Ok();
+  }
+
+  [[gnu::noinline, gnu::cold]] Status StepsExhausted() const {
+    return Status::ResourceExhausted("query exceeds max_parser_steps=" +
+                                     std::to_string(limits_.max_parser_steps));
   }
 
   /// One level of nesting, open for the guard's scope, so a parse that
@@ -197,24 +198,31 @@ class SparqlParser {
         std::to_string(kDefaultMaxDepth) + " levels");
   }
 
-  void SkipSpace() {
-    for (;;) {
-      while (pos_ < input_.size() && ascii::IsSpace(input_[pos_])) ++pos_;
-      if (pos_ < input_.size() && input_[pos_] == '#') {
-        // Line comment.
-        while (pos_ < input_.size() && input_[pos_] != '\n') ++pos_;
-        continue;
+  /// Skips white space and line comments.
+  [[gnu::always_inline]] void SkipSpace() {
+    while (pos_ < input_.size()) {
+      const char c = input_[pos_];
+      if (lexer::IsSpace(c)) {
+        ++pos_;
+      } else if (c == '#') {
+        SkipComment();
+      } else {
+        return;
       }
-      return;
     }
   }
 
-  char Peek() {
+  /// Skips a line comment up to its newline.
+  [[gnu::noinline]] void SkipComment() {
+    while (pos_ < input_.size() && input_[pos_] != '\n') ++pos_;
+  }
+
+  [[gnu::always_inline]] char Peek() {
     SkipSpace();
     return pos_ < input_.size() ? input_[pos_] : '\0';
   }
 
-  bool Lit(char c) {
+  [[gnu::always_inline]] bool Lit(char c) {
     if (Peek() == c) {
       ++pos_;
       return true;
@@ -223,13 +231,23 @@ class SparqlParser {
   }
 
   /// Case-insensitive keyword match (not followed by a name character).
-  bool LitWord(std::string_view word) {
+  [[gnu::always_inline]] bool LitWord(std::string_view word) {
     SkipSpace();
     return MatchWord(word);
   }
 
   /// LitWord at the current position, with the space already skipped.
-  bool MatchWord(std::string_view word) {
+  /// Most calls try a keyword the text does not hold, so the first
+  /// letter is compared inline, against a constant once `word` is a
+  /// literal, and only a match calls out for the rest.
+  [[gnu::always_inline]] bool MatchWord(std::string_view word) {
+    return pos_ < input_.size() &&
+           ascii::ToUpper(input_[pos_]) == ascii::ToUpper(word[0]) &&
+           MatchWordFrom(word);
+  }
+
+  /// MatchWord's whole comparison.
+  [[gnu::noinline]] bool MatchWordFrom(std::string_view word) {
     if (pos_ + word.size() > input_.size()) return false;
     for (size_t i = 0; i < word.size(); ++i) {
       if (ascii::ToUpper(input_[pos_ + i]) != ascii::ToUpper(word[i])) {
@@ -237,7 +255,7 @@ class SparqlParser {
       }
     }
     const size_t after = pos_ + word.size();
-    if (after < input_.size() && IsNameChar(input_[after]) &&
+    if (after < input_.size() && lexer::IsNameChar(input_[after]) &&
         input_[after] != ':') {
       return false;
     }
@@ -464,9 +482,9 @@ class SparqlParser {
       return term;
     }
     // Prefixed or bare name (IRI). The bare keyword 'a' is rdf:type.
-    if (IsNameChar(c)) {
+    if (lexer::IsNameChar(c)) {
       const size_t start = pos_;
-      while (pos_ < input_.size() && IsNameChar(input_[pos_])) ++pos_;
+      while (pos_ < input_.size() && lexer::IsNameChar(input_[pos_])) ++pos_;
       std::string_view name = input_.substr(start, pos_ - start);
       if (name == "a") name = "rdf:type";
       term.kind = Term::Kind::kIri;
@@ -832,7 +850,9 @@ class SparqlParser {
     bool is_path = (c == '^' || c == '!' || c == '(');
     while (end < input_.size()) {
       const char ch = input_[end];
-      if (ch == '(') {
+      if (lexer::IsNameChar(ch)) {
+        // The common character; none of the tests below would take it.
+      } else if (ch == '(') {
         ++depth;
         is_path = true;
       } else if (ch == ')') {
@@ -842,11 +862,11 @@ class SparqlParser {
         const size_t close = input_.find('>', end);
         if (close == std::string_view::npos) break;
         end = close;
-      } else if (depth == 0 && ascii::IsSpace(ch)) {
+      } else if (depth == 0 && lexer::IsSpace(ch)) {
         break;
       } else if (IsPathOperatorChar(ch)) {
         is_path = true;
-      } else if (!IsNameChar(ch) && ch != '^' && ch != '!') {
+      } else {
         break;
       }
       ++end;
@@ -1136,10 +1156,7 @@ class SparqlParser {
   /// Advances over [A-Za-z0-9_], the characters of a variable name, a
   /// blank node label and a filter function name.
   void SkipWordChars() {
-    while (pos_ < input_.size() &&
-           (ascii::IsAlnum(input_[pos_]) || input_[pos_] == '_')) {
-      ++pos_;
-    }
+    while (pos_ < input_.size() && lexer::IsWordChar(input_[pos_])) ++pos_;
   }
 
   std::string_view input_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -93,6 +94,68 @@ TEST(ResultTest, MovedOutStatusKeepsCodeAndMessage) {
   EXPECT_EQ(passed_up.message(), message);
   Result<int> good = 5;
   EXPECT_TRUE(std::move(good).status().ok());
+}
+
+TEST(StatusTest, IsOnePointer) {
+  static_assert(sizeof(Status) == sizeof(void*));
+  EXPECT_EQ(sizeof(Result<std::pair<uint32_t, uint32_t>>), 2 * sizeof(void*));
+}
+
+TEST(StatusTest, OkMessageIsEmpty) {
+  const Status ok;
+  EXPECT_EQ(ok.code(), Code::kOk);
+  EXPECT_TRUE(ok.message().empty());
+  EXPECT_TRUE(ok.error_message().empty());
+  EXPECT_TRUE(Status::Ok().message().empty());
+  EXPECT_TRUE(Status(Code::kOk, "dropped").ok());
+}
+
+TEST(StatusTest, CopyOfAnErrorOutlivesItsSource) {
+  const std::string message(100, 'c');
+  std::optional<Status> source = Status::NotFound(message);
+  const Status copy = *source;
+  Status assigned;
+  assigned = *source;
+  source.reset();
+  EXPECT_EQ(copy.code(), Code::kNotFound);
+  EXPECT_EQ(copy.message(), message);
+  EXPECT_EQ(assigned.code(), Code::kNotFound);
+  EXPECT_EQ(assigned.message(), message);
+  // Assigning OK over an error frees the error and reads OK.
+  assigned = Status::Ok();
+  EXPECT_TRUE(assigned.ok());
+  EXPECT_TRUE(assigned.message().empty());
+}
+
+TEST(StatusTest, SelfAssignmentKeepsTheError) {
+  Status s = Status::Internal("kept");
+  Status& alias = s;
+  s = alias;
+  EXPECT_EQ(s.code(), Code::kInternal);
+  EXPECT_EQ(s.message(), "kept");
+  s = std::move(alias);
+  EXPECT_EQ(s.code(), Code::kInternal);
+  EXPECT_EQ(s.message(), "kept");
+}
+
+TEST(ResultTest, CopiesAndMovesAnError) {
+  const std::string message(100, 'r');
+  Result<std::string> error = Status::Unsupported(message);
+  const Result<std::string> copy = error;
+  ASSERT_FALSE(copy.ok());
+  EXPECT_EQ(copy.status().code(), Code::kUnsupported);
+  EXPECT_EQ(copy.error_message(), message);
+  Result<std::string> moved = std::move(error);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), Code::kUnsupported);
+  EXPECT_EQ(moved.error_message(), message);
+  // Assigning an error over a value, and a value over an error.
+  Result<std::string> target = std::string("value");
+  target = copy;
+  EXPECT_EQ(target.status().code(), Code::kUnsupported);
+  target = std::string("again");
+  ASSERT_TRUE(target.ok());
+  EXPECT_EQ(target.value(), "again");
 }
 
 TEST(StatusMacroTest, AssignOrReturnDeclaresAndAssigns) {

@@ -143,6 +143,13 @@ TEST(AdminServerTest, PortFromEnv) {
   EXPECT_EQ(AdminPortFromEnv(7), 7u);
   ::setenv("RWDT_ADMIN_PORT", "123456", 1);  // out of range -> off
   EXPECT_EQ(AdminPortFromEnv(), 0u);
+  // Only a whole decimal number is a port: anything else leaves the
+  // server off, whatever the fallback.
+  for (const char* bad : {"19467x", " 19468", "+1", "-1"}) {
+    ::setenv("RWDT_ADMIN_PORT", bad, 1);
+    EXPECT_EQ(AdminPortFromEnv(), 0u) << "'" << bad << "'";
+    EXPECT_EQ(AdminPortFromEnv(7), 0u) << "'" << bad << "'";
+  }
   ::unsetenv("RWDT_ADMIN_PORT");
 }
 

@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/ascii.h"
 #include "common/interner.h"
 #include "common/rng.h"
 #include "core/log_study.h"
@@ -15,6 +16,7 @@
 #include "graph/rdf.h"
 #include "sparql/analysis.h"
 #include "sparql/eval.h"
+#include "sparql/lexer.h"
 #include "sparql/parser.h"
 
 namespace rwdt::sparql {
@@ -552,6 +554,18 @@ TEST(BindingDeathTest, AssignSortedAbortsOnPairsOutOfOrder) {
 // The parser's step budget: every term, pattern node, filter node and
 // path expression costs one step, and a query over budget is refused
 // with kResourceExhausted.
+TEST(LexerTest, ClassTableMatchesTheCharacterRules) {
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    const bool word = ascii::IsAlnum(c) || c == '_';
+    EXPECT_EQ(lexer::IsSpace(c), ascii::IsSpace(c)) << b;
+    EXPECT_EQ(lexer::IsNameChar(c),
+              word || c == ':' || c == '.' || c == '-' || c == '#')
+        << b;
+    EXPECT_EQ(lexer::IsWordChar(c), word) << b;
+  }
+}
+
 TEST_F(SparqlTest, StepBudgetIsResourceExhausted) {
   const ParseLimits tight{.max_parser_steps = 4};
   ASSERT_TRUE(tight.Validate().ok());

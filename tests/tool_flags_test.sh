@@ -1,6 +1,7 @@
 #!/bin/sh
-# The command-line tools refuse an integer flag that is not a whole
-# decimal number in range: usage text on stderr and exit code 2, before
+# The command-line tools refuse a numeric flag that is not a whole
+# number in range (an integer flag a decimal number, a floating-point
+# one a finite number): usage text on stderr and exit code 2, before
 # they start anything. And rwdt_serve --port=0 still listens on an
 # ephemeral port.
 #
@@ -31,12 +32,25 @@ expect_usage "$serve" --workers=2x
 expect_usage "$serve" --handler-threads=abc
 expect_usage "$serve" --queue=1.5
 expect_usage "$serve" --slow-log=-3
+for qps in 5x '' nan inf 1e400 -1 ' 5'; do
+  expect_usage "$serve" "--quota-qps=$qps"
+done
+expect_usage "$serve" --quota-burst=0.5
+expect_usage "$serve" --trace-sample=1.5
+expect_usage "$serve" --slow-window=10s
 
 # Against a closed port, for a tenth of a second, should one be taken.
 send="--target=127.0.0.1:1 --duration=0.1 --out=$dir/out.json"
 expect_usage "$loadgen" $send --connections=8x
 expect_usage "$loadgen" $send --connections=
 expect_usage "$loadgen" $send --trace=2
+expect_usage "$loadgen" $send --qps=20x
+expect_usage "$loadgen" $send --qps=0
+expect_usage "$loadgen" $send --duration=0.2s
+expect_usage "$loadgen" $send --burst-qps=+400
+expect_usage "$loadgen" $send --period=-2
+expect_usage "$loadgen" $send --amplitude=1.5
+expect_usage "$loadgen" $send --duty=1
 expect_usage "$loadgen" --target=127.0.0.1:70000 --duration=0.1 \
   "--out=$dir/out.json"
 

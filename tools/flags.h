@@ -1,13 +1,12 @@
 // Flag parsing shared by the command-line tools: `--name=value` flags,
-// and integer values read as a whole decimal string.
+// with numeric values read as a whole string (common/parse_number.h).
 #ifndef RWDT_TOOLS_FLAGS_H_
 #define RWDT_TOOLS_FLAGS_H_
 
-#include <charconv>
 #include <cstring>
-#include <limits>
 #include <string>
-#include <system_error>
+
+#include "common/parse_number.h"
 
 namespace rwdt::tools {
 
@@ -19,17 +18,12 @@ inline bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return true;
 }
 
-/// Reads `text` as an unsigned decimal number no larger than `max`. The
-/// whole text must be digits: a sign, a blank, trailing text ("8x") or a
-/// value out of range is refused (false), where atoi would have read
-/// "-1" as a huge count and "70000" as a port modulo 65536.
-template <typename T>
-bool ParseDecimal(const std::string& text, T* out,
-                  T max = std::numeric_limits<T>::max()) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value > max) return false;
+/// Reads `text` as a whole finite number (rwdt::ParseFinite) for which
+/// `in_range` holds, such as `x > 0` for a rate; false otherwise.
+template <typename InRange>
+bool ParseFiniteFlag(const std::string& text, double* out, InRange in_range) {
+  double value = 0;
+  if (!ParseFinite(text, &value) || !in_range(value)) return false;
   *out = value;
   return true;
 }

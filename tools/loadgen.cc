@@ -41,7 +41,8 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using rwdt::tools::ParseDecimal;
+using rwdt::ParseDecimal;
+using rwdt::tools::ParseFiniteFlag;
 using rwdt::tools::ParseFlag;
 
 /// Each connection is a sender thread; the same cap as the server's
@@ -229,7 +230,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [flags]\n"
-      "  (N is a decimal number, without sign)\n"
+      "  (N is a decimal number, without sign; X a finite decimal number)\n"
       "  --target=HOST:PORT   server (default 127.0.0.1:8080)\n"
       "  --path=PATH          route to hit (default /v1/classify)\n"
       "  --tenant=NAME        X-Tenant header value (default: none)\n"
@@ -254,6 +255,7 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   Config config;
+  const auto positive = [](double x) { return x > 0; };
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (std::strcmp(argv[i], "--version") == 0) {
@@ -277,17 +279,31 @@ int main(int argc, char** argv) {
       if (!profile.ok()) return Usage(argv[0]);
       config.rate.profile = profile.value();
     } else if (ParseFlag(argv[i], "--qps", &v)) {
-      config.rate.base_qps = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &config.rate.base_qps, positive)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--burst-qps", &v)) {
-      config.rate.burst_qps = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &config.rate.burst_qps, positive)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--period", &v)) {
-      config.rate.period_s = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &config.rate.period_s, positive)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--amplitude", &v)) {
-      config.rate.amplitude = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &config.rate.amplitude,
+                           [](double x) { return x >= 0 && x <= 1; })) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--duty", &v)) {
-      config.rate.burst_duty = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &config.rate.burst_duty,
+                           [](double x) { return x > 0 && x < 1; })) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--duration", &v)) {
-      config.duration_s = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &config.duration_s, positive)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--seed", &v)) {
       if (!ParseDecimal(v, &config.seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--connections", &v)) {
@@ -304,9 +320,7 @@ int main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (config.connections == 0 || config.duration_s <= 0) {
-    return Usage(argv[0]);
-  }
+  if (config.connections == 0) return Usage(argv[0]);
   const rwdt::Status valid = config.rate.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "loadgen: %s\n", valid.message().c_str());

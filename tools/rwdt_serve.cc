@@ -25,7 +25,8 @@
 
 namespace {
 
-using rwdt::tools::ParseDecimal;
+using rwdt::ParseDecimal;
+using rwdt::tools::ParseFiniteFlag;
 using rwdt::tools::ParseFlag;
 
 rwdt::serve::ClassifyServer* g_server = nullptr;
@@ -39,7 +40,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [flags]\n"
-      "  (N is a decimal number, without sign)\n"
+      "  (N is a decimal number, without sign; X a finite decimal number)\n"
       "  --port=N             listen port (default 8080; 0 = ephemeral)\n"
       "  --bind=ADDR          bind address (default 127.0.0.1)\n"
       "  --workers=N          batch workers (default 2, at most 4096)\n"
@@ -104,6 +105,8 @@ int main(int argc, char** argv) {
   options.http.max_body_bytes = 64u << 20;
   options.workers = 2;
 
+  const auto non_negative = [](double x) { return x >= 0; };
+
   std::string trace_path;
   if (const char* env = std::getenv("RWDT_TRACE")) trace_path = env;
   std::string report_path;
@@ -133,11 +136,19 @@ int main(int argc, char** argv) {
       if (!ParseDecimal(v, &mb, SIZE_MAX >> 20)) return Usage(argv[0]);
       options.http.max_body_bytes = mb << 20;
     } else if (ParseFlag(argv[i], "--quota-qps", &v)) {
-      options.quota_qps = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &options.quota_qps, non_negative)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--quota-burst", &v)) {
-      options.quota_burst = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &options.quota_burst,
+                           [](double x) { return x >= 1; })) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--trace-sample", &v)) {
-      options.trace_sample_rate = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &options.trace_sample_rate,
+                           [](double x) { return x >= 0 && x <= 1; })) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--trace-seed", &v)) {
       if (!ParseDecimal(v, &options.trace_sample_seed)) return Usage(argv[0]);
     } else if (ParseFlag(argv[i], "--trace", &v)) {
@@ -148,7 +159,9 @@ int main(int argc, char** argv) {
       options.enable_slow_log = n > 0;
       if (n > 0) options.slow_log.capacity = n;
     } else if (ParseFlag(argv[i], "--slow-window", &v)) {
-      options.slow_log.window_s = std::atof(v.c_str());
+      if (!ParseFiniteFlag(v, &options.slow_log.window_s, non_negative)) {
+        return Usage(argv[0]);
+      }
     } else if (ParseFlag(argv[i], "--report", &v)) {
       report_path = v;
     } else {
