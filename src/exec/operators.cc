@@ -217,6 +217,25 @@ void MergeRows(const SymbolId* a, const SymbolId* b, size_t width,
 
 // --- JoinIndex -------------------------------------------------------
 
+template <typename GroupOf>
+void JoinIndex::Place(size_t groups, GroupOf group_of) {
+  // Count the rows of each group, turn the counts into group ends, then
+  // place rows back to front, which leaves each group's start in
+  // starts_ and its rows in input order.
+  starts_.assign(groups + 1, 0);
+  for (uint64_t key : keys_) ++starts_[group_of(key)];
+  uint32_t total = 0;
+  for (uint32_t& end : starts_) {
+    total += end;
+    end = total;
+  }
+  for (size_t i = keys_.size(); i-- > 0;) {
+    const uint32_t e = --starts_[group_of(keys_[i])];
+    order_[e] = static_cast<uint32_t>(i);
+    if (!dense_) tags_[e] = Tag(keys_[i]);
+  }
+}
+
 Status JoinIndex::Build(const RowBuffer& rows,
                         const std::vector<uint32_t>& key_slots) {
   if (rows.size() >= 0xffffffffu) {
@@ -225,59 +244,57 @@ Status JoinIndex::Build(const RowBuffer& rows,
   rows_ = &rows;
   key_slots_ = key_slots;
   const size_t n = rows.size();
-  // Power-of-two bucket count, at least the rows: about one entry a
-  // bucket.
+  // The hashed form's power-of-two bucket count, at least the rows:
+  // about one entry a bucket.
   size_t buckets = 1;
   while (buckets < n) buckets <<= 1;
-  mask_ = buckets - 1;
-  // Count the entries of each bucket, turn the counts into bucket ends,
-  // then place rows back to front, which leaves each bucket's start in
-  // starts_ and its rows in input order.
-  starts_.assign(buckets + 1, 0);
-  hashes_.resize(n);
-  entries_.resize(n);
-  const bool one_slot = key_slots_.size() == 1;
-  if (one_slot) {
+  keys_.resize(n);
+  order_.resize(n);
+  if (key_slots_.size() == 1) {
     const uint32_t slot = key_slots_[0];
+    SymbolId lo = kInvalidSymbol, hi = 0;
     for (size_t i = 0; i < n; ++i) {
       const SymbolId key = rows[i][slot];
       if (key == kInvalidSymbol) return NonDefiniteKey();
-      hashes_[i] = Mix(0, key);
-      ++starts_[hashes_[i] & mask_];
+      keys_[i] = key;
+      lo = std::min(lo, key);
+      hi = std::max(hi, key);
     }
+    // Dense when the ids from lo to hi are no more than the buckets; an
+    // empty input has no ids.
+    dense_ = n == 0 || hi - lo < buckets;
+    if (dense_) {
+      min_ = n == 0 ? 0 : lo;
+      span_ = n == 0 ? 0 : hi - lo + 1;
+      Place(span_, [this](uint64_t key) { return key - min_; });
+      return Status::Ok();
+    }
+    for (uint64_t& key : keys_) key = Mix(0, static_cast<SymbolId>(key));
   } else {
+    dense_ = false;
     for (size_t i = 0; i < n; ++i) {
       const SymbolId* row = rows[i];
       if (!KeyBound(row, key_slots_)) return NonDefiniteKey();
-      hashes_[i] = KeyHash(row);
-      ++starts_[hashes_[i] & mask_];
+      keys_[i] = KeyHash(row);
     }
   }
-  uint32_t total = 0;
-  for (uint32_t& end : starts_) {
-    total += end;
-    end = total;
-  }
-  // An entry's key is the id itself for a one-slot key, else the tag.
-  for (size_t i = n; i-- > 0;) {
-    const uint64_t h = hashes_[i];
-    const SymbolId key = one_slot ? rows[i][key_slots_[0]] : Tag(h);
-    entries_[--starts_[h & mask_]] = {key, static_cast<uint32_t>(i)};
-  }
+  mask_ = buckets - 1;
+  tags_.resize(n);
+  Place(buckets, [this](uint64_t hash) { return hash & mask_; });
   return Status::Ok();
 }
 
 bool JoinIndex::Contains(const SymbolId* probe) const {
-  if (key_slots_.size() == 1) {
-    const SymbolId key = probe[key_slots_[0]];
-    const auto [lo, hi] = BucketOf(Mix(0, key));
-    return std::any_of(lo, hi, [key](const Entry& e) { return e.key == key; });
+  if (dense_) {
+    const SymbolId group = probe[key_slots_[0]] - min_;
+    return group < span_ && starts_[group] != starts_[group + 1];
   }
   const uint64_t hash = KeyHash(probe);
-  const auto [lo, hi] = BucketOf(hash);
-  return std::any_of(lo, hi, [&](const Entry& e) {
-    return e.key == Tag(hash) && KeyEquals(e.row, probe);
-  });
+  const uint64_t bucket = hash & mask_;
+  for (uint32_t e = starts_[bucket]; e != starts_[bucket + 1]; ++e) {
+    if (tags_[e] == Tag(hash) && KeyEquals(order_[e], probe)) return true;
+  }
+  return false;
 }
 
 // --- Operator --------------------------------------------------------
@@ -625,7 +642,8 @@ std::vector<uint32_t> SharedSlots(const SlotLayout& layout,
   return SlotsOf(layout, shared);
 }
 
-/// rel := rel semijoin other (keep rows with >= 1 partner on `slots`).
+/// rel := rel semijoin other (keep rows with >= 1 partner on `slots`),
+/// probing `index`, which is left built over `other`.
 Status Semijoin(RowBuffer* rel, const RowBuffer& other,
                 const std::vector<uint32_t>& slots, JoinIndex* index) {
   RWDT_RETURN_IF_ERROR(index->Build(other, slots));
@@ -695,6 +713,7 @@ YannakakisOp::YannakakisOp(LayoutPtr layout, const graph::TripleStore& store,
   }
   rel_.reserve(n);
   for (size_t i = 0; i < n; ++i) rel_.emplace_back(width());
+  index_.resize(n);
 }
 
 Status YannakakisOp::Fill(RowBuffer* out) {
@@ -719,11 +738,12 @@ Status YannakakisOp::Fill(RowBuffer* out) {
   // Semijoin reduction, leaves to root. Removal order guarantees every
   // child of i has already reduced rel_[i] when i reduces its own
   // parent, so afterwards every row of a relation extends to its whole
-  // subtree, and the root's rows to full answers.
+  // subtree, and the root's rows to full answers. rel_[i] stays as it
+  // is from then on, so the index its semijoin builds serves its join.
   for (size_t i : forest_.order) {
     const size_t j = static_cast<size_t>(forest_.parent[i]);
     RWDT_RETURN_IF_ERROR(
-        Semijoin(&rel_[j], rel_[i], parent_slots_[i], &index_));
+        Semijoin(&rel_[j], rel_[i], parent_slots_[i], &index_[i]));
   }
 
   // Join along the forest, root first; the last join writes to `out`.
@@ -736,10 +756,8 @@ Status YannakakisOp::Fill(RowBuffer* out) {
     const bool last = std::next(it) == forest_.order.rend();
     RowBuffer* dst = last ? out : &next_acc_;
     if (!last) next_acc_.Clear();
-    const RowBuffer& rel = rel_[*it];
-    RWDT_RETURN_IF_ERROR(index_.Build(rel, parent_slots_[*it]));
     RWDT_RETURN_IF_ERROR(WithWidth(width(), [&](auto w) {
-      return ProbeJoin(w, *acc, rel, index_, parent_slots_[*it],
+      return ProbeJoin(w, *acc, rel_[*it], index_[*it], parent_slots_[*it],
                        new_slots_[*it], kNone, /*left_outer=*/false, dst);
     }));
     if (!last) {

@@ -162,19 +162,27 @@ bool CompatibleRows(const SymbolId* a, const SymbolId* b, size_t width);
 void MergeRows(const SymbolId* a, const SymbolId* b, size_t width,
                SymbolId* out);
 
-/// A hash index over the rows of a RowBuffer, keyed on the values of
-/// some slots. Its entries sit in one flat array grouped by bucket, in
-/// input order within a bucket. An entry holds a row's index and, for a
-/// one-slot key, the key itself, so a probe compares ids without
-/// reading the indexed rows; for a wider key it holds a hash tag, and a
-/// matching tag is confirmed slot by slot. Lookups compare keys
-/// exactly, so a hash collision never pairs rows whose keys differ. The
-/// indexed buffer must outlive the index and stay unchanged while it is
-/// used.
+/// An index over the rows of a RowBuffer, keyed on the values of some
+/// slots, in one of two forms that Build picks from its input. Both keep
+/// the row numbers in one flat array grouped by key, in input order
+/// within a group, and find a probe's group by its offsets in `starts_`:
+///
+/// - Dense: a one-slot key whose ids, from the least to the greatest,
+///   are no more than the hashed form's buckets for the same rows has
+///   one group per id, at `id - min`. A probe's matches are exactly its
+///   group: no hash, no collision and no key compare.
+/// - Hashed: any other key has a power-of-two count of buckets, at least
+///   the rows, and an entry keeps a hash tag of its row's key; a
+///   matching tag is confirmed slot by slot, so a hash collision never
+///   pairs rows whose keys differ.
+///
+/// The dense form's offsets are no longer than the hashed form's and it
+/// keeps no tags, so it never takes more memory. The indexed buffer must
+/// outlive the index and stay unchanged while it is used.
 class JoinIndex {
  public:
   /// Indexes `rows` on `key_slots`. Equal keys are compatible bindings
-  /// only when bound, so the pass that hashes the keys returns kInternal
+  /// only when bound, so the pass that reads the keys returns kInternal
   /// on a row that leaves a key slot unbound.
   Status Build(const RowBuffer& rows, const std::vector<uint32_t>& key_slots);
 
@@ -183,30 +191,35 @@ class JoinIndex {
   /// matches no row.
   template <typename Visit>
   void ForEachMatch(const SymbolId* probe, Visit&& visit) const {
-    if (key_slots_.size() == 1) {
-      const SymbolId key = probe[key_slots_[0]];
-      const auto [lo, hi] = BucketOf(Mix(0, key));
-      for (const Entry* e = lo; e != hi; ++e) {
-        if (e->key == key) visit(e->row);
+    // The group's ends are read before the first visit, whose writes
+    // may otherwise alias them.
+    if (dense_) {
+      // An unbound probe lies above every id: kInvalidSymbol is the
+      // greatest and no indexed key.
+      const SymbolId group = probe[key_slots_[0]] - min_;
+      if (group >= span_) return;
+      const uint32_t* const last = order_.data() + starts_[group + 1];
+      for (const uint32_t* e = order_.data() + starts_[group]; e != last;
+           ++e) {
+        visit(*e);
       }
       return;
     }
     const uint64_t hash = KeyHash(probe);
-    const auto [lo, hi] = BucketOf(hash);
-    for (const Entry* e = lo; e != hi; ++e) {
-      if (e->key == Tag(hash) && KeyEquals(e->row, probe)) visit(e->row);
+    const uint64_t bucket = hash & mask_;
+    const uint32_t last = starts_[bucket + 1];
+    for (uint32_t e = starts_[bucket]; e != last; ++e) {
+      if (tags_[e] == Tag(hash) && KeyEquals(order_[e], probe)) {
+        visit(order_[e]);
+      }
     }
   }
   /// Whether some indexed row's key equals `probe`'s.
   bool Contains(const SymbolId* probe) const;
+  /// Whether Build picked the dense form.
+  bool dense() const { return dense_; }
 
  private:
-  /// A row of the index: its key (one slot) or hash tag (wider keys).
-  struct Entry {
-    SymbolId key;
-    uint32_t row;
-  };
-
   static uint64_t Mix(uint64_t h, SymbolId v) {
     h = (h ^ v) * 0x9e3779b97f4a7c15ull;
     return h ^ (h >> 32);
@@ -226,17 +239,21 @@ class JoinIndex {
     }
     return true;
   }
-  std::pair<const Entry*, const Entry*> BucketOf(uint64_t hash) const {
-    const uint64_t b = hash & mask_;
-    return {entries_.data() + starts_[b], entries_.data() + starts_[b + 1]};
-  }
+  /// Groups the rows by `group_of(keys_[i])`, each below `groups`.
+  template <typename GroupOf>
+  void Place(size_t groups, GroupOf group_of);
 
   const RowBuffer* rows_ = nullptr;
   std::vector<uint32_t> key_slots_;
-  std::vector<uint32_t> starts_;   // bucket -> first entry; one past the end
-  std::vector<Entry> entries_;     // grouped by bucket
-  std::vector<uint64_t> hashes_;   // Build's per-row hashes, kept for capacity
-  uint64_t mask_ = 0;
+  bool dense_ = false;
+  SymbolId min_ = 0;   // dense: the least key, the id of group 0
+  SymbolId span_ = 0;  // dense: the groups, one per id from min_ on
+  uint64_t mask_ = 0;  // hashed: buckets - 1
+  std::vector<uint32_t> starts_;  // group -> first entry; one past the end
+  std::vector<uint32_t> order_;   // row numbers grouped by key
+  std::vector<SymbolId> tags_;    // hashed: the hash tag of each entry
+  // Build's per-row key (dense) or hash (hashed), kept for capacity.
+  std::vector<uint64_t> keys_;
 };
 
 /// A set-at-a-time rowsource: one call appends the operator's whole
@@ -433,8 +450,11 @@ JoinForest BuildJoinForest(const std::vector<std::set<SymbolId>>& varsets);
 /// it is given: no intermediate row is dangling, and intermediate
 /// results never exceed the final output — the acyclic-CQ guarantee,
 /// for which a root-first join needs no second, root-to-leaf pass.
-/// Produces the same bag as the evaluator's left-fold of nested-loop
-/// joins.
+/// A relation's semijoin indexes it on the slots it shares with its
+/// parent after its children have reduced it, and nothing changes it
+/// afterwards, so its join probes that same index and the join pass
+/// builds none. Produces the same bag as the evaluator's left-fold of
+/// nested-loop joins.
 class YannakakisOp : public Operator {
  public:
   YannakakisOp(LayoutPtr layout, const graph::TripleStore& store,
@@ -459,7 +479,9 @@ class YannakakisOp : public Operator {
   // Capacity reused across Fills.
   std::vector<RowBuffer> rel_;
   RowBuffer acc_, next_acc_;
-  JoinIndex index_;
+  // Per relation i != root: rel_[i] indexed on parent_slots_[i], built
+  // by its semijoin and probed by its join.
+  std::vector<JoinIndex> index_;
 };
 
 }  // namespace rwdt::exec

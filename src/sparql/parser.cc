@@ -474,11 +474,10 @@ class SparqlParser {
       term.id = dict_->Intern(number.view());
       return term;
     }
-    if (LitWord("true") || LitWord("false")) {
+    const bool is_true = LitWord("true");
+    if (is_true || LitWord("false")) {
       term.kind = Term::Kind::kLiteral;
-      term.id = dict_->Intern(
-          input_[pos_ - 1] == 'e' && input_[pos_ - 2] == 'u' ? "\"true\""
-                                                             : "\"false\"");
+      term.id = dict_->Intern(is_true ? "\"true\"" : "\"false\"");
       return term;
     }
     // Prefixed or bare name (IRI). The bare keyword 'a' is rdf:type.

@@ -5,12 +5,15 @@
 // verdict" can never change query semantics; it runs in the TSan CI set.
 // A second case runs hand-written chains, stars and cycles over a dense
 // random store, so that on every seed the joins themselves (Yannakakis
-// and hash joins) produce nonempty bags whose every column is compared.
+// and hash joins) produce nonempty bags whose every column is compared;
+// it runs each seed again with the entity ids spread far apart, so the
+// joins' indexes meet the evaluator in both their forms.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/interner.h"
@@ -121,13 +124,32 @@ constexpr const char* kJoinShapes[] = {
     "SELECT ?b ?c WHERE { ?a p0 ?b . ?b p1 ?c . ?c p2 ?d . ?d p3 ?a }",
 };
 
-class ExecJoinShapeTest : public ::testing::TestWithParam<uint64_t> {
+/// Filler symbols interned before each entity of the spread store: more
+/// than any relation's rows, so entity ids lie further apart than a one-
+/// slot join key's ids can for its index to take the dense form.
+constexpr int kFillersPerEntity = 1000;
+
+/// A seed, and whether the entity ids are spread apart.
+class ExecJoinShapeTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {
  protected:
   void SetUp() override {
+    const auto [seed, spread] = GetParam();
+    // The spread store interns every entity after kFillersPerEntity
+    // fillers; the dense one interns them as the edges meet them. The
+    // edges are the same.
+    if (spread) {
+      for (int e = 0; e < 20; ++e) {
+        for (int f = 0; f < kFillersPerEntity; ++f) {
+          dict_.Intern("fill:" + std::to_string(e) + ":" + std::to_string(f));
+        }
+        dict_.Intern("ent:" + std::to_string(e));
+      }
+    }
     // 20 entities and 60 random edges per predicate: about three out-
     // edges a node, so every shape above has answers, and the joins'
     // buckets hold rows of different keys.
-    Rng rng(GetParam());
+    Rng rng(seed);
     for (int p = 0; p < 4; ++p) {
       const SymbolId pred = dict_.Intern("p" + std::to_string(p));
       for (int i = 0; i < 60; ++i) {
@@ -169,8 +191,11 @@ TEST_P(ExecJoinShapeTest, JoinsAgreeWithEvaluatorOnNonemptyBags) {
   EXPECT_EQ(hash_join, 4u);
 }
 
+// Each seed over the dense store, whose one-slot join indexes take the
+// dense form, and over the spread one, whose take the hashed form.
 INSTANTIATE_TEST_SUITE_P(Seeds, ExecJoinShapeTest,
-                         ::testing::Values(3, 11, 29));
+                         ::testing::Combine(::testing::Values(3, 11, 29),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace rwdt::exec

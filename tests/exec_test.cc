@@ -592,6 +592,156 @@ TEST_F(ExecTest, MergeRowsPrefersAgreedValues) {
   EXPECT_EQ(mu, (Binding{{1, 10}, {2, 20}, {3, 30}}));
 }
 
+// --- JoinIndex -------------------------------------------------------
+
+/// A buffer of `width`-id rows, one per initializer.
+RowBuffer Rows(size_t width,
+               std::initializer_list<std::vector<SymbolId>> rows) {
+  RowBuffer out(width);
+  for (const auto& row : rows) std::copy(row.begin(), row.end(), out.Append());
+  return out;
+}
+
+/// The rows of `build` whose key on `slots` equals `probe`'s, in input
+/// order, by a scan of every row: the reference for JoinIndex.
+std::vector<uint32_t> NaiveMatches(const RowBuffer& build,
+                                   const std::vector<uint32_t>& slots,
+                                   const SymbolId* probe) {
+  std::vector<uint32_t> rows;
+  for (size_t i = 0; i < build.size(); ++i) {
+    if (std::all_of(slots.begin(), slots.end(), [&](uint32_t slot) {
+          return probe[slot] != kInvalidSymbol && build[i][slot] == probe[slot];
+        })) {
+      rows.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return rows;
+}
+
+/// Builds `index` over `build` on `slots`, checks the form it picked,
+/// and checks ForEachMatch and Contains against NaiveMatches for every
+/// row of `probes`.
+void ExpectIndexMatchesScan(JoinIndex* index, const RowBuffer& build,
+                            const std::vector<uint32_t>& slots, bool dense,
+                            const RowBuffer& probes) {
+  ASSERT_TRUE(index->Build(build, slots).ok());
+  EXPECT_EQ(index->dense(), dense);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    std::vector<uint32_t> got;
+    index->ForEachMatch(probes[i], [&](uint32_t row) { got.push_back(row); });
+    const std::vector<uint32_t> want = NaiveMatches(build, slots, probes[i]);
+    EXPECT_EQ(got, want) << "probe " << i;
+    EXPECT_EQ(index->Contains(probes[i]), !want.empty()) << "probe " << i;
+  }
+}
+
+TEST_F(ExecTest, JoinIndexMatchesAScanInBothForms) {
+  constexpr SymbolId kU = kInvalidSymbol;
+  constexpr SymbolId kTop = kInvalidSymbol - 1;  // the greatest id
+  // One index object throughout, so each Build also replaces the other
+  // form's state.
+  JoinIndex index;
+  // Keys 100..107 on slot 0: 8 ids over 7 rows, whose hashed form would
+  // have 8 buckets, so the index is dense. 100 and 103 repeat; 102,
+  // 104..106 are holes in the range.
+  const RowBuffer dense_ids = Rows(2, {{103, 0}, {100, 2}, {107, 3}, {103, 4},
+                                       {101, 5}, {100, 6}, {103, 7}});
+  // Both ends, duplicates, a hole, below, above, far above, unbound.
+  const RowBuffer one_slot_probes =
+      Rows(2, {{100, 0}, {107, 0}, {103, 0}, {101, 9}, {102, 0}, {99, 0},
+               {108, 0}, {0, 0}, {kTop, 0}, {kU, 0}, {5, 0}, {1000, 0},
+               {70000, 0}});
+  ExpectIndexMatchesScan(&index, dense_ids, {0}, /*dense=*/true,
+                         one_slot_probes);
+  // The same rows keyed on slot 1, ids 0 and 2..7: the range starts at
+  // the least id.
+  ExpectIndexMatchesScan(&index, dense_ids, {1}, /*dense=*/true,
+                         Rows(2, {{0, 0}, {0, 1}, {0, 7}, {0, 8}, {0, kU}}));
+  // Ids spread over more values than the 8 buckets, kTop among them: the
+  // hashed form, buckets shared by different keys.
+  const RowBuffer spread_ids =
+      Rows(2, {{1000, 1}, {5, 2}, {70000, 3}, {5, 4}, {kTop, 5}, {1000, 6},
+               {5, 7}});
+  ExpectIndexMatchesScan(&index, spread_ids, {0}, /*dense=*/false,
+                         one_slot_probes);
+  // The rule at its edge: 4 rows have 4 buckets, so ids 10..13 are dense
+  // and 10..14 are not.
+  ExpectIndexMatchesScan(&index, Rows(1, {{13}, {10}, {13}, {11}}), {0},
+                         /*dense=*/true,
+                         Rows(1, {{9}, {10}, {11}, {12}, {13}, {14}, {kU}}));
+  ExpectIndexMatchesScan(&index, Rows(1, {{14}, {10}, {14}, {11}}), {0},
+                         /*dense=*/false,
+                         Rows(1, {{9}, {10}, {11}, {13}, {14}, {15}, {kU}}));
+  // A two-slot key is hashed however dense its ids: slots 0 and 2, with
+  // (1, 2) three times and probes that leave one key slot unbound.
+  const RowBuffer pairs = Rows(3, {{1, 9, 2}, {2, 9, 1}, {1, 8, 2}, {1, 9, 3},
+                                   {2, 7, 2}, {1, 6, 2}});
+  ExpectIndexMatchesScan(
+      &index, pairs, {0, 2}, /*dense=*/false,
+      Rows(3, {{1, 0, 2}, {2, 0, 1}, {1, 0, 3}, {2, 0, 2}, {3, 0, 3},
+               {1, 0, kU}, {kU, 0, 2}, {kU, 0, kU}}));
+  // An empty build side, in both forms, matches nothing.
+  ExpectIndexMatchesScan(&index, RowBuffer(3), {0}, /*dense=*/true,
+                         Rows(3, {{0, 0, 0}, {1, 0, 2}, {kU, 0, kU}}));
+  ExpectIndexMatchesScan(&index, RowBuffer(3), {0, 2}, /*dense=*/false,
+                         Rows(3, {{0, 0, 0}, {1, 0, 2}, {kU, 0, kU}}));
+  // A build row that leaves a key slot unbound is a planner bug.
+  EXPECT_EQ(index.Build(Rows(2, {{1, 2}, {kU, 3}}), {0}).code(),
+            Code::kInternal);
+  EXPECT_EQ(index.Build(Rows(2, {{1, 2}, {3, kU}}), {0, 1}).code(),
+            Code::kInternal);
+}
+
+TEST_F(ExecTest, JoinIndexMatchesAScanOnRandomRows) {
+  // Random build sides, keyed on one slot over ranges narrower and wider
+  // than their bucket counts or on two slots, each probed with every
+  // id of the key range and around it, and with unbound slots.
+  Rng rng(17);
+  JoinIndex index;
+  size_t dense = 0, hashed = 0;
+  for (int round = 0; round < 300; ++round) {
+    const size_t n = rng.NextBelow(40);
+    const SymbolId base = static_cast<SymbolId>(1 + rng.NextBelow(1000));
+    const SymbolId range = static_cast<SymbolId>(1 + rng.NextBelow(80));
+    const std::vector<uint32_t> slots =
+        rng.NextBool(0.3) ? std::vector<uint32_t>{2, 0}
+                          : std::vector<uint32_t>{1};
+    RowBuffer build(3);
+    for (size_t i = 0; i < n; ++i) {
+      SymbolId* row = build.Append();
+      for (size_t s = 0; s < 3; ++s) {
+        row[s] = base + static_cast<SymbolId>(rng.NextBelow(range));
+      }
+    }
+    RowBuffer probes(3);
+    for (SymbolId v = base - 1; v <= base + range; ++v) {
+      SymbolId* row = probes.Append();
+      for (size_t s = 0; s < 3; ++s) {
+        row[s] = rng.NextBool(0.1)
+                     ? kInvalidSymbol
+                     : (s == slots[0] ? v
+                                      : base + static_cast<SymbolId>(
+                                                   rng.NextBelow(range)));
+      }
+    }
+    // The selection rule: one slot, and its ids from the least to the
+    // greatest no more than the hashed form's buckets.
+    size_t buckets = 1;
+    while (buckets < n) buckets <<= 1;
+    SymbolId lo = kInvalidSymbol, hi = 0;
+    for (size_t i = 0; i < n; ++i) {
+      lo = std::min(lo, build[i][slots[0]]);
+      hi = std::max(hi, build[i][slots[0]]);
+    }
+    const bool want_dense =
+        slots.size() == 1 && (n == 0 || hi - lo + 1 <= buckets);
+    (want_dense ? dense : hashed) += 1;
+    ExpectIndexMatchesScan(&index, build, slots, want_dense, probes);
+  }
+  EXPECT_GT(dense, 50u);
+  EXPECT_GT(hashed, 50u);
+}
+
 TEST_F(ExecTest, TermsMatchesSetConstruction) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);

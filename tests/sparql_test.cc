@@ -94,6 +94,22 @@ TEST_F(SparqlTest, FilterComparison) {
   EXPECT_EQ(Value(rows[0], "x"), dict_.Intern("alice"));
 }
 
+TEST_F(SparqlTest, BooleanKeywordsInternTheLiteralTheyName) {
+  // The keywords match in any case; each interns its own literal.
+  Add("alice", "member", "\"true\"");
+  Add("bob", "member", "\"false\"");
+  for (const char* keyword : {"TRUE", "true", "True", "FALSE", "false"}) {
+    const std::string text = std::string("SELECT ?x WHERE { ?x member ?y ") +
+                             "FILTER(?y = " + keyword + ") }";
+    const auto rows = Eval(text);
+    ASSERT_EQ(rows.size(), 1u) << text;
+    EXPECT_EQ(Value(rows[0], "x"),
+              dict_.Intern(keyword[0] == 'T' || keyword[0] == 't' ? "alice"
+                                                                  : "bob"))
+        << text;
+  }
+}
+
 TEST_F(SparqlTest, FilterLang) {
   auto rows = Eval(
       "SELECT ?n WHERE { alice name ?n FILTER(lang(?n)=\"en\") }");
